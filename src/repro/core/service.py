@@ -1,5 +1,11 @@
 """Service hosts: run a dispatcher behind a TCP or HTTP binding.
 
+There is one SOAP-over-HTTP host, :class:`SoapHttpService`: it supplies
+``route`` (404/405) and ``exchange`` (one SOAP exchange) to the shared
+:class:`~repro.transport.http.pipeline.RequestPipeline` and runs inline
+on the threaded driver; :class:`repro.serve.SoapServeService` is the same
+host configured with a worker pool and a choice of driver.
+
 Both hosts are content-type negotiating: a single host serves XML and BXSA
 clients simultaneously, answering each in the encoding it spoke — the
 "generic" server the paper's §5.1 architecture diagram implies.
@@ -93,10 +99,10 @@ def run_soap_http_exchange(
 ) -> tuple[HttpResponse, str, str, str]:
     """One SOAP-over-HTTP exchange → (response, operation, encoding, status).
 
-    The core of both HTTP hosts: :class:`SoapHttpService` handles requests
-    inline on the connection thread, the worker-pool runtime
-    (:class:`repro.serve.SoapServeService`) runs this on a pool worker —
-    same wire behaviour, different execution discipline.
+    The core of the HTTP host: inline on the driver's thread for
+    :class:`SoapHttpService`, on a pool worker for its pooled
+    configuration (:class:`repro.serve.SoapServeService`) — same wire
+    behaviour, different execution discipline.
 
     ``resolve_encoding`` maps a bare content type to the
     :class:`EncodingPolicy` that answers it (raising :class:`ValueError`
@@ -176,6 +182,9 @@ class SoapTcpService:
         self._red = _RedRecorder(self.metrics, dispatcher, "tcp")
         self._running = False
         self._thread: threading.Thread | None = None
+        # accepted connections, so stop() can close and join them
+        self._conn_lock = threading.Lock()
+        self._conns: dict[threading.Thread, object] = {}
 
     def start(self) -> "SoapTcpService":
         if self._running:
@@ -186,10 +195,21 @@ class SoapTcpService:
         return self
 
     def stop(self) -> None:
+        """Stop accepting, close every accepted channel, join the threads."""
         self._running = False
         self._listener.close()
         if self._thread is not None:
             self._thread.join(timeout=5)
+        with self._conn_lock:
+            conns = dict(self._conns)
+        for channel in conns.values():
+            try:
+                channel.close()  # fails the connection thread's blocked read
+            except TransportError:
+                pass
+        deadline = time.monotonic() + 1.0
+        for thread in conns:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "SoapTcpService":
         return self.start()
@@ -205,12 +225,15 @@ class SoapTcpService:
                 channel = self._listener.accept()
             except TransportError:
                 return
-            threading.Thread(
+            thread = threading.Thread(
                 target=self._serve_connection,
                 args=(channel,),
                 name=f"{self._name}-conn",
                 daemon=True,
-            ).start()
+            )
+            with self._conn_lock:
+                self._conns[thread] = channel
+            thread.start()
 
     def _serve_connection(self, channel) -> None:
         engine = SoapEngine(self._encoding, TcpServerBinding(channel), self._security)
@@ -254,11 +277,21 @@ class SoapTcpService:
                     )
         finally:
             self.metrics.gauge("soap_tcp_connections_open").dec()
+            with self._conn_lock:
+                self._conns.pop(threading.current_thread(), None)
             channel.close()
 
 
 class SoapHttpService:
-    """SOAP over the HTTP binding (POST /soap), via :class:`HttpServer`."""
+    """SOAP over the HTTP binding (POST /soap): the one SOAP/HTTP host.
+
+    An application of the request pipeline: :meth:`route` answers routing
+    misses, :meth:`exchange` runs one exchange, :meth:`shed` RED-counts
+    what the pipeline turned away.  This is the pool-less configuration,
+    inline on the threaded driver; :class:`repro.serve.SoapServeService`
+    overrides :meth:`_make_server` to put a pool and either driver under
+    the same three methods.
+    """
 
     def __init__(
         self,
@@ -272,17 +305,19 @@ class SoapHttpService:
         metrics: MetricsRegistry | None = None,
         admin: bool = True,
     ) -> None:
+        self._listener = listener
         self._dispatcher = dispatcher
         self._encoding = encoding if encoding is not None else XMLEncoding()
         self._security = security
         self._target = target
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._red = _RedRecorder(self.metrics, dispatcher, "http")
+        self._server = self._make_server(listener, name, admin)
+
+    def _make_server(self, listener: Listener, name: str, admin: bool):
         # one registry for both layers: GET /metrics on this port scrapes
         # the SOAP RED series and the HTTP server's own series together
-        self._server = HttpServer(
-            listener, self._handle, name=name, metrics=self.metrics, admin=admin
-        )
+        return HttpServer(listener, self, name=name, metrics=self.metrics, admin=admin)
 
     def start(self) -> "SoapHttpService":
         self._server.start()
@@ -298,26 +333,34 @@ class SoapHttpService:
         self.stop()
 
     # ------------------------------------------------------------------
+    # the pipeline application
 
-    def _handle(self, request: HttpRequest) -> HttpResponse:
+    def route(self, request: HttpRequest) -> HttpResponse | None:
+        """Answer routing misses; ``None`` sends the request to :meth:`exchange`."""
         if request.target != self._target:
             return HttpResponse(404, body=b"no such endpoint")
         if request.method != "POST":
             return HttpResponse(405, body=b"SOAP endpoints accept POST only")
-        start = time.perf_counter()
-        response, operation, encoding_label, status = self._handle_soap(request)
-        self._red.record(operation, encoding_label, status, time.perf_counter() - start)
+        return None
+
+    def exchange(self, request: HttpRequest, codecs) -> HttpResponse:
+        """One SOAP exchange, RED-counted; ``codecs`` is the pool worker's
+        warm encodings, or ``None`` when the exchange runs inline."""
+        resolve = codecs.resolve if codecs is not None else self._resolve_encoding
+        response, operation, encoding_label, status = run_soap_http_exchange(
+            request, self._dispatcher, self._red, resolve, self._security
+        )
+        # from the pipeline taking the request, so the RED latency includes
+        # any queue wait: it is what the client saw
+        elapsed = time.perf_counter() - request.received_at
+        self._red.record(operation, encoding_label, status, elapsed)
         return response
+
+    def shed(self, _request: HttpRequest, seconds: float) -> None:
+        """RED-count a request the pipeline turned away with a 503."""
+        self._red.record("?", "?", "shed", seconds)
 
     def _resolve_encoding(self, content_type: str) -> EncodingPolicy:
         if content_type == self._encoding.content_type:
             return self._encoding
         return encoding_for_content_type(content_type)
-
-    def _handle_soap(
-        self, request: HttpRequest
-    ) -> tuple[HttpResponse, str, str, str]:
-        """One SOAP exchange → (response, operation, encoding, status)."""
-        return run_soap_http_exchange(
-            request, self._dispatcher, self._red, self._resolve_encoding, self._security
-        )

@@ -29,6 +29,7 @@ from typing import Callable, Mapping, Sequence
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
 from repro.transport.base import Channel, TransportError
+from repro.transport.http.pipeline import READINESS_TARGET
 from repro.transport.resilience import (
     Deadline,
     RetryBudgetExhausted,
@@ -37,9 +38,6 @@ from repro.transport.resilience import (
     as_deadline,
     retry_call,
 )
-
-READINESS_TARGET = "/readyz"
-LIVENESS_TARGET = "/healthz"
 
 #: Default failover budget: up to four attempts gives a request a shot at
 #: every replica of a three-node federation plus one retry-after-cooldown.

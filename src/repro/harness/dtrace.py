@@ -16,7 +16,7 @@ and :func:`repro.obs.analyze.join_traces` must reassemble one tree:
 * the client's segment charges summing to its reported total;
 * the server's RED histogram carrying an exemplar naming that trace id.
 
-``tools/dtrace_smoke.py`` runs this for both cores inside ``verify.sh``;
+``tools/smoke.py dtrace`` runs this for both cores inside ``verify.sh``;
 ``figure_load --distributed-trace`` / ``figure_stream
 --distributed-trace`` expose the same demo from the figure CLIs.
 """

@@ -162,7 +162,7 @@ def to_markdown(results: list[ExperimentResult]) -> str:
         "or not) while the buffered column's TTFB and peak grow linearly",
         "with the payload.  `benchmarks/bench_stream.py` pins the peak and",
         "TTFB ratios in `benchmarks/results/stream.json`, enforced by",
-        "`tools/bench_guard.py`, and `tools/stream_smoke.py` runs the",
+        "`tools/bench_guard.py`, and `tools/smoke.py stream` runs the",
         "64 MiB exchange (plus a tamper check) as a verify-flow step.",
         "",
         "Federated data plane: `python -m repro.harness.figure_fed` runs a",
@@ -180,7 +180,7 @@ def to_markdown(results: list[ExperimentResult]) -> str:
         "exchanges against the balancer's request counter); the goodput",
         "rows show one node shedding the offered rate a 3-node federation",
         "completes; the node-kill row shows exact accounting with nothing",
-        "failed while a replica dies mid-load.  `tools/fed_smoke.py` runs",
+        "failed while a replica dies mid-load.  `tools/smoke.py fed` runs",
         "the 3-process cluster (one killed) as a verify-flow step and",
         "`benchmarks/bench_fed.py` pins the federation/single goodput ratio",
         "and the warm-hit latency in `benchmarks/results/fed.json`.",

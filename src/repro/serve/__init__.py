@@ -24,7 +24,19 @@ from repro.serve.pool import (
     ServeError,
     WorkerPool,
 )
-from repro.serve.service import ServeConfig, SoapServeService
+
+
+def __getattr__(name: str):
+    # The hosts are resolved on first use, not at package import: the
+    # HTTP request pipeline imports ``repro.serve.pool`` (this package),
+    # and ``repro.serve.service`` imports the pipeline — an eager import
+    # here would close that loop while the pipeline is half-initialised.
+    if name in ("ServeConfig", "SoapServeService"):
+        from repro.serve import service
+
+        return getattr(service, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AdmissionQueueFull",

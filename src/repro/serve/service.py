@@ -1,48 +1,42 @@
 """The production SOAP serving runtime: worker pool + admission control.
 
-:class:`SoapHttpService <repro.core.service.SoapHttpService>` executes
-every exchange on the connection thread that received it — fine for the
+:class:`SoapHttpService <repro.core.service.SoapHttpService>` runs every
+exchange inline on the connection thread that received it — fine for the
 harness, fatal under heavy concurrent traffic, where unbounded in-flight
-work means unbounded memory and collapse instead of degradation.
-:class:`SoapServeService` keeps the same wire behaviour (content-type
-negotiation, RED metrics, the ``/metrics``·``/healthz``·``/varz`` admin
-surface on the same port) but runs the SOAP work on a
-:class:`~repro.serve.pool.WorkerPool`:
+work means collapse instead of degradation.  :class:`SoapServeService` is
+the same host (same routing, negotiation, RED metrics and admin surface)
+configured with a :class:`~repro.serve.pool.WorkerPool`, so the request
+pipeline's admit stage queues or sheds:
 
-* at most ``config.workers`` exchanges execute at once;
-* at most ``config.queue_depth`` more wait in the admission queue;
-* anything past that is **shed** with ``503`` + ``Retry-After:
-  config.retry_after`` — the hint the client-side resilience layer
-  (:func:`repro.transport.resilience.retry_call`) uses to pace its retry;
-* each worker holds its own warm encoding policies (for BXSA that means a
-  long-lived :class:`~repro.bxsa.session.CodecSession` with compiled
-  encode *and* decode plans), so sustained same-shape traffic rides the
-  hot path in both directions without sharing codec state across threads;
-* :meth:`SoapServeService.stop` drains: the HTTP server finishes
-  in-flight requests (the pool is still running while it does), then the
-  pool drains its queue, then both are gone.
+* at most ``config.workers`` exchanges execute at once and at most
+  ``config.queue_depth`` more wait; anything past that is **shed** with
+  ``503`` + ``Retry-After: config.retry_after`` — the hint
+  :func:`repro.transport.resilience.retry_call` paces its retry on;
+* each worker holds its own warm encoding policies (for BXSA a long-lived
+  :class:`~repro.bxsa.session.CodecSession` with compiled encode *and*
+  decode plans), so same-shape traffic rides the hot path both ways
+  without sharing codec state across threads;
+* :meth:`SoapServeService.stop` drains: the driver finishes in-flight
+  requests (the pool is still running while it does), then the pool
+  drains its queue, then both are gone.
 
-Saturation telemetry rides the shared registry: ``serve_queue_depth``,
-``serve_workers_busy``, ``serve_saturation`` gauges and
-``serve_shed_total`` / ``serve_admitted_total`` /
-``serve_completed_total{status}`` counters appear on ``GET /metrics``
-next to the SOAP RED series.
+Saturation telemetry rides the shared registry: ``serve_queue_depth`` /
+``serve_workers_busy`` / ``serve_saturation`` gauges and ``serve_shed_total``
+/ ``serve_admitted_total`` / ``serve_completed_total{status}`` counters
+appear on ``GET /metrics`` next to the SOAP RED series.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from repro import obs
 from repro.core.dispatcher import Dispatcher
 from repro.core.policies import EncodingPolicy, encoding_for_content_type
-from repro.core.service import _RedRecorder, run_soap_http_exchange
-from repro.obs import propagation
+from repro.core.service import SoapHttpService
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.pool import AdmissionQueueFull, PoolStopped, WorkerPool
+from repro.serve.pool import WorkerPool
 from repro.transport.base import Listener
-from repro.transport.http.messages import HttpRequest, HttpResponse, busy_response
+from repro.transport.http.pipeline import RequestPipeline
 from repro.transport.http.server import DEFAULT_MAX_CONNECTIONS, HttpServer
 
 
@@ -95,8 +89,14 @@ class _WorkerCodecs:
         return policy
 
 
-class SoapServeService:
-    """SOAP over HTTP behind a bounded worker pool with load shedding."""
+class SoapServeService(SoapHttpService):
+    """SOAP over HTTP behind a bounded worker pool with load shedding.
+
+    The same host as :class:`~repro.core.service.SoapHttpService` — same
+    ``route``/``exchange``/``shed`` — configured with a pool (so the
+    pipeline's admit stage queues or sheds) and with the driver
+    ``config.core`` names.
+    """
 
     def __init__(
         self,
@@ -110,56 +110,52 @@ class SoapServeService:
         metrics: MetricsRegistry | None = None,
         admin: bool = True,
     ) -> None:
-        self._listener = listener
-        self._dispatcher = dispatcher
-        self._security = security
-        self._target = target
         self.config = config if config is not None else ServeConfig()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._red = _RedRecorder(self.metrics, dispatcher, "http")
+        super().__init__(
+            listener,
+            dispatcher,
+            security=security,
+            target=target,
+            name=name,
+            metrics=metrics,
+            admin=admin,
+        )
+
+    def _make_server(self, listener: Listener, name: str, admin: bool):
+        config = self.config
+        if config.core == "threaded":
+            driver = HttpServer
+        elif config.core == "aio":
+            # deferred import: the aio module needs real sockets and is
+            # only pulled in when an embedder asks for the selector core
+            from repro.transport.aio import AsyncHttpServer as driver
+        else:
+            raise ValueError(
+                f"unknown serving core {config.core!r}"
+                " (expected 'threaded' or 'aio')"
+            )
+        # one registry across pool + pipeline + driver: GET /metrics on
+        # this port scrapes saturation, RED and HTTP series together
         self.pool = WorkerPool(
-            self.config.workers,
-            self.config.queue_depth,
+            config.workers,
+            config.queue_depth,
             metrics=self.metrics,
             name=name,
             worker_state_factory=_WorkerCodecs,
-            retry_after=self.config.retry_after,
+            retry_after=config.retry_after,
         )
-        # one registry across pool + HTTP server: GET /metrics on this
-        # port scrapes saturation, RED and HTTP series together
-        if self.config.core == "threaded":
-            self._server = HttpServer(
-                listener,
-                self._handle,
-                name=name,
-                metrics=self.metrics,
-                admin=admin,
-                max_connections=self.config.max_connections,
-                readiness=self._readiness,
-            )
-        elif self.config.core == "aio":
-            # deferred import: the aio module needs real sockets and is
-            # only pulled in when an embedder asks for the selector core
-            from repro.transport.aio import AsyncHttpServer
-
-            self._server = AsyncHttpServer(
-                listener,
-                self._handle,
-                name=name,
-                metrics=self.metrics,
-                admin=admin,
-                max_connections=self.config.max_connections,
-                pool=self.pool,
-                pool_handler=self._pooled_exchange,
-                inline_router=self._route_inline,
-                on_shed=self._record_shed,
-                readiness=self._readiness,
-            )
-        else:
-            raise ValueError(
-                f"unknown serving core {self.config.core!r}"
-                " (expected 'threaded' or 'aio')"
-            )
+        pipeline = RequestPipeline(
+            self,
+            name=name,
+            metrics=self.metrics,
+            admin=admin,
+            readiness=self._readiness,
+            pool=self.pool,
+            result_timeout=config.result_timeout,
+        )
+        return driver(
+            listener, pipeline, name=name, max_connections=config.max_connections
+        )
 
     # ------------------------------------------------------------------
 
@@ -175,7 +171,7 @@ class SoapServeService:
         return getattr(self._listener, "address", None)
 
     def _readiness(self) -> tuple[bool, dict]:
-        """Readiness probe for ``GET /readyz`` on both serving cores.
+        """Readiness probe for ``GET /readyz``.
 
         Not-ready once the admission queue crosses
         ``config.ready_queue_fraction`` of its capacity (or the pool
@@ -203,88 +199,3 @@ class SoapServeService:
         """Graceful drain: HTTP first (pool still serving), then the pool."""
         self._server.stop(self.config.drain_timeout)
         self.pool.stop(self.config.drain_timeout)
-
-    def __enter__(self) -> "SoapServeService":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------
-
-    def _handle(self, request: HttpRequest) -> HttpResponse:
-        if request.target != self._target:
-            return HttpResponse(404, body=b"no such endpoint")
-        if request.method != "POST":
-            return HttpResponse(405, body=b"SOAP endpoints accept POST only")
-        start = time.perf_counter()
-        # hand the conn thread's trace position to the worker: the pooled
-        # exchange runs on another thread but parents under this request's
-        # serve span (same process, so the context adopts a local parent)
-        ctx = obs.current_context()
-        try:
-            completion = self.pool.submit(
-                lambda codecs: self._exchange_in_worker(request, codecs, ctx)
-            )
-        except (AdmissionQueueFull, PoolStopped) as exc:
-            retry_after = getattr(exc, "retry_after", None)
-            if retry_after is None:
-                retry_after = self.config.retry_after
-            self._red.record("?", "?", "shed", time.perf_counter() - start)
-            return busy_response(
-                retry_after, b"server overloaded: admission queue full"
-            )
-        response, operation, encoding_label, status = completion.result(
-            self.config.result_timeout
-        )
-        # the RED latency includes queue wait: it is what the client saw
-        self._red.record(operation, encoding_label, status, time.perf_counter() - start)
-        return response
-
-    def _exchange_in_worker(self, request: HttpRequest, codecs: _WorkerCodecs, ctx):
-        """One exchange on a pool worker, joined to the conn thread's trace."""
-        with obs.span("serve.exchange", kind="logical", context=ctx), obs.use_context(ctx):
-            return run_soap_http_exchange(
-                request, self._dispatcher, self._red, codecs.resolve, self._security
-            )
-
-    # ------------------------------------------------------------------
-    # aio-core hooks: same routing/RED semantics, no blocking on the loop
-
-    def _route_inline(self, request: HttpRequest) -> HttpResponse | None:
-        """Answer routing misses on the loop; SOAP work goes to the pool."""
-        if request.target != self._target:
-            return HttpResponse(404, body=b"no such endpoint")
-        if request.method != "POST":
-            return HttpResponse(405, body=b"SOAP endpoints accept POST only")
-        return None
-
-    def _pooled_exchange(
-        self, request: HttpRequest, codecs: _WorkerCodecs, enqueued_at: float
-    ) -> HttpResponse:
-        """Run one SOAP exchange on a worker (aio core's pool handler).
-
-        The aio dispatch path bypasses ``HttpAppCore._respond`` for pooled
-        requests, so the server-side root span (joined to the wire
-        context, when one arrived intact) is opened here instead.
-        """
-        ctx = propagation.extract_headers(request.headers)
-        with obs.span(
-            "http.serve",
-            kind="logical",
-            context=ctx,
-            method=request.method,
-            target=request.target,
-        ) as sp, obs.use_context(ctx):
-            response, operation, encoding_label, status = run_soap_http_exchange(
-                request, self._dispatcher, self._red, codecs.resolve, self._security
-            )
-            sp.set("status", response.status)
-            # latency includes queue wait, matching the threaded path
-            self._red.record(
-                operation, encoding_label, status, time.perf_counter() - enqueued_at
-            )
-        return response
-
-    def _record_shed(self, _request: HttpRequest) -> None:
-        self._red.record("?", "?", "shed", 0.0)

@@ -1,4 +1,4 @@
-"""Event-driven HTTP/1.1 serving core: one selector loop, thousands of
+"""Event-driven HTTP/1.1 driver: one selector loop, thousands of
 keep-alive connections.
 
 The threaded :class:`~repro.transport.http.server.HttpServer` spends one
@@ -14,19 +14,18 @@ no work.  This module replaces *only* the I/O discipline:
   writes responses with partial-write continuation.  An idle keep-alive
   connection costs one registered file descriptor and a small buffer —
   not a thread.
-* **Pool for CPU** — a complete request is handed to the existing
-  bounded :class:`~repro.serve.pool.WorkerPool`; its admission queue is
-  still the *only* place work is shed (plus the connection cap at
-  accept).  Workers notify the loop through a completion callback and a
-  wakeup socketpair; the loop thread never blocks on a result.
+* **The pipeline for everything else** — a complete request goes to
+  :meth:`RequestPipeline.begin
+  <repro.transport.http.pipeline.RequestPipeline.begin>`; its callback
+  delivers the response directly when it fires on the loop thread
+  (admin, routed, inline or shed requests) and through a completion
+  queue plus a wakeup socketpair when it fires on a pool worker.  The
+  loop thread never blocks on a result.
 
-:class:`AsyncHttpServer` is drop-in API-compatible with ``HttpServer``:
-same handler signature, same ``/metrics``·``/healthz``·``/varz`` admin
-surface (it subclasses the shared
-:class:`~repro.transport.http.server.HttpAppCore`), same 503 +
-``Retry-After`` shedding, same graceful drain on ``stop()``, same metric
-family names.  It additionally accepts a ``pool`` so CPU-bound handlers
-run off-loop.
+:class:`AsyncHttpServer` takes the same constructor arguments as
+``HttpServer`` and differs only in needing a socket-backed listener; what
+a request means — admin surface, admission, shedding, error mapping,
+metrics — is the pipeline's, identically on both drivers.
 
 The module also hosts :func:`drive_connections`, the selector-based
 load client that holds thousands of concurrent keep-alive connections
@@ -46,7 +45,6 @@ from collections import deque
 from typing import Callable
 
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.pool import AdmissionQueueFull, PoolStopped, WorkerPool
 from repro.transport.base import TransportError
 from repro.transport.http.messages import (
     HEADER_END,
@@ -56,18 +54,14 @@ from repro.transport.http.messages import (
     HttpResponse,
     _parse_headers,
     body_framing,
-    busy_response,
     declared_body_length,
     encode_chunk,
+    error_response,
     last_chunk,
     parse_request_head,
 )
-from repro.transport.http.server import (
-    DEFAULT_MAX_CONNECTIONS,
-    REJECT_RETRY_AFTER,
-    ADMIN_TARGETS,
-    HttpAppCore,
-)
+from repro.transport.http.pipeline import RequestPipeline, connection_limit_response
+from repro.transport.http.server import DEFAULT_MAX_CONNECTIONS, DriverBase
 
 #: Ceiling on a request head (start line + headers); matches the 1 MiB
 #: ``recv_until`` cap of the blocking server's BufferedChannel.
@@ -90,16 +84,12 @@ class _Conn:
         "inbuf",
         "outbuf",
         "events",
-        "registered",
         "busy",
-        "pending",
         "need",
         "close_after_flush",
         "peer_eof",
         "closed",
-        "chunker",
-        "chunk_parts",
-        "pending_head",
+        "chunked",
         "body_iter",
         "body_trailers",
     )
@@ -109,128 +99,76 @@ class _Conn:
         self.fd = sock.fileno()
         self.inbuf = bytearray()
         self.outbuf = bytearray()
-        self.events = 0
-        self.registered = False
-        self.busy = False  # a pooled request is in flight
-        self.pending: tuple[HttpRequest, float] | None = None
+        self.events = 0  # selector interest; 0 means not registered
+        self.busy = False  # a request is with the pipeline
         self.need = 0  # bytes required to complete the current body
         self.close_after_flush = False
         self.peer_eof = False
         self.closed = False
-        # mid-flight chunked request body (head parsed, body incomplete)
-        self.chunker: ChunkedDecoder | None = None
-        self.chunk_parts: list | None = None
-        self.pending_head: tuple | None = None
+        # mid-flight chunked request (head parsed, body incomplete):
+        # ``(head, ChunkedDecoder, decoded parts)``
+        self.chunked: tuple | None = None
         # streamed response being written: pull-on-drain body producer
         self.body_iter = None
         self.body_trailers = None
 
 
-class AsyncHttpServer(HttpAppCore):
+class AsyncHttpServer(DriverBase):
     """Serve ``handler`` over a selector loop instead of per-conn threads.
 
     Requires a socket-backed listener (one exposing ``raw_socket``, e.g.
     :class:`~repro.transport.sockets.TcpListener`) — in-memory pipes have
     no file descriptor to select on.
 
-    Without a ``pool`` every request (admin or handler) is answered
-    inline on the loop thread — fine for admin sidecars and trivial
-    handlers.  With a ``pool``:
-
-    * admin targets and requests ``inline_router`` claims are still
-      answered inline (they are cheap and must work even when the pool
-      is saturated);
-    * everything else is submitted as ``pool_handler(request, state,
-      enqueued_at)`` (``state`` is the worker's private state object);
-      admission rejection becomes the standard 503 + ``Retry-After`` and
-      ``on_shed(request)`` lets the embedder account it (e.g. RED
-      metrics).
+    A bare handler (or a pipeline without a pool) is answered inline on
+    the loop thread — fine for admin sidecars and trivial handlers.  A
+    :class:`~repro.transport.http.pipeline.RequestPipeline` built with a
+    ``pool`` runs its exchanges on the workers; admin targets and routed
+    requests are still answered on the loop, so they work even when the
+    pool is saturated.
     """
 
     def __init__(
         self,
         listener,
-        handler: Callable[[HttpRequest], HttpResponse],
+        handler: Callable[[HttpRequest], HttpResponse] | RequestPipeline,
         *,
         name: str = "aio-server",
         metrics: MetricsRegistry | None = None,
         admin: bool = True,
         drain_timeout: float = 5.0,
         max_connections: int | None = DEFAULT_MAX_CONNECTIONS,
-        pool: WorkerPool | None = None,
-        pool_handler: Callable[[HttpRequest, object, float], HttpResponse] | None = None,
-        inline_router: Callable[[HttpRequest], HttpResponse | None] | None = None,
-        on_shed: Callable[[HttpRequest], None] | None = None,
         readiness: Callable[[], tuple[bool, dict]] | None = None,
     ) -> None:
         raw = getattr(listener, "raw_socket", None)
         if raw is None:
-            if isinstance(listener, socket.socket):
-                raw = listener
-            else:
-                raise TransportError(
-                    "AsyncHttpServer needs a socket-backed listener exposing "
-                    "raw_socket (e.g. TcpListener); in-memory pipes have no "
-                    "file descriptor to select on"
-                )
-        if pool is not None and pool_handler is None:
-            raise ValueError("pool_handler is required when a pool is given")
-        if max_connections is not None and max_connections < 1:
-            raise ValueError("max_connections must be >= 1 (or None for no cap)")
-        self._listener = listener
+            raise TransportError(
+                "AsyncHttpServer needs a socket-backed listener exposing "
+                "raw_socket (e.g. TcpListener); in-memory pipes have no "
+                "file descriptor to select on"
+            )
+        super().__init__(
+            listener, handler, name, metrics, admin, readiness, drain_timeout, max_connections
+        )
         self._lsock: socket.socket = raw
-        self._handler = handler
-        self._name = name
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._admin = admin
-        self._readiness = readiness
-        self._drain_timeout = drain_timeout
-        self._max_connections = max_connections
-        self._pool = pool
-        self._pool_handler = pool_handler
-        self._inline_router = inline_router
-        self._on_shed = on_shed
         self._sel: selectors.BaseSelector | None = None
         self._thread: threading.Thread | None = None
         self._conns: dict[int, _Conn] = {}
-        self._running = False
-        self._stopped = False
-        self._started_at: float | None = None
         # completion hand-off: worker threads append here and poke the
         # wakeup socket; only the loop thread pops
         self._done: deque = deque()
         self._waker_r: socket.socket | None = None
         self._waker_w: socket.socket | None = None
-        self._stop_requested = False
         self._draining = False
         self._drain_deadline = 0.0
         self._force_close = False
-        self._pool_in_flight = 0
-        self._reject_payload = busy_response(
-            REJECT_RETRY_AFTER,
-            b"connection limit reached, retry later",
-            close=True,
-        ).to_bytes()
-        self.recent_errors: deque = deque(maxlen=32)
+        self._in_flight = 0  # requests with the pipeline; loop thread only
+        self._reject_payload = connection_limit_response().to_bytes()
 
     # ------------------------------------------------------------------
     # lifecycle
 
-    def start(self) -> "AsyncHttpServer":
-        """Start the selector loop in a daemon thread; returns self.
-
-        One-shot, like :class:`HttpServer`: ``stop()`` closes the
-        listener, so a restart raises instead of limping on stale state.
-        """
-        if self._running:
-            raise RuntimeError("server already running")
-        if self._stopped:
-            raise RuntimeError(
-                "server cannot be restarted: stop() closed its listener; "
-                "create a new AsyncHttpServer on a fresh listener instead"
-            )
-        self._running = True
-        self._started_at = time.monotonic()
+    def _launch(self) -> None:
         self._lsock.setblocking(False)
         self._sel = selectors.DefaultSelector()
         self._sel.register(self._lsock, selectors.EVENT_READ, _ACCEPT)
@@ -240,13 +178,12 @@ class AsyncHttpServer(HttpAppCore):
         self._sel.register(self._waker_r, selectors.EVENT_READ, _WAKEUP)
         self._thread = threading.Thread(target=self._run, name=self._name, daemon=True)
         self._thread.start()
-        return self
 
     def stop(self, drain_timeout: float | None = None) -> None:
         """Stop accepting, drain in-flight requests, close every connection.
 
-        The loop closes the listener, lets requests already handed to the
-        pool finish (writing their responses) within the drain budget,
+        The loop closes the listener, lets requests already with the
+        pipeline finish (writing their responses) within the drain budget,
         closes idle connections immediately, and force-closes whatever
         remains when the budget expires.
         """
@@ -257,7 +194,6 @@ class AsyncHttpServer(HttpAppCore):
         self._stopped = True
         budget = drain_timeout if drain_timeout is not None else self._drain_timeout
         self._drain_deadline = time.monotonic() + budget
-        self._stop_requested = True
         self._wake()
         thread = self._thread
         if thread is not None:
@@ -267,12 +203,6 @@ class AsyncHttpServer(HttpAppCore):
                 self._wake()
                 thread.join(timeout=2.0)
         self._thread = None
-
-    def __enter__(self) -> "AsyncHttpServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
     # ------------------------------------------------------------------
     # the loop
@@ -298,12 +228,12 @@ class AsyncHttpServer(HttpAppCore):
         try:
             while True:
                 self._drain_completions()
-                if self._stop_requested and not self._draining:
+                if not self._running and not self._draining:
                     self._begin_drain()
                 if self._force_close:
                     return
                 if self._draining:
-                    if not self._conns and self._pool_in_flight == 0:
+                    if not self._conns and self._in_flight == 0:
                         return
                     remaining = self._drain_deadline - time.monotonic()
                     if remaining <= 0:
@@ -389,9 +319,6 @@ class AsyncHttpServer(HttpAppCore):
                 return
             except OSError:
                 return  # listener closed
-            if self._draining:
-                sock.close()
-                continue
             sock.setblocking(False)
             try:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -408,7 +335,6 @@ class AsyncHttpServer(HttpAppCore):
             self.metrics.gauge("http_connections_open").inc()
             self.metrics.counter("http_connections_total").add()
             self._sel.register(sock, selectors.EVENT_READ, conn)
-            conn.registered = True
             conn.events = selectors.EVENT_READ
 
     def _reject(self, sock: socket.socket) -> None:
@@ -457,7 +383,7 @@ class AsyncHttpServer(HttpAppCore):
                     self._close_conn(conn)
                     return
                 break
-            if conn.chunker is not None:
+            if conn.chunked is not None:
                 if not self._advance_chunked(conn):
                     break
                 continue
@@ -480,9 +406,7 @@ class AsyncHttpServer(HttpAppCore):
                 # one ChunkedDecoder (messages.py owns the grammar)
                 del conn.inbuf[: idx + len(HEADER_END)]
                 conn.need = 0
-                conn.chunker = ChunkedDecoder()
-                conn.chunk_parts = []
-                conn.pending_head = (method, target, version, headers)
+                conn.chunked = ((method, target, version, headers), ChunkedDecoder(), [])
                 continue
             total = idx + len(HEADER_END) + length
             if len(conn.inbuf) < total:
@@ -501,24 +425,20 @@ class AsyncHttpServer(HttpAppCore):
         Returns True when the request completed and was dispatched,
         False when more bytes are needed (or the connection died).
         """
+        (method, target, version, headers), chunker, parts = conn.chunked
         data = bytes(conn.inbuf)
         conn.inbuf.clear()
         try:
-            conn.chunk_parts += conn.chunker.feed(data)
+            parts += chunker.feed(data)
         except HttpError as exc:
             self._abort(conn, exc)
             return False
-        if not conn.chunker.done:
+        if not chunker.done:
             return False
-        conn.inbuf += conn.chunker.residue  # pipelined next request
-        method, target, version, headers = conn.pending_head
-        request = HttpRequest(
-            method, target, headers, b"".join(conn.chunk_parts), version
-        )
-        request.trailers = conn.chunker.trailers
-        conn.chunker = None
-        conn.chunk_parts = None
-        conn.pending_head = None
+        conn.inbuf += chunker.residue  # pipelined next request
+        request = HttpRequest(method, target, headers, b"".join(parts), version)
+        request.trailers = chunker.trailers
+        conn.chunked = None
         self._dispatch(conn, request)
         return True
 
@@ -527,13 +447,9 @@ class AsyncHttpServer(HttpAppCore):
         501 unsupported transfer coding) and close once it is flushed."""
         conn.inbuf.clear()
         conn.need = 0
-        conn.chunker = None
-        conn.chunk_parts = None
-        conn.pending_head = None
-        response = HttpResponse(exc.status, body=str(exc).encode())
-        response.headers.set("Connection", "close")
+        conn.chunked = None
         conn.close_after_flush = True
-        conn.outbuf += response.to_bytes()
+        conn.outbuf += error_response(exc, close=True).to_bytes()
         self._flush(conn)
 
     def _flush(self, conn: _Conn) -> None:
@@ -578,12 +494,10 @@ class AsyncHttpServer(HttpAppCore):
                     conn.body_trailers = None
                     return
                 conn.outbuf += encode_chunk(piece)
-        except Exception as exc:  # noqa: BLE001 - producer failed mid-body;
-            # the head is on the wire, so no error status can be sent — the
-            # truncated chunked body marks the message bad for the peer
-            self.metrics.counter(
-                "http_handler_errors_total", labels={"type": type(exc).__name__}
-            ).add()
+        except Exception:  # noqa: BLE001 - producer failed mid-body (the
+            # pipeline has recorded it); the head is on the wire, so no
+            # error status can be sent — the truncated chunked body marks
+            # the message bad for the peer
             self._close_conn(conn)
 
     def _update_interest(self, conn: _Conn) -> None:
@@ -596,18 +510,16 @@ class AsyncHttpServer(HttpAppCore):
             desired |= selectors.EVENT_READ
         if conn.outbuf or conn.body_iter is not None:
             desired |= selectors.EVENT_WRITE
-        if desired == conn.events and conn.registered == bool(desired):
+        if desired == conn.events:
             return
         sel = self._sel
         try:
-            if conn.registered and not desired:
+            if not desired:
                 sel.unregister(conn.sock)
-                conn.registered = False
-            elif conn.registered:
+            elif conn.events:
                 sel.modify(conn.sock, desired, conn)
-            elif desired:
+            else:
                 sel.register(conn.sock, desired, conn)
-                conn.registered = True
         except (KeyError, ValueError, OSError):  # pragma: no cover - defensive
             self._close_conn(conn)
             return
@@ -617,12 +529,12 @@ class AsyncHttpServer(HttpAppCore):
         if conn.closed:
             return
         conn.closed = True
-        if conn.registered:
+        if conn.events:
             try:
                 self._sel.unregister(conn.sock)
             except (KeyError, ValueError, OSError):  # pragma: no cover
                 pass
-            conn.registered = False
+            conn.events = 0
         try:
             conn.sock.close()
         except OSError:  # pragma: no cover - defensive
@@ -634,93 +546,40 @@ class AsyncHttpServer(HttpAppCore):
     # dispatch
 
     def _dispatch(self, conn: _Conn, request: HttpRequest) -> None:
-        pool = self._pool
-        if pool is None or (self._admin and request.target in ADMIN_TARGETS):
-            self._enqueue_response(conn, request, self._respond(request))
-            return
-        if self._inline_router is not None:
-            try:
-                inline = self._inline_router(request)
-            except Exception as exc:  # noqa: BLE001 - server must not die
-                self._record_handler_error(request, exc)
-                inline = HttpResponse(500, body=b"internal server error")
-            if inline is not None:
-                self._finalize_request_metrics(request, inline, 0.0)
-                self._enqueue_response(conn, request, inline)
-                return
-        in_flight = self.metrics.gauge("http_requests_in_flight")
-        in_flight.inc()
-        enqueued_at = time.perf_counter()
-        handler = self._pool_handler
-        try:
-            completion = pool.submit(
-                lambda state, _r=request, _t=enqueued_at: handler(_r, state, _t)
-            )
-        except (AdmissionQueueFull, PoolStopped) as exc:
-            in_flight.dec()
-            retry_after = getattr(exc, "retry_after", None)
-            if retry_after is None:
-                retry_after = REJECT_RETRY_AFTER
-            response = busy_response(
-                retry_after, b"server overloaded: admission queue full"
-            )
-            if self._on_shed is not None:
-                try:
-                    self._on_shed(request)
-                except Exception:  # noqa: BLE001 - accounting must not kill I/O
-                    pass
-            self._finalize_request_metrics(
-                request, response, time.perf_counter() - enqueued_at
-            )
-            self._enqueue_response(conn, request, response)
-            return
         conn.busy = True
-        conn.pending = (request, enqueued_at)
-        self._pool_in_flight += 1
-        completion.add_done_callback(
-            lambda c, _conn=conn: self._on_completion(_conn, c)
+        self._in_flight += 1
+        self._pipeline.begin(
+            request, lambda response: self._on_answer(conn, request, response)
         )
 
-    def _on_completion(self, conn: _Conn, completion) -> None:
-        """Worker-thread side of the hand-off: queue and poke the loop."""
-        self._done.append((conn, completion))
-        self._wake()
+    def _on_answer(self, conn: _Conn, request: HttpRequest, response: HttpResponse) -> None:
+        """The pipeline's callback: deliver here, or hand off to the loop.
+
+        It fires on the loop thread (inside :meth:`_dispatch`) for a
+        request answered without the pool, and on a worker otherwise —
+        a worker only queues the answer and pokes the loop.
+        """
+        if threading.current_thread() is self._thread:
+            self._deliver(conn, request, response)
+        else:
+            self._done.append((conn, request, response))
+            self._wake()
 
     def _drain_completions(self) -> None:
         while True:
             try:
-                conn, completion = self._done.popleft()
+                conn, request, response = self._done.popleft()
             except IndexError:
                 return
-            self._pool_in_flight -= 1
-            request, enqueued_at = conn.pending if conn.pending else (None, 0.0)
-            conn.pending = None
-            try:
-                response = completion.result(0)
-            except HttpError as exc:
-                response = HttpResponse(exc.status, body=str(exc).encode())
-            except PoolStopped:
-                response = busy_response(
-                    REJECT_RETRY_AFTER, b"server is draining", close=True
-                )
-            except Exception as exc:  # noqa: BLE001 - server must not die
-                if request is not None:
-                    self._record_handler_error(request, exc)
-                response = HttpResponse(500, body=b"internal server error")
-            self.metrics.gauge("http_requests_in_flight").dec()
-            if request is not None:
-                self._finalize_request_metrics(
-                    request, response, time.perf_counter() - enqueued_at
-                )
-            conn.busy = False
-            if conn.closed:
-                continue
-            if request is None:  # pragma: no cover - defensive
-                self._close_conn(conn)
-                continue
-            self._enqueue_response(conn, request, response)
+            self._deliver(conn, request, response)
             if not conn.closed and not conn.busy:
                 self._advance(conn)  # a pipelined request may be buffered
+
+    def _deliver(self, conn: _Conn, request: HttpRequest, response: HttpResponse) -> None:
+        self._in_flight -= 1
+        conn.busy = False
+        if not conn.closed:
+            self._enqueue_response(conn, request, response)
 
     def _enqueue_response(
         self, conn: _Conn, request: HttpRequest, response: HttpResponse

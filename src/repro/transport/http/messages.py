@@ -67,6 +67,18 @@ class HttpError(TransportError):
     status = 400
 
 
+def error_response(exc: HttpError, *, close: bool = False) -> "HttpResponse":
+    """The answer an :class:`HttpError` asks for: its status, its message.
+
+    ``close=True`` is the framing-refusal shape — the body boundary is
+    unknown after bad framing, so the connection is never reused.
+    """
+    response = HttpResponse(exc.status, body=str(exc).encode())
+    if close:
+        response.headers.set("Connection", "close")
+    return response
+
+
 class HttpUnsupportedTransferEncoding(HttpError):
     """A transfer coding this stack does not implement.
 
@@ -193,6 +205,9 @@ class HttpRequest(_Message):
     version: str = "HTTP/1.1"
     stream: Iterable[bytes] | None = None
     trailers: _Headers | None = None
+    #: ``perf_counter`` stamp of the serving pipeline taking the request;
+    #: latency measured from it is what the client saw, queue wait included.
+    received_at: float | None = field(default=None, compare=False, repr=False)
 
     def _head_lines(self) -> list[bytes]:
         return [f"{self.method} {self.target} {self.version}".encode("ascii")]

@@ -1,61 +1,48 @@
-"""Threaded HTTP/1.1 server over any listener, with a live admin surface.
+"""Threaded HTTP/1.1 driver over any listener: one thread per connection.
 
-One thread accepts; one thread per connection serves requests until the
-client stops keeping the connection alive.  The handler is a plain callable
-``HttpRequest -> HttpResponse`` — the SOAP dispatcher, the netCDF file
-server and the examples all plug in here.
-
-Every server carries a :class:`~repro.obs.MetricsRegistry` (pass one in to
-share it with the application handler, e.g. the SOAP service hosts) and,
-unless ``admin=False``, answers three reserved GET endpoints alongside the
-handler:
-
-* ``/metrics`` — the registry in Prometheus text format;
-* ``/healthz`` — liveness JSON (status, uptime, in-flight/connection
-  gauges);
-* ``/varz``    — the full metrics snapshot as JSON plus server info,
-  including the most recent handler errors (whose detail is deliberately
-  *not* sent to clients — a 500 body says only ``internal server error``).
+One thread accepts; one thread per connection frames requests, hands each
+to the :class:`~repro.transport.http.pipeline.RequestPipeline` (its
+blocking ``run`` — this driver has a thread to park) and writes the
+answer, until the client stops keeping the connection alive.  What a
+request *means* — admin surface, routing, admission, tracing, error
+mapping, metrics — is the pipeline's; this module owns sockets, framing,
+scheduling and drain.  It is the only driver that serves in-memory
+listeners (the harness).
 
 Concurrency is bounded: at most ``max_connections`` connection threads
 exist at once (default :data:`DEFAULT_MAX_CONNECTIONS`); a connection
 past the cap is answered ``503`` + ``Retry-After`` from the accept loop
 and closed — never a silent drop, never an unbounded thread spawn.
 
-Shutdown drains: ``stop()`` closes the listener, asks connection threads
-to finish their in-flight request, force-closes lingering channels after
-the drain budget (``drain_timeout``, overridable per ``stop()`` call) and
-joins the threads, so a stopped server leaves no request half-written.
+Shutdown drains: ``stop()`` shuts the listener (waking the accept thread
+at once), closes connections idle between requests, lets in-flight
+requests finish — answered ``Connection: close`` — within the drain
+budget (``drain_timeout``, overridable per ``stop()`` call), force-closes
+what lingers past it and joins the threads, so a stopped server leaves no
+request half-written and no thread behind.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from collections import deque
 from typing import Callable
 
-from repro import obs
-from repro.obs import propagation
-from repro.obs.exposition import render_prometheus, render_varz
 from repro.obs.metrics import MetricsRegistry
 from repro.transport.base import BufferedChannel, Listener, TransportError
 from repro.transport.http.messages import (
     HttpError,
     HttpRequest,
     HttpResponse,
-    busy_response,
     drain_stream,
+    error_response,
     read_request,
 )
-
-#: Reserved admin targets (GET only); everything else goes to the handler.
-#: ``/healthz`` is liveness (200 while the process serves at all);
-#: ``/readyz`` is readiness (503 when the embedder's readiness probe —
-#: e.g. worker-pool admission-queue occupancy — says "stop routing
-#: here"), the signal load balancers gate on.
-ADMIN_TARGETS = ("/metrics", "/healthz", "/readyz", "/varz")
+from repro.transport.http.pipeline import (
+    ADMIN_TARGETS,
+    RequestPipeline,
+    connection_limit_response,
+)
 
 #: Default ceiling on concurrent connection threads.  The seed spawned one
 #: thread per connection without bound — a connection flood grew threads
@@ -63,172 +50,66 @@ ADMIN_TARGETS = ("/metrics", "/healthz", "/readyz", "/varz")
 #: clean ``503`` + ``Retry-After`` and is closed, never a silent drop.
 DEFAULT_MAX_CONNECTIONS = 256
 
-#: Retry-After hint on capped-out connection rejections, seconds.
-REJECT_RETRY_AFTER = 1.0
 
+class DriverBase:
+    """What the two I/O drivers share: constructor contract and lifecycle.
 
-class HttpAppCore:
-    """Request execution, metrics and the admin surface — shared machinery.
-
-    Both HTTP servers (this module's threaded :class:`HttpServer` and the
-    event-driven :class:`~repro.transport.aio.AsyncHttpServer`) present
-    the same application behaviour: the handler contract, exception→status
-    mapping, the ``/metrics``·``/healthz``·``/varz`` surface, and the
-    request metric families.  That behaviour lives here so the two
-    serving cores cannot drift apart.
-
-    Subclasses provide ``self._name``, ``self.metrics``, ``self._admin``,
-    ``self._handler``, ``self._started_at`` and ``self.recent_errors``.
-    They may also set ``self._readiness`` — a callable returning
-    ``(ready, detail_dict)`` — to drive ``GET /readyz``; without one the
-    server is always ready (liveness and readiness coincide).
+    ``handler`` is a ready :class:`RequestPipeline` (carrying its own name,
+    registry, admin surface and readiness probe) or a bare handler /
+    application object, wrapped in one built from the driver's kwargs.
+    A driver is one-shot: ``stop()`` closes the listener, so a restart
+    would silently reuse stale connection bookkeeping on a dead socket —
+    starting after a stop raises instead of limping.  Subclasses provide
+    ``_launch()`` (start the serving thread) and ``stop()``.
     """
 
-    _name: str
-    metrics: MetricsRegistry
-    _admin: bool
-    _started_at: float | None
-    recent_errors: deque
-    #: Optional readiness probe: ``() -> (ready, detail)``.
-    _readiness: Callable[[], tuple[bool, dict]] | None = None
-
-    def _respond(self, request: HttpRequest) -> HttpResponse:
-        m = self.metrics
-        in_flight = m.gauge("http_requests_in_flight")
-        in_flight.inc()
-        start = time.perf_counter()
-        # join the caller's trace when the request carries a valid
-        # context; malformed/duplicate headers mean a fresh root, never
-        # an error response
-        ctx = propagation.extract_headers(request.headers)
-        try:
-            with obs.span(
-                "http.serve",
-                kind="logical",
-                context=ctx,
-                method=request.method,
-                target=request.target,
-            ) as sp, obs.use_context(ctx):
-                if self._admin and request.target in ADMIN_TARGETS:
-                    target = self._admin_response
-                else:
-                    target = self._handler
-                try:
-                    response = target(request)
-                except HttpError as exc:
-                    response = HttpResponse(exc.status, body=str(exc).encode())
-                except Exception as exc:  # noqa: BLE001 - server must not die
-                    # the client gets a generic body: internals (exception
-                    # type, message, paths) are server-side information
-                    self._record_handler_error(request, exc)
-                    response = HttpResponse(500, body=b"internal server error")
-                sp.set("status", response.status)
-            return response
-        finally:
-            in_flight.dec()
-            self._finalize_request_metrics(
-                request, response, time.perf_counter() - start
-            )
-
-    def _finalize_request_metrics(
-        self, request: HttpRequest, response: HttpResponse, elapsed: float
+    def __init__(
+        self, listener, handler, name, metrics, admin, readiness, drain_timeout, max_connections
     ) -> None:
-        """Count one answered request into the shared HTTP families."""
-        self.metrics.counter(
-            "http_requests_total",
-            labels={
-                "method": request.method,
-                "status": f"{response.status // 100}xx",
-            },
-        ).add()
-        self.metrics.histogram(
-            "http_request_seconds", labels={"method": request.method}
-        ).observe(elapsed)
-
-    def _record_handler_error(self, request: HttpRequest, exc: Exception) -> None:
-        self.metrics.counter(
-            "http_handler_errors_total", labels={"type": type(exc).__name__}
-        ).add()
-        detail = {
-            "target": request.target,
-            "method": request.method,
-            "error": type(exc).__name__,
-            "detail": str(exc),
-        }
-        self.recent_errors.append(detail)
-        # the detail also lands in the active trace (when one is recording)
-        obs.event("http.handler_error", **detail)
-
-    # ------------------------------------------------------------------
-    # admin surface
-
-    def _admin_response(self, request: HttpRequest) -> HttpResponse:
-        if request.method != "GET":
-            return HttpResponse(405, body=b"admin endpoints accept GET only")
-        if request.target == "/metrics":
-            body = render_prometheus(self.metrics).encode("utf-8")
-            response = HttpResponse(200, body=body)
-            response.headers.set("Content-Type", "text/plain; version=0.0.4")
-            return response
-        if request.target == "/healthz":
-            payload = {
-                "status": "ok",
-                "server": self._name,
-                "uptime_seconds": self.uptime_seconds,
-                "connections_open": self.metrics.gauge("http_connections_open").snapshot(),
-                "requests_in_flight": self.metrics.gauge("http_requests_in_flight").snapshot(),
-            }
-            response = HttpResponse(200, body=json.dumps(payload).encode("utf-8"))
-            response.headers.set("Content-Type", "application/json")
-            return response
-        if request.target == "/readyz":
-            ready, detail = True, {}
-            if self._readiness is not None:
-                try:
-                    ready, detail = self._readiness()
-                except Exception as exc:  # noqa: BLE001 - a broken probe is "not ready"
-                    ready, detail = False, {"probe_error": type(exc).__name__}
-            payload = {
-                "status": "ready" if ready else "saturated",
-                "server": self._name,
-                "uptime_seconds": self.uptime_seconds,
-            }
-            payload.update(detail)
-            response = HttpResponse(
-                200 if ready else 503,
-                body=json.dumps(payload, default=str).encode("utf-8"),
+        if max_connections is not None and max_connections < 1:
+            raise ValueError("max_connections must be >= 1 (or None for no cap)")
+        self._listener = listener
+        if not isinstance(handler, RequestPipeline):
+            handler = RequestPipeline(
+                handler, name=name, metrics=metrics, admin=admin, readiness=readiness
             )
-            response.headers.set("Content-Type", "application/json")
-            if not ready:
-                retry_after = detail.get("retry_after")
-                if retry_after is not None:
-                    response.headers.set("Retry-After", f"{float(retry_after):.3f}")
-            return response
-        # /varz
-        payload = render_varz(
-            self.metrics,
-            name=self._name,
-            uptime_seconds=self.uptime_seconds,
-            recent_errors=list(self.recent_errors),
-        )
-        response = HttpResponse(200, body=json.dumps(payload, default=str).encode("utf-8"))
-        response.headers.set("Content-Type", "application/json")
-        return response
+        self._pipeline = handler
+        self._name = name
+        self.metrics = handler.metrics
+        self.recent_errors = handler.recent_errors
+        self._drain_timeout = drain_timeout
+        self._max_connections = max_connections
+        self._running = False
+        self._stopped = False
 
-    @property
-    def uptime_seconds(self) -> float:
-        if self._started_at is None:
-            return 0.0
-        return time.monotonic() - self._started_at
+    def start(self):
+        """Start serving in a daemon thread; returns self."""
+        if self._running:
+            raise RuntimeError("server already running")
+        if self._stopped:
+            raise RuntimeError(
+                "server cannot be restarted: stop() closed its listener; "
+                f"create a new {type(self).__name__} on a fresh listener instead"
+            )
+        self._running = True
+        self._pipeline.started_at = time.monotonic()
+        self._launch()
+        return self
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
 
 
-class HttpServer(HttpAppCore):
+class HttpServer(DriverBase):
     """Serve ``handler`` over every connection accepted from ``listener``."""
 
     def __init__(
         self,
         listener: Listener,
-        handler: Callable[[HttpRequest], HttpResponse],
+        handler: Callable[[HttpRequest], HttpResponse] | RequestPipeline,
         *,
         name: str = "http-server",
         metrics: MetricsRegistry | None = None,
@@ -238,58 +119,31 @@ class HttpServer(HttpAppCore):
         stream_bodies: bool = False,
         readiness: Callable[[], tuple[bool, dict]] | None = None,
     ) -> None:
-        self._listener = listener
-        self._handler = handler
-        self._name = name
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._admin = admin
-        self._readiness = readiness
-        self._drain_timeout = drain_timeout
+        super().__init__(
+            listener, handler, name, metrics, admin, readiness, drain_timeout, max_connections
+        )
         #: With ``stream_bodies`` request bodies are not buffered: the
         #: handler receives ``request.stream`` yielding pieces off the
         #: wire as the client sends them — required to process a message
         #: larger than memory.  The connection thread drains whatever the
         #: handler leaves unread, preserving keep-alive framing.
         self._stream_bodies = stream_bodies
-        if max_connections is not None and max_connections < 1:
-            raise ValueError("max_connections must be >= 1 (or None for no cap)")
-        self._max_connections = max_connections
         self._accept_thread: threading.Thread | None = None
-        self._running = False
-        self._stopped = False
-        self._started_at: float | None = None
         # connection bookkeeping: threads are joined on stop(); channels
-        # are force-closed if the drain timeout expires first
+        # parked between requests (``_idle``) are closed as the drain
+        # begins, the rest force-closed if the drain timeout expires first
         self._conn_lock = threading.Lock()
         self._conn_threads: list[threading.Thread] = []
         self._conn_channels: dict[int, BufferedChannel] = {}
-        #: Most recent handler failures (server-side detail only).
-        self.recent_errors: deque[dict] = deque(maxlen=32)
+        self._idle: dict[int, BufferedChannel] = {}
 
     # ------------------------------------------------------------------
 
-    def start(self) -> "HttpServer":
-        """Start the accept loop in a daemon thread; returns self.
-
-        A server is one-shot: ``stop()`` closes the listener, so a
-        stopped server could never accept again and a restart would
-        silently reuse stale connection bookkeeping.  Starting after a
-        stop raises instead of limping.
-        """
-        if self._running:
-            raise RuntimeError("server already running")
-        if self._stopped:
-            raise RuntimeError(
-                "server cannot be restarted: stop() closed its listener; "
-                "create a new HttpServer on a fresh listener instead"
-            )
-        self._running = True
-        self._started_at = time.monotonic()
+    def _launch(self) -> None:
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=self._name, daemon=True
         )
         self._accept_thread.start()
-        return self
 
     def stop(self, drain_timeout: float | None = None) -> None:
         """Stop accepting, drain connections, join their threads.
@@ -308,6 +162,10 @@ class HttpServer(HttpAppCore):
         deadline = time.monotonic() + budget
         with self._conn_lock:
             threads = list(self._conn_threads)
+            idle = list(self._idle.values())
+        # idle connections owe nothing: closing them fails their parked
+        # reads now, so the drain budget is spent only on in-flight requests
+        self._close_channels(idle)
         for thread in threads:
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
         # past the drain budget: force-close what is still open so blocked
@@ -315,11 +173,7 @@ class HttpServer(HttpAppCore):
         # clean join keeps tests and embedders deterministic)
         with self._conn_lock:
             lingering = list(self._conn_channels.values())
-        for channel in lingering:
-            try:
-                channel.close()
-            except TransportError:  # pragma: no cover - defensive
-                pass
+        self._close_channels(lingering)
         # closed channels fail the blocked reads almost immediately, so a
         # single shared budget suffices — never a per-thread wait, which
         # would make stop() O(connections) under load
@@ -328,11 +182,13 @@ class HttpServer(HttpAppCore):
             if thread.is_alive():
                 thread.join(timeout=max(0.0, final_deadline - time.monotonic()))
 
-    def __enter__(self) -> "HttpServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+    @staticmethod
+    def _close_channels(channels) -> None:
+        for channel in channels:
+            try:
+                channel.close()
+            except TransportError:
+                pass  # peer already torn down; cleanup is complete
 
     # ------------------------------------------------------------------
 
@@ -372,10 +228,7 @@ class HttpServer(HttpAppCore):
                     if thread in self._conn_threads:
                         self._conn_threads.remove(thread)
                 self.metrics.counter("http_connections_rejected_total").add()
-                try:
-                    buffered.close()
-                except TransportError:
-                    pass
+                self._close_channels([buffered])
 
     def _reject_connection(self, channel: BufferedChannel) -> None:
         """Turn away a connection past the cap: 503 + Retry-After, close.
@@ -384,28 +237,25 @@ class HttpServer(HttpAppCore):
         is spawned for a connection we will not serve.
         """
         self.metrics.counter("http_connections_rejected_total").add()
-        response = busy_response(
-            REJECT_RETRY_AFTER,
-            b"connection limit reached, retry later",
-            close=True,
-        )
         try:
-            channel.send_all(response.to_bytes())
+            channel.send_all(connection_limit_response().to_bytes())
         except TransportError:
             pass  # the peer is gone; nothing owed to it
         finally:
-            try:
-                channel.close()
-            except TransportError:  # pragma: no cover - defensive
-                pass
+            self._close_channels([channel])
 
     def _serve_connection(self, channel: BufferedChannel) -> None:
         m = self.metrics
         open_gauge = m.gauge("http_connections_open")
         open_gauge.inc()
         m.counter("http_connections_total").add()
+        key = id(channel)
         try:
             while True:
+                with self._conn_lock:
+                    if not self._running:
+                        return  # draining: never park a read stop() must break
+                    self._idle[key] = channel
                 try:
                     request = read_request(channel, stream_body=self._stream_bodies)
                 except HttpError as exc:
@@ -413,17 +263,22 @@ class HttpServer(HttpAppCore):
                     # an unsupported Transfer-Encoding earns its 501 (and
                     # bad framing its 400) before the connection closes,
                     # instead of a silent reset the client cannot act on
-                    response = HttpResponse(exc.status, body=str(exc).encode())
-                    response.headers.set("Connection", "close")
                     try:
-                        channel.send_all(response.to_bytes())
+                        channel.send_all(error_response(exc, close=True).to_bytes())
                     except TransportError:
                         pass
                     return  # body boundary unknown: never reuse
                 except TransportError:
                     return  # client went away between requests
-                response = self._respond(request)
-                keep = request.keep_alive
+                finally:
+                    with self._conn_lock:
+                        self._idle.pop(key, None)
+                response = self._pipeline.run(request)
+                keep = (
+                    request.keep_alive
+                    and self._running
+                    and (response.headers.get("Connection") or "").lower() != "close"
+                )
                 response.headers.set("Connection", "keep-alive" if keep else "close")
                 try:
                     # piece-by-piece: a streamed response's first bytes go
@@ -436,22 +291,20 @@ class HttpServer(HttpAppCore):
                     drain_stream(request)
                 except TransportError:
                     return  # client went away mid-response
-                except Exception as exc:  # noqa: BLE001 - a streaming body
-                    # producer failing mid-write cannot be turned into an
-                    # error status (the head is on the wire); the truncated
-                    # chunked body tells the peer the message is bad
-                    self._record_handler_error(request, exc)
+                except Exception:  # noqa: BLE001 - a streaming body producer
+                    # failing mid-write cannot be turned into an error
+                    # status (the head is on the wire; the pipeline has
+                    # recorded the failure); the truncated chunked body
+                    # tells the peer the message is bad
                     return
                 if not keep:
                     return
         finally:
             open_gauge.dec()
             with self._conn_lock:
-                self._conn_channels.pop(id(channel), None)
-            try:
-                channel.close()
-            except TransportError:
-                pass  # peer already torn down; cleanup is complete
+                self._conn_channels.pop(key, None)
+            self._close_channels([channel])
+
 
 def make_admin_server(
     listener: Listener, metrics: MetricsRegistry, *, name: str = "admin"
@@ -462,8 +315,9 @@ def make_admin_server(
     GridFTP server) but that still want a ``/metrics``·``/healthz``
     sidecar exposing their registry.
     """
+    body = ("admin surface only: " + " ".join(ADMIN_TARGETS)).encode()
 
     def not_found(_request: HttpRequest) -> HttpResponse:
-        return HttpResponse(404, body=b"admin surface only: /metrics /healthz /varz")
+        return HttpResponse(404, body=body)
 
     return HttpServer(listener, not_found, name=name, metrics=metrics, admin=True)

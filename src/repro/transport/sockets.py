@@ -94,6 +94,13 @@ class TcpListener:
     def close(self) -> None:
         if not self._closed:
             self._closed = True
+            # close() alone leaves a thread parked in accept() asleep (on
+            # Linux the fd stays referenced by the blocked call); shutting
+            # the listening socket down first wakes it at once
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # not listening any more (or never connected): fine
             self._sock.close()
 
 

@@ -19,6 +19,8 @@ from repro.transport import MemoryNetwork, TcpListener, connect_tcp
 from repro.transport.aio import AsyncHttpServer, drive_connections
 from repro.transport.base import TransportError
 from repro.transport.http import HttpClient, HttpRequest, HttpResponse
+from repro.transport.http.pipeline import RequestPipeline
+from tests.conftest import PipelineApp
 
 
 def wait_until(predicate, timeout: float = 5.0, interval: float = 0.005) -> None:
@@ -34,6 +36,11 @@ def _echo_handler(request: HttpRequest) -> HttpResponse:
     if request.target == "/boom":
         raise RuntimeError("handler exploded")
     return HttpResponse(200, body=b"echo:" + request.body)
+
+
+def _pooled_server(listener, pool, exchange, route=None):
+    app = PipelineApp(exchange, route)
+    return AsyncHttpServer(listener, RequestPipeline(app, pool=pool)), app
 
 
 def _http_client(listener: TcpListener) -> HttpClient:
@@ -148,11 +155,6 @@ class TestLifecycle:
         with pytest.raises(TransportError, match="socket-backed"):
             AsyncHttpServer(net.listen("web"), _echo_handler)
 
-    def test_pool_requires_pool_handler(self):
-        with WorkerPool(workers=1, queue_depth=1) as pool:
-            with pytest.raises(ValueError, match="pool_handler"):
-                AsyncHttpServer(TcpListener(), _echo_handler, pool=pool)
-
     def test_stop_closes_every_connection(self):
         listener = TcpListener()
         server = AsyncHttpServer(listener, _echo_handler).start()
@@ -215,15 +217,13 @@ class TestPooledServing:
     def test_pooled_roundtrip_and_worker_state(self):
         seen_states = []
 
-        def pool_handler(request, state, _enqueued_at):
+        def pool_handler(request, state):
             seen_states.append(state)
             return HttpResponse(200, body=b"pooled:" + request.body)
 
         listener = TcpListener()
         with WorkerPool(workers=1, queue_depth=8, worker_state_factory=dict) as pool:
-            server = AsyncHttpServer(
-                listener, _echo_handler, pool=pool, pool_handler=pool_handler
-            ).start()
+            server = _pooled_server(listener, pool, pool_handler)[0].start()
             client = _http_client(listener)
             try:
                 for i in range(3):
@@ -240,16 +240,14 @@ class TestPooledServing:
     def test_admin_stays_inline_when_pool_is_wedged(self):
         release = threading.Event()
 
-        def wedged(request, _state, _enqueued_at):
+        def wedged(request, _state):
             release.wait(10)
             return HttpResponse(200, body=b"late")
 
         listener = TcpListener()
         pool = WorkerPool(workers=1, queue_depth=1)
         pool.start()
-        server = AsyncHttpServer(
-            listener, _echo_handler, pool=pool, pool_handler=wedged
-        ).start()
+        server = _pooled_server(listener, pool, wedged)[0].start()
         blocked = _http_client(listener)
         thread = threading.Thread(
             target=lambda: blocked.post("/work", b"x"), daemon=True
@@ -271,22 +269,16 @@ class TestPooledServing:
 
     def test_pool_full_sheds_503_with_retry_after_and_on_shed(self):
         release = threading.Event()
-        shed_targets = []
 
-        def wedged(request, _state, _enqueued_at):
+        def wedged(request, _state):
             release.wait(10)
             return HttpResponse(200, body=b"late")
 
         listener = TcpListener()
         pool = WorkerPool(workers=1, queue_depth=1, retry_after=0.25)
         pool.start()
-        server = AsyncHttpServer(
-            listener,
-            _echo_handler,
-            pool=pool,
-            pool_handler=wedged,
-            on_shed=lambda request: shed_targets.append(request.target),
-        ).start()
+        server, app = _pooled_server(listener, pool, wedged)
+        server.start()
         clients = [_http_client(listener) for _ in range(2)]
         threads = []
         try:
@@ -314,7 +306,7 @@ class TestPooledServing:
                 assert response.headers.get("Retry-After") == "0.25"
             finally:
                 extra.close()
-            assert shed_targets == ["/work"]
+            assert [target for target, _ in app.shed_calls] == ["/work"]
         finally:
             release.set()
             for t in threads:
@@ -325,7 +317,7 @@ class TestPooledServing:
             pool.stop()
 
     def test_inline_router_answers_without_the_pool(self):
-        def pool_handler(request, _state, _enqueued_at):
+        def pool_handler(request, _state):
             return HttpResponse(200, body=b"pooled")
 
         def router(request):
@@ -335,13 +327,7 @@ class TestPooledServing:
 
         listener = TcpListener()
         with WorkerPool(workers=1, queue_depth=4) as pool:
-            server = AsyncHttpServer(
-                listener,
-                _echo_handler,
-                pool=pool,
-                pool_handler=pool_handler,
-                inline_router=router,
-            ).start()
+            server = _pooled_server(listener, pool, pool_handler, router)[0].start()
             client = _http_client(listener)
             try:
                 assert client.get("/nope").status == 404
@@ -353,7 +339,7 @@ class TestPooledServing:
     def test_stop_drains_in_flight_pooled_requests(self):
         entered = threading.Event()
 
-        def slow(request, _state, _enqueued_at):
+        def slow(request, _state):
             entered.set()
             time.sleep(0.2)
             return HttpResponse(200, body=b"drained")
@@ -361,9 +347,7 @@ class TestPooledServing:
         listener = TcpListener()
         pool = WorkerPool(workers=1, queue_depth=4)
         pool.start()
-        server = AsyncHttpServer(
-            listener, _echo_handler, pool=pool, pool_handler=slow
-        ).start()
+        server = _pooled_server(listener, pool, slow)[0].start()
         client = _http_client(listener)
         results = []
         thread = threading.Thread(

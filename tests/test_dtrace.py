@@ -180,6 +180,45 @@ class TestHeaderRobustness:
         assert serve.attributes["trace.remote_span"] == 42
 
 
+class TestSpanShapeAcrossCores:
+    """One request pipeline opens the server-side spans, so the driver
+    underneath cannot change what a trace of one exchange looks like."""
+
+    @staticmethod
+    def _span_tree(core):
+        recorder = TraceRecorder(service="serve", origin="aa0000c0")
+        previous = obs.set_recorder(recorder)
+        listener = TcpListener()
+        service = SoapServeService(
+            listener, _echo_dispatcher(), config=ServeConfig(core=core, workers=1)
+        ).start()
+        try:
+            with obs.thread_recorder(None):  # the client side records nothing
+                channel = connect_tcp(*listener.address)
+                channel.send_all(_raw_request(_soap_body(), []))
+                response = read_response(BufferedChannel(channel))
+                channel.close()
+        finally:
+            service.stop()
+            obs.set_recorder(previous)
+        assert response.status == 200
+
+        def subtree(span):
+            children = [sp for sp in recorder.spans if sp.parent_id == span.span_id]
+            return (span.name, span.kind, sorted(subtree(child) for child in children))
+
+        return sorted(subtree(sp) for sp in recorder.spans if sp.parent_id is None)
+
+    def test_one_exchange_has_the_same_span_tree_on_both_cores(self):
+        threaded, aio = self._span_tree("threaded"), self._span_tree("aio")
+        assert threaded == aio
+        # and it is the tree the pipeline promises: one server-side root
+        # per request, the SOAP work nested under it
+        ((root, kind, children),) = threaded
+        assert (root, kind) == ("http.serve", "logical")
+        assert children
+
+
 class _SteppedClock:
     """Deterministic clock: each read advances by ``step``."""
 

@@ -902,7 +902,7 @@ class TestServerConcurrency:
         """Connections past ``max_connections`` get a clean 503 +
         Retry-After from the accept loop — never an unbounded thread."""
         from repro.transport.http import HttpResponse
-        from repro.transport.http.server import REJECT_RETRY_AFTER
+        from repro.transport.http.pipeline import REJECT_RETRY_AFTER
 
         net = MemoryNetwork()
         server = HttpServer(

@@ -21,8 +21,13 @@ lint) — they confine the concurrency machinery to its designated homes:
   selector loop hiding elsewhere would split readiness handling across
   owners and defeat the one-loop invariant the aio module documents.
 * inside ``src/repro/transport`` only ``aio.py`` (its loop thread) and
-  ``http/server.py`` (the threaded core) may reference
+  ``http/server.py`` (its accept and connection threads) may reference
   ``threading.Thread`` — transport code must not grow ad-hoc threads.
+* inside ``src/repro`` only ``transport/http/pipeline.py`` (and the
+  message codec) may name an admin target, open the ``http.serve`` span,
+  write the generic 500 body or call ``busy_response`` — serving
+  semantics are defined once, in the request pipeline, and an I/O driver
+  or a host that spells any of them is growing a second copy.
 * inside ``src/repro`` only ``fed/balancer.py`` may define
   ``choose_replica`` — replica-selection policy is one pluggable
   surface; a routing brain elsewhere would bypass the balancer's
@@ -319,6 +324,54 @@ def trace_header_findings(path: str) -> list[tuple[int, str]]:
     ]
 
 
+#: The modules allowed to spell serving semantics (relative to src/repro).
+SERVING_SEMANTICS_HOMES = {"transport/http/pipeline.py", "transport/http/messages.py"}
+
+#: Literals that *are* a serving decision: the admin targets, the
+#: server-side root span, the generic handler-failure body.
+SERVING_LITERALS = {
+    "/metrics", "/healthz", "/readyz", "/varz", "http.serve", b"internal server error",
+}
+
+
+def serving_semantics_findings(path: str) -> list[tuple[int, str]]:
+    """Confine serving semantics to the request pipeline.
+
+    What a request *means* — the admin router, the ``http.serve`` span
+    site, the exception→500 mapping, the shed/drain/cap 503s — lives in
+    ``transport/http/pipeline.py``; the drivers own I/O and the hosts own
+    SOAP.  One of these literals, or a ``busy_response(...)`` call,
+    anywhere else in ``src/repro`` is a stage being re-implemented where
+    the next cross-cutting change will miss it; import the pipeline's
+    name (``ADMIN_TARGETS``, ``READINESS_TARGET``,
+    ``connection_limit_response``) instead.
+    """
+    rel = _repro_relative(path)
+    if rel is None or rel in SERVING_SEMANTICS_HOMES:
+        return []
+    with open(path, "rb") as fh:
+        source = fh.read()
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError:
+        return []  # dead_imports already reports the syntax error
+    message = (
+        "serving semantics are reserved to transport/http/pipeline.py; "
+        "{what} here is a second copy of a pipeline stage"
+    )
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes)):
+            if node.value in SERVING_LITERALS:
+                findings.append((node.lineno, message.format(what=repr(node.value))))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "busy_response":
+                findings.append((node.lineno, message.format(what="busy_response()")))
+    return findings
+
+
 #: The one module allowed to define replica-selection policy logic.
 POLICY_HOME = "fed/balancer.py"
 
@@ -356,6 +409,17 @@ def replica_policy_findings(path: str) -> list[tuple[int, str]]:
     ]
 
 
+#: Every repo-specific rule: ``path -> [(line, message)]``.
+REPO_RULES = (
+    serve_thread_findings,
+    concurrency_findings,
+    chunked_framing_findings,
+    trace_header_findings,
+    serving_semantics_findings,
+    replica_policy_findings,
+)
+
+
 def iter_python_files(paths: list[str]):
     for root in paths:
         if os.path.isfile(root):
@@ -374,21 +438,10 @@ def main(argv: list[str]) -> int:
     # the repo-specific rules run unconditionally — ruff has no analogue
     serve_total = 0
     for path in iter_python_files(paths):
-        for lineno, message in serve_thread_findings(path):
-            print(f"{path}:{lineno}: {message}")
-            serve_total += 1
-        for lineno, message in concurrency_findings(path):
-            print(f"{path}:{lineno}: {message}")
-            serve_total += 1
-        for lineno, message in chunked_framing_findings(path):
-            print(f"{path}:{lineno}: {message}")
-            serve_total += 1
-        for lineno, message in trace_header_findings(path):
-            print(f"{path}:{lineno}: {message}")
-            serve_total += 1
-        for lineno, message in replica_policy_findings(path):
-            print(f"{path}:{lineno}: {message}")
-            serve_total += 1
+        for rule in REPO_RULES:
+            for lineno, message in rule(path):
+                print(f"{path}:{lineno}: {message}")
+                serve_total += 1
 
     ruff_status = try_ruff(paths)
     if ruff_status is not None:

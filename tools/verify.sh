@@ -17,17 +17,8 @@ python tools/lint.py
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q
 
-echo "== event-driven serving smoke =="
-python tools/aio_smoke.py
-
-echo "== stream pipeline smoke =="
-python tools/stream_smoke.py
-
-echo "== distributed trace smoke =="
-python tools/dtrace_smoke.py
-
-echo "== federated data-plane smoke =="
-python tools/fed_smoke.py
+echo "== smokes: serving (both drivers), stream pipeline, distributed trace, federation =="
+python tools/smoke.py all
 
 if [ "$1" != "--fast" ]; then
     echo "== hot-path bench smoke =="
