@@ -63,8 +63,8 @@ frames appear between them **byte-identical** to the standard profile
 
 Only :class:`~repro.bxsa.stream.BXSAStreamWriter` (in sink mode) emits
 this profile and only :class:`~repro.bxsa.stream.StreamDecoder` consumes
-it; the tree decoder and the scanner reject the ``STREAM_*`` codes with a
-pointer at the streaming reader.
+it; the tree decoder and the pull reader reject the ``STREAM_*`` codes with
+a pointer at it, and the scanner does not treat them as containers.
 
 Element header (shared by the three element frame types)::
 
@@ -110,26 +110,26 @@ class FrameType(enum.IntEnum):
     STREAM_END = 0x0A
 
 
-#: Frame types of the streamed container profile: produced only by the
-#: sink-driven :class:`~repro.bxsa.stream.BXSAStreamWriter`, consumed only
-#: by :class:`~repro.bxsa.stream.StreamDecoder`.
-STREAM_FRAME_TYPES = frozenset(
-    {FrameType.STREAM_DOCUMENT, FrameType.STREAM_ELEMENT, FrameType.STREAM_END}
-)
-
-
 def pack_prefix_byte(byte_order: int, frame_type: FrameType) -> int:
     """Combine the 2-bit byte order and 6-bit frame type into byte 0."""
     return ((byte_order & 0x03) << 6) | (int(frame_type) & 0x3F)
 
 
+#: Every valid prefix byte, pre-split: the per-frame hot path is one lookup.
+_PREFIX_BYTES = {
+    pack_prefix_byte(byte_order, frame_type): (byte_order, frame_type)
+    for byte_order in (0, 1)
+    for frame_type in FrameType
+}
+
+
 def unpack_prefix_byte(value: int) -> tuple[int, FrameType]:
     """Split byte 0 into (byte_order, frame_type), validating both."""
+    try:
+        return _PREFIX_BYTES[value]
+    except KeyError:
+        pass
     byte_order = (value >> 6) & 0x03
     if byte_order not in (0, 1):
         raise BXSADecodeError(f"reserved byte-order value {byte_order} in frame prefix")
-    code = value & 0x3F
-    try:
-        return byte_order, FrameType(code)
-    except ValueError:
-        raise BXSADecodeError(f"unknown frame type code 0x{code:02x}") from None
+    raise BXSADecodeError(f"unknown frame type code 0x{value & 0x3F:02x}")

@@ -9,12 +9,14 @@ work is identical from one message to the next — only the *values* change.
 
 A decode plan is the receive-side mirror of the session's encode plans
 (:mod:`repro.bxsa.session`).  After the first stateless decode of a shape,
-:func:`compile_decode_plan` re-walks the same bytes and records a flat
-instruction list in which every value-independent byte run (frame prefixes,
-namespace tables, name references, local names, attribute names and type
-codes, child counts, array item-name hints, PI targets) is captured as a
-constant, and only the value-dependent holes (frame sizes, attribute and
-leaf values, text runs, array counts/pads/payloads) remain live.  Names and
+:func:`compile_decode_plan` re-walks the same bytes — as one more handler
+over :class:`~repro.bxsa.walker.FrameWalker`, partitioning the stream by the
+value spans the walker reports — and records a flat instruction list in
+which every value-independent byte run (frame prefixes, namespace tables,
+name references, local names, attribute names and type codes, child counts,
+array item-name hints, PI targets) is captured as a constant, and only the
+value-dependent holes (frame sizes, attribute and leaf values, text runs,
+array counts/pads/payloads) remain live.  Names and
 QNames are resolved **once, at compile time**, through the session's intern
 tables; replay never touches a scope stack or decodes a header string.
 
@@ -41,17 +43,11 @@ import numpy as np
 
 from repro.bxsa.constants import FrameType, unpack_prefix_byte
 from repro.bxsa.errors import BXSADecodeError
-from repro.bxsa.frames import (
-    read_name_ref,
-    read_string,
-    read_type_code,
-    read_vls,
-    skip_header_names,
-)
-from repro.bxsa.namespaces import ScopeStack
+from repro.bxsa.frames import read_vls, skip_header_names
+from repro.bxsa.walker import FrameWalker
 from repro.xbs.constants import TypeCode
 from repro.xbs.errors import XBSDecodeError
-from repro.xbs.structcache import struct_for, wire_dtype
+from repro.xbs.structcache import struct_for
 from repro.xbs.varint import decode_vls
 from repro.xdm.nodes import (
     ArrayElement,
@@ -64,8 +60,6 @@ from repro.xdm.nodes import (
     PINode,
     TextNode,
 )
-from repro.xdm.qname import QName
-from repro.xdm.types import atomic_type_for_code
 
 # Plan instruction tags.  Each op is a tuple whose first element is one of
 # these; the replay loop dispatches on it with a flat if/elif chain.
@@ -145,246 +139,100 @@ def decode_fingerprint(data, offset: int = 0) -> tuple:
 # compilation
 
 
-class _Compiler:
-    """Re-walk an already-validated frame and record a plan.
+def _scalar_slot(byte_order: int, code: TypeCode) -> tuple:
+    """``(size, struct, is_bool)`` for a scalar value hole; STRING values
+    are VLS-length-prefixed, which replay spells ``(0, None, False)``."""
+    if code is TypeCode.STRING:
+        return 0, None, False
+    return code.size, struct_for(byte_order, code), code is TypeCode.BOOL
 
-    Mirrors ``BXSADecoder.read_node``/``_read_frame``/``_read_header`` field
-    for field, but instead of building nodes it partitions the byte stream
-    into constant (structural) runs and value holes.  The caller decodes the
-    buffer statelessly *first*, so compilation only ever sees well-formed
-    input; it still re-validates sizes as it goes, cheaply, and any surprise
+
+class _Compiler:
+    """Walker handler that records a plan for an already-validated frame.
+
+    The walker parses; this handler only partitions the byte stream by the
+    value spans the walker reports (``walker.holes``): each hole becomes the
+    op that reads it at replay time, everything between two holes becomes a
+    constant (structural) run.  The caller decodes the buffer statelessly
+    *first*, so compilation only ever sees well-formed input; any surprise
     raises — the session poisons the fingerprint in response.
     """
 
     def __init__(self, data, offset: int, qname_cache: dict | None) -> None:
         self.data = data
-        self.pos = offset
         self.ops: list[tuple] = []
         self._const_start = offset
-        self._scopes = ScopeStack()
-        self._qnames = qname_cache
+        self._walker = FrameWalker(self, qname_cache=qname_cache, record_spans=True)
 
     def compile(self) -> DecodePlan:
-        containers: list[list] = []  # [remaining, is_element, end]
-        while True:
-            opened = self._frame()
-            if opened is not None and opened[0]:
-                containers.append(list(opened))
-                continue
-            if opened is not None:  # empty container closes immediately
-                self._close(opened[1], opened[2])
-            # bubble the completed node upward, closing filled containers
-            while True:
-                if not containers:
-                    self._flush()
-                    return DecodePlan(self.ops)
-                top = containers[-1]
-                top[0] -= 1
-                if top[0]:
-                    break
-                containers.pop()
-                self._close(top[1], top[2])
+        self._walker.walk(self.data, self._const_start)
+        return DecodePlan(self.ops)
 
     # -- byte partitioning ------------------------------------------------
 
-    def _flush(self) -> None:
-        """Emit the pending constant run, if any."""
-        if self.pos > self._const_start:
-            self.ops.append((_D_CONST, bytes(self.data[self._const_start : self.pos])))
-            self._const_start = self.pos
+    def _const_until(self, pos: int) -> None:
+        """Emit the structural bytes up to ``pos`` as one constant run."""
+        if pos > self._const_start:
+            self.ops.append((_D_CONST, bytes(self.data[self._const_start : pos])))
+            self._const_start = pos
 
-    def _skip_value(self, value_end: int) -> None:
-        """Mark ``[pos, value_end)`` as a value hole (the op just emitted
-        reads it at replay time)."""
-        self.pos = value_end
-        self._const_start = value_end
+    def _hole(self, span: tuple[int, int], op: tuple) -> None:
+        """``op`` reads the value bytes ``span`` at replay time."""
+        self._const_until(span[0])
+        self.ops.append(op)
+        self._const_start = span[1]
 
-    # -- frames -----------------------------------------------------------
+    def _head(self, attrs=()) -> tuple:
+        """The frame's Size field and attribute values; returns ``attr_meta``."""
+        holes = self._walker.holes
+        self._hole(holes[0], (_D_SIZE,))
+        order = self._walker.byte_order
+        for attr, span in zip(attrs, holes[1:]):
+            self._hole(span, (_D_ATTRVAL, *_scalar_slot(order, attr.atype.code)))
+        return tuple((attr.name, attr.atype) for attr in attrs)
 
-    def _frame(self):
-        """Compile one frame.  Returns ``(count, is_element, end)`` for a
-        container frame, ``None`` for a complete node."""
-        data = self.data
-        if self.pos >= len(data):
-            raise BXSADecodeError(f"truncated frame prefix at offset {self.pos}")
-        byte_order, frame_type = unpack_prefix_byte(data[self.pos])
-        self.pos += 1  # the prefix byte rides the constant run
-        self._flush()
-        size, pos = read_vls(data, self.pos)
-        end = pos + size
-        if end > len(data):
-            raise BXSADecodeError(
-                f"frame claims {size} body bytes but only {len(data) - pos} remain"
-            )
-        self.ops.append((_D_SIZE,))
-        self._skip_value(pos)
+    # -- productions ------------------------------------------------------
 
-        if frame_type is FrameType.DOCUMENT:
-            count, self.pos = read_vls(data, self.pos)  # structural: stays const
-            self.ops.append((_D_DOC,))
-            return (count, False, end)
+    def start_document(self) -> None:
+        self._head()
+        self.ops.append((_D_DOC,))  # the child count rides the constant run
 
-        if frame_type is FrameType.COMPONENT_ELEMENT:
-            qname, ns_pairs, attr_meta = self._header(byte_order)
-            count, self.pos = read_vls(data, self.pos)
-            self.ops.append((_D_ELEM, qname, ns_pairs, attr_meta))
-            return (count, True, end)
+    def start_element(self, name, attrs, table) -> None:
+        self.ops.append((_D_ELEM, name, tuple(table), self._head(attrs)))
 
-        if frame_type is FrameType.LEAF_ELEMENT:
-            qname, ns_pairs, attr_meta = self._header(byte_order)
-            self._scopes.pop()
-            code, self.pos = read_type_code(data, self.pos)
-            atype = atomic_type_for_code(code)
-            self._flush()
-            if code is TypeCode.STRING:
-                op = (_D_LEAF, qname, ns_pairs, attr_meta, atype, 0, None, False)
-                length, vpos = read_vls(data, self.pos)
-                value_end = vpos + length
-            else:
-                op = (
-                    _D_LEAF,
-                    qname,
-                    ns_pairs,
-                    attr_meta,
-                    atype,
-                    code.size,
-                    struct_for(byte_order, code),
-                    code is TypeCode.BOOL,
-                )
-                value_end = self.pos + code.size
-            self.ops.append(op)
-            self._skip_value(value_end)
-            self._require_end(end)
-            return None
-
-        if frame_type is FrameType.ARRAY_ELEMENT:
-            qname, ns_pairs, attr_meta = self._header(byte_order)
-            self._scopes.pop()
-            code, self.pos = read_type_code(data, self.pos)
-            if code is TypeCode.STRING:
-                raise BXSADecodeError("array frames cannot hold strings")
-            atype = atomic_type_for_code(code)
-            item_name, self.pos = read_string(data, self.pos)
-            self._flush()
-            # count, pad and payload are per-message; the op reads them
-            count, pos = read_vls(data, self.pos)
-            if pos >= end:
-                raise BXSADecodeError(f"truncated array frame at offset {pos}")
-            pad = data[pos]
-            pos += 1 + pad
-            nbytes = count * code.size
-            if pos + nbytes > end:
-                raise BXSADecodeError(
-                    f"array payload of {nbytes} bytes overruns frame end {end}"
-                )
-            self.ops.append(
-                (
-                    _D_ARRAY,
-                    qname,
-                    ns_pairs,
-                    attr_meta,
-                    atype,
-                    item_name or None,
-                    wire_dtype(byte_order, code),
-                    code.size,
-                )
-            )
-            self._skip_value(pos + nbytes)
-            self._require_end(end)
-            return None
-
-        if frame_type in (FrameType.CHARACTER_DATA, FrameType.COMMENT):
-            self._flush()
-            self.ops.append(
-                (_D_TEXT,) if frame_type is FrameType.CHARACTER_DATA else (_D_COMMENT,)
-            )
-            length, pos = read_vls(data, self.pos)
-            self._skip_value(pos + length)
-            self._require_end(end)
-            return None
-
-        if frame_type is FrameType.PI:
-            target, self.pos = read_string(data, self.pos)  # structural
-            self._flush()
-            self.ops.append((_D_PI, target))
-            length, pos = read_vls(data, self.pos)
-            self._skip_value(pos + length)
-            self._require_end(end)
-            return None
-
-        raise BXSADecodeError(f"unhandled frame type {frame_type!r}")
-
-    def _close(self, is_element: bool, end: int) -> None:
-        if is_element:
-            self._scopes.pop()
-        self._flush()  # e.g. an empty element's trailing child-count bytes
-        self._require_end(end)
+    def end_element(self, name=None) -> None:
+        self._const_until(self._walker.offset)  # e.g. an empty element's child count
         self.ops.append((_D_END,))
 
-    def _require_end(self, end: int) -> None:
-        if self.pos != end:
-            raise BXSADecodeError(
-                f"frame size mismatch: content ends at {self.pos}, "
-                f"Size field says {end}"
-            )
+    end_document = end_element
 
-    # -- headers ----------------------------------------------------------
+    def leaf(self, name, attrs, table, value, atype) -> None:
+        attr_meta = self._head(attrs)
+        slot = _scalar_slot(self._walker.byte_order, atype.code)
+        self._hole(
+            self._walker.holes[-1], (_D_LEAF, name, tuple(table), attr_meta, atype, *slot)
+        )
 
-    def _header(self, byte_order: int):
-        """Compile an element header.  Pushes the frame's scope (the caller
-        pops it), emits ``_D_ATTRVAL`` ops for the value holes, and returns
-        the pre-resolved ``(qname, ns_pairs, attr_meta)`` for the build op.
-        """
-        data = self.data
-        pos = self.pos
-        n1, pos = read_vls(data, pos)
-        table: list[tuple[str, str]] = []
-        for _ in range(n1):
-            prefix, pos = read_string(data, pos)
-            uri, pos = read_string(data, pos)
-            table.append((prefix, uri))
-        self._scopes.push(table)
-        depth, index, pos = read_name_ref(data, pos)
-        local, pos = read_string(data, pos)
-        qname = self._qname(local, depth, index)
-        n2, pos = read_vls(data, pos)
-        self.pos = pos  # everything so far is structural
-        attr_meta: list[tuple] = []
-        for _ in range(n2):
-            a_depth, a_index, pos = read_name_ref(data, self.pos)
-            a_local, pos = read_string(data, pos)
-            code, pos = read_type_code(data, pos)
-            self.pos = pos  # the ref, name and type-code byte are structural
-            self._flush()
-            atype = atomic_type_for_code(code)
-            if code is TypeCode.STRING:
-                self.ops.append((_D_ATTRVAL, 0, None, False))
-                length, vpos = read_vls(data, self.pos)
-                value_end = vpos + length
-            else:
-                self.ops.append(
-                    (_D_ATTRVAL, code.size, struct_for(byte_order, code),
-                     code is TypeCode.BOOL)
-                )
-                value_end = self.pos + code.size
-            self._skip_value(value_end)
-            attr_meta.append((self._qname(a_local, a_depth, a_index), atype))
-        return qname, tuple(table), tuple(attr_meta)
+    def array(self, name, attrs, table, values, atype, item_name) -> None:
+        attr_meta = self._head(attrs)
+        # count, pad and payload are per-message; the op reads them
+        self._hole(
+            self._walker.holes[-1],
+            (_D_ARRAY, name, tuple(table), attr_meta, atype, item_name,
+             values.dtype, values.dtype.itemsize),
+        )
 
-    def _qname(self, local: str, depth: int, index: int) -> QName:
-        if depth == 0:
-            prefix = uri = ""
-        else:
-            prefix, uri = self._scopes.resolve(depth, index)
-        cache = self._qnames
-        if cache is None:
-            return QName(local, uri, prefix)
-        key = (local, uri, prefix)
-        name = cache.get(key)
-        if name is None:
-            name = QName(local, uri, prefix)
-            cache[key] = name
-        return name
+    def text(self, content) -> None:
+        self._head()
+        self._hole(self._walker.holes[-1], (_D_TEXT,))
+
+    def comment(self, content) -> None:
+        self._head()
+        self._hole(self._walker.holes[-1], (_D_COMMENT,))
+
+    def pi(self, target, data) -> None:
+        self._head()
+        self._hole(self._walker.holes[-1], (_D_PI, target))  # the target is structural
 
 
 def compile_decode_plan(data, offset: int = 0, *, qname_cache: dict | None = None) -> DecodePlan:

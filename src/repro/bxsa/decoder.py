@@ -1,10 +1,12 @@
 """BXSA → bXDM decoder (the encoding policy's "factory method").
 
-The decoder is a single forward pass over the buffer with an explicit
-container stack (no recursion).  Frame ``Size`` fields are *validated*
-against the actually-consumed bytes — a frame whose content over- or
-under-runs its declared size is rejected, which is what makes the scanner's
-skip-by-size trustworthy.
+The decoder is the tree-building consumer of the one frame grammar in
+:mod:`repro.bxsa.walker`: :class:`~repro.bxsa.walker.FrameWalker` makes the
+single forward pass over the buffer (explicit container stack, no
+recursion) and *validates* every frame ``Size`` against the bytes actually
+consumed — a frame whose content over- or under-runs its declared size is
+rejected, which is what makes the scanner's skip-by-size trustworthy —
+while the handler here turns each production into a bXDM node.
 
 Array payloads come back as zero-copy numpy views over the input buffer by
 default (read-only when the buffer is immutable), the Python counterpart of
@@ -14,25 +16,12 @@ independent, writable, native-order arrays.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.bxsa.constants import STREAM_FRAME_TYPES, FrameType
 from repro.bxsa.errors import BXSADecodeError
-from repro.bxsa.frames import (
-    read_frame_prefix,
-    read_name_ref,
-    read_scalar_value,
-    read_string,
-    read_type_code,
-    read_vls,
-)
-from repro.bxsa.namespaces import ScopeStack, to_nodes
-from repro.xbs.constants import TypeCode
-from repro.xbs.structcache import wire_dtype
-from repro.xdm.errors import XDMTypeError
+from repro.bxsa.namespaces import to_nodes
+from repro.bxsa.walker import FrameWalker
+from repro.xdm.errors import XDMError
 from repro.xdm.nodes import (
     ArrayElement,
-    AttributeNode,
     CommentNode,
     DocumentNode,
     ElementNode,
@@ -42,7 +31,6 @@ from repro.xdm.nodes import (
     TextNode,
 )
 from repro.xdm.qname import QName
-from repro.xdm.types import atomic_type_for_code
 
 
 def decode(data, offset: int = 0, *, copy: bool = False, whole: bool | None = None) -> Node:
@@ -93,14 +81,66 @@ def decode_document(
     return node
 
 
-class _Container:
-    __slots__ = ("node", "remaining", "end", "is_element")
+class _TreeBuilder:
+    """Walker handler that builds the bXDM tree.
 
-    def __init__(self, node, remaining: int, end: int, is_element: bool) -> None:
-        self.node = node
-        self.remaining = remaining
-        self.end = end
-        self.is_element = is_element
+    Every ``XDMError`` a node constructor raises (a comment containing
+    ``--``, an invalid PI target) becomes a :class:`BXSADecodeError`: the
+    bytes are a well-formed frame but not a decodable document.
+    """
+
+    def __init__(self, copy: bool) -> None:
+        self.copy = copy
+        self.root: Node | None = None
+        self._open: list = []  # container nodes under construction
+
+    def _attach(self, node: Node) -> None:
+        if self._open:
+            self._open[-1].children.append(node)
+        else:
+            self.root = node
+
+    def _build(self, cls, *args, **header) -> None:
+        try:
+            node = cls(*args, **header)
+        except XDMError as exc:
+            raise BXSADecodeError(str(exc)) from exc
+        self._attach(node)
+
+    def start_document(self) -> None:
+        self._open.append(DocumentNode())
+
+    def start_element(self, name, attrs, table) -> None:
+        self._open.append(ElementNode(name, attributes=attrs, namespaces=to_nodes(table)))
+
+    def end_element(self, name=None) -> None:
+        self._attach(self._open.pop())
+
+    end_document = end_element
+
+    def leaf(self, name, attrs, table, value, atype) -> None:
+        self._build(LeafElement, name, value, atype, attributes=attrs, namespaces=to_nodes(table))
+
+    def array(self, name, attrs, table, values, atype, item_name) -> None:
+        if self.copy:
+            values = values.astype(values.dtype.newbyteorder("="), copy=True)
+        node = ArrayElement.__new__(ArrayElement)
+        ElementNode.__init__(node, name, attributes=attrs, namespaces=to_nodes(table))
+        # Bypass the constructor's ascontiguousarray to keep zero-copy
+        # views (possibly non-native byte order) intact.
+        node.atype = atype
+        node.values = values
+        node.item_name = item_name
+        self._attach(node)
+
+    def text(self, content) -> None:
+        self._build(TextNode, content)
+
+    def comment(self, content) -> None:
+        self._build(CommentNode, content)
+
+    def pi(self, target, data) -> None:
+        self._build(PINode, target, data)
 
 
 class BXSADecoder:
@@ -144,212 +184,14 @@ class BXSADecoder:
     def at_end(self) -> bool:
         return self.pos >= len(self.data)
 
-    # ------------------------------------------------------------------
-
     def read_node(self) -> Node:
         """Decode the frame at the current position into a bXDM tree."""
-        scopes = ScopeStack()
-        for table in self.outer_tables:
-            scopes.push(list(table))
-        stack: list[_Container] = []
-        while True:
-            node, container = self._read_frame(scopes)
-            if container is not None:
-                if container.remaining == 0:
-                    node = self._finalize(container, scopes)
-                else:
-                    stack.append(container)
-                    continue
-            # attach completed node upward, closing containers as they fill
-            while True:
-                if not stack:
-                    return node
-                top = stack[-1]
-                top.node.children.append(node)
-                top.remaining -= 1
-                if top.remaining:
-                    break
-                stack.pop()
-                node = self._finalize(top, scopes)
-
-    def _finalize(self, container: _Container, scopes: ScopeStack) -> Node:
-        if self.pos != container.end:
-            raise BXSADecodeError(
-                f"frame size mismatch: content ends at {self.pos}, "
-                f"Size field says {container.end}"
-            )
-        if container.is_element:
-            scopes.pop()
-        return container.node
-
-    # ------------------------------------------------------------------
-
-    def _read_frame(self, scopes: ScopeStack):
-        data = self.data
-        byte_order, frame_type, pos, end = read_frame_prefix(data, self.pos)
-
-        if frame_type is FrameType.DOCUMENT:
-            count, pos = read_vls(data, pos)
-            self.pos = pos
-            return None, _Container(DocumentNode(), count, end, is_element=False)
-
-        if frame_type is FrameType.COMPONENT_ELEMENT:
-            name, attrs, table, pos = self._read_header(pos, byte_order, scopes)
-            count, pos = read_vls(data, pos)
-            node = ElementNode(name, attributes=attrs, namespaces=to_nodes(table))
-            self.pos = pos
-            container = _Container(node, count, end, is_element=True)
-            if count == 0:
-                # scope was pushed by _read_header; _finalize pops it
-                return None, container
-            return None, container
-
-        if frame_type is FrameType.LEAF_ELEMENT:
-            name, attrs, table, pos = self._read_header(pos, byte_order, scopes)
-            scopes.pop()
-            code, pos = read_type_code(data, pos)
-            value, pos = read_scalar_value(data, pos, code, byte_order)
-            atype = self._atype(code)
-            self.pos = pos
-            self._check_end(end)
-            try:
-                node = LeafElement(name, value, atype, attributes=attrs, namespaces=to_nodes(table))
-            except XDMTypeError as exc:
-                raise BXSADecodeError(str(exc)) from exc
-            return node, None
-
-        if frame_type is FrameType.ARRAY_ELEMENT:
-            name, attrs, table, pos = self._read_header(pos, byte_order, scopes)
-            scopes.pop()
-            code, pos = read_type_code(data, pos)
-            if code is TypeCode.STRING:
-                raise BXSADecodeError("array frames cannot hold strings")
-            item_name, pos = read_string(data, pos)
-            count, pos = read_vls(data, pos)
-            # validate the pad byte against this frame's end, not the whole
-            # buffer: a truncated Size must not read the next frame's bytes
-            if pos >= end:
-                raise BXSADecodeError(f"truncated array frame at offset {pos}")
-            pad = data[pos]
-            pos += 1 + pad
-            nbytes = count * code.size
-            if pos + nbytes > end:
-                raise BXSADecodeError(
-                    f"array payload of {nbytes} bytes overruns frame end {end}"
-                )
-            dtype = wire_dtype(byte_order, code)
-            values = np.frombuffer(data[pos : pos + nbytes], dtype=dtype, count=count)
-            if self.copy:
-                values = values.astype(dtype.newbyteorder("="), copy=True)
-            atype = self._atype(code)
-            self.pos = pos + nbytes
-            self._check_end(end)
-            node = ArrayElement.__new__(ArrayElement)
-            ElementNode.__init__(node, name, attributes=attrs, namespaces=to_nodes(table))
-            # Bypass the constructor's ascontiguousarray to keep zero-copy
-            # views (possibly non-native byte order) intact.
-            node.atype = atype
-            node.values = values
-            node.item_name = item_name or None
-            return node, None
-
-        if frame_type in (FrameType.CHARACTER_DATA, FrameType.COMMENT):
-            text, pos = read_string(data, pos)
-            self.pos = pos
-            self._check_end(end)
-            return (TextNode(text) if frame_type is FrameType.CHARACTER_DATA else CommentNode(text)), None
-
-        if frame_type is FrameType.PI:
-            target, pos = read_string(data, pos)
-            pi_data, pos = read_string(data, pos)
-            self.pos = pos
-            self._check_end(end)
-            return PINode(target, pi_data), None
-
-        if frame_type in STREAM_FRAME_TYPES:
-            raise BXSADecodeError(
-                f"streamed-profile frame {frame_type.name} in the tree decoder; "
-                "feed this byte stream to repro.bxsa.stream.StreamDecoder"
-            )
-        raise BXSADecodeError(f"unhandled frame type {frame_type!r}")  # pragma: no cover
-
-    def _check_end(self, end: int) -> None:
-        if self.pos != end:
-            raise BXSADecodeError(
-                f"frame size mismatch: content ends at {self.pos}, Size field says {end}"
-            )
-
-    def _atype(self, code: TypeCode):
-        try:
-            return atomic_type_for_code(code)
-        except XDMTypeError as exc:
-            raise BXSADecodeError(str(exc)) from exc
-
-    # ------------------------------------------------------------------
-
-    def _read_header(self, pos: int, byte_order: int, scopes: ScopeStack):
-        """Read an element header; pushes the frame's table onto ``scopes``.
-
-        The caller pops the scope when the element's frame is complete
-        (immediately for leaf/array, after children for component).
-        """
-        data = self.data
-        n1, pos = read_vls(data, pos)
-        table: list[tuple[str, str]] = []
-        for _ in range(n1):
-            prefix, pos = self._read_name_string(pos)
-            uri, pos = self._read_name_string(pos)
-            table.append((prefix, uri))
-        scopes.push(table)
-        depth, index, pos = read_name_ref(data, pos)
-        local, pos = self._read_name_string(pos)
-        name = self._make_qname(local, depth, index, scopes)
-        n2, pos = read_vls(data, pos)
-        attrs: list[AttributeNode] = []
-        for _ in range(n2):
-            a_depth, a_index, pos = read_name_ref(data, pos)
-            a_local, pos = self._read_name_string(pos)
-            code, pos = read_type_code(data, pos)
-            value, pos = read_scalar_value(data, pos, code, byte_order)
-            qname = self._make_qname(a_local, a_depth, a_index, scopes)
-            try:
-                attrs.append(AttributeNode(qname, value, self._atype(code)))
-            except XDMTypeError as exc:
-                raise BXSADecodeError(str(exc)) from exc
-        return name, attrs, table, pos
-
-    def _read_name_string(self, pos: int) -> tuple[str, int]:
-        """Read a name-position string, interning through the session cache."""
-        cache = self._string_cache
-        if cache is None:
-            return read_string(self.data, pos)
-        data = self.data
-        length, pos = read_vls(data, pos)
-        end = pos + length
-        if end > len(data):
-            raise BXSADecodeError(f"truncated string at offset {pos}")
-        raw = bytes(data[pos:end])
-        cached = cache.get(raw)
-        if cached is not None:
-            return cached, end
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise BXSADecodeError(f"invalid UTF-8 at offset {pos}: {exc}") from exc
-        cache[raw] = text
-        return text, end
-
-    def _make_qname(self, local: str, depth: int, index: int, scopes: ScopeStack) -> QName:
-        if depth == 0:
-            uri = prefix = ""
-        else:
-            prefix, uri = scopes.resolve(depth, index)
-        cache = self._qname_cache
-        if cache is None:
-            return QName(local, uri, prefix)
-        key = (local, uri, prefix)
-        name = cache.get(key)
-        if name is None:
-            name = QName(local, uri, prefix)
-            cache[key] = name
-        return name
+        builder = _TreeBuilder(self.copy)
+        walker = FrameWalker(
+            builder,
+            outer_tables=self.outer_tables,
+            string_cache=self._string_cache,
+            qname_cache=self._qname_cache,
+        )
+        self.pos = walker.walk(self.data, self.pos)
+        return builder.root

@@ -47,6 +47,20 @@ def encode_document(node: DocumentNode, byte_order: int = NATIVE_ENDIAN) -> byte
     return BXSAEncoder(byte_order).encode(node)
 
 
+def array_frame_head(header: bytes, code: TypeCode, item_name: str | None, count: int) -> bytes:
+    """An array frame's body up to its payload: element header, item type
+    code, item-name hint, item count, pad length and pad.
+
+    The pad aligns the payload to the item size relative to the body start
+    so a consumer mapping the body can take an aligned view (the paper's
+    memory-mapped I/O property); the pad length travels explicitly.
+    """
+    hint = (item_name or "").encode("utf-8")
+    head = header + bytes((int(code),)) + encode_vls(len(hint)) + hint + encode_vls(count)
+    pad = (-(len(head) + 1)) % code.size  # +1 = pad-length byte
+    return head + bytes((pad,)) + b"\x00" * pad
+
+
 _ENTER, _EXIT = 0, 1
 
 
@@ -267,18 +281,10 @@ class BXSAEncoder:
         finally:
             scopes.pop()
         code = node.atype.code
-        meta = bytes((int(code),)) + self._string(node.item_name or "")
-        count = encode_vls(int(node.values.size))
-        item_size = code.size
-        # Align the payload to the item size relative to the body start so a
-        # consumer mapping the body can take an aligned view (the paper's
-        # memory-mapped I/O property); the pad length travels explicitly.
-        prefix_len = len(header) + len(meta) + len(count) + 1  # +1 = pad-length byte
-        pad = (-prefix_len) % item_size
+        head = array_frame_head(header, code, node.item_name, int(node.values.size))
         target = dtype_for(code, self.byte_order)
         # zero-copy when the values already have the target byte order;
         # otherwise ascontiguousarray performs the one unavoidable byteswap
         normalized = np.ascontiguousarray(node.values, dtype=target)
         payload = memoryview(normalized).cast("B") if normalized.size else b""
-        head = header + meta + count + bytes((pad,)) + b"\x00" * pad
         self._emit_frame(FrameType.ARRAY_ELEMENT, [head, payload])

@@ -1,10 +1,13 @@
-"""Low-level BXSA frame primitives shared by the decoder and the scanner.
+"""Low-level BXSA frame primitives shared by the walker and the scanner.
 
 These functions read the wire structures documented in
 :mod:`repro.bxsa.constants` from a buffer + offset, returning
 ``(value, new_offset)`` pairs.  They are deliberately free of any tree
 construction so the :class:`~repro.bxsa.scanner.FrameScanner` can *skip*
-structures at the same speed the decoder *parses* them.
+structures at the same speed :class:`~repro.bxsa.walker.FrameWalker`
+*parses* them.  The ``read_name_ref`` / ``read_type_code`` /
+``read_scalar_value`` readers have exactly one caller outside this module,
+the walker's element-header reader (``tools/lint.py`` enforces it).
 """
 
 from __future__ import annotations
@@ -42,13 +45,25 @@ def read_frame_prefix(data, pos: int) -> tuple[int, FrameType, int, int]:
     return byte_order, frame_type, body_start, frame_end
 
 
-def read_string(data, pos: int) -> tuple[str, int]:
+def read_string(data, pos: int, cache: dict[bytes, str] | None = None) -> tuple[str, int]:
+    """Read a VLS-length-prefixed UTF-8 string.
+
+    ``cache`` is an intern table (raw UTF-8 → ``str``) for *name* positions
+    (namespace prefixes/URIs, local names), which repeat heavily across
+    same-shaped messages; value strings are read without one.
+    """
     length, pos = read_vls(data, pos)
     end = pos + length
     if end > len(data):
         raise BXSADecodeError(f"truncated string at offset {pos}")
     try:
-        return str(data[pos:end], "utf-8"), end
+        if cache is None:
+            return str(data[pos:end], "utf-8"), end
+        raw = bytes(data[pos:end])
+        text = cache.get(raw)
+        if text is None:
+            text = cache[raw] = raw.decode("utf-8")
+        return text, end
     except UnicodeDecodeError as exc:
         raise BXSADecodeError(f"invalid UTF-8 at offset {pos}: {exc}") from exc
 
@@ -61,12 +76,15 @@ def skip_string(data, pos: int) -> int:
     return end
 
 
+_TYPE_CODES = {int(code): code for code in TypeCode}
+
+
 def read_type_code(data, pos: int) -> tuple[TypeCode, int]:
     if pos >= len(data):
         raise BXSADecodeError(f"truncated type code at offset {pos}")
     try:
-        return TypeCode(data[pos]), pos + 1
-    except ValueError:
+        return _TYPE_CODES[data[pos]], pos + 1
+    except KeyError:
         raise BXSADecodeError(f"unknown type code 0x{data[pos]:02x} at offset {pos}") from None
 
 
@@ -115,6 +133,29 @@ def skip_name_ref(data, pos: int) -> int:
     return pos
 
 
+def read_namespace_table(data, pos: int, cache: dict[bytes, str] | None = None):
+    """Read an element header's namespace declaration table.
+
+    Returns ``(table, new_offset)`` with ``table`` the ordered
+    ``(prefix, uri)`` pairs, interned through ``cache`` when given.
+    """
+    n1, pos = read_vls(data, pos)
+    table: list[tuple[str, str]] = []
+    for _ in range(n1):
+        prefix, pos = read_string(data, pos, cache)
+        uri, pos = read_string(data, pos, cache)
+        table.append((prefix, uri))
+    return table, pos
+
+
+def skip_namespace_table(data, pos: int) -> int:
+    n1, pos = read_vls(data, pos)
+    for _ in range(n1):
+        pos = skip_string(data, pos)  # prefix
+        pos = skip_string(data, pos)  # uri
+    return pos
+
+
 def skip_header_names(data, pos: int) -> int:
     """Skip the name part of an element header: the namespace declaration
     table, the QName reference and the local name — stopping just before
@@ -125,11 +166,7 @@ def skip_header_names(data, pos: int) -> int:
     lets :mod:`repro.bxsa.decodeplan` use it as a cheap structural
     fingerprint of the byte stream.
     """
-    n1, pos = read_vls(data, pos)
-    for _ in range(n1):
-        pos = skip_string(data, pos)  # prefix
-        pos = skip_string(data, pos)  # uri
-    pos = skip_name_ref(data, pos)
+    pos = skip_name_ref(data, skip_namespace_table(data, pos))
     return skip_string(data, pos)  # local name
 
 

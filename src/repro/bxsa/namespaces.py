@@ -65,13 +65,19 @@ class ScopeStack:
         """Every prefix bound anywhere in the current scope chain."""
         return {prefix for table in self._tables for prefix, _uri in table}
 
-    def resolve(self, scope_depth: int, index: int) -> tuple[str, str]:
-        """Wire reference → (prefix, uri).  Depth 1 = innermost table."""
-        if not 1 <= scope_depth <= len(self._tables):
+    def resolve(self, scope_depth: int, index: int, own=None) -> tuple[str, str]:
+        """Wire reference → (prefix, uri).  Depth 1 = innermost table.
+
+        ``own`` stands in for an innermost table that is not pushed: a
+        frame's own declarations while its header is still being read.
+        """
+        extra = own is not None
+        if not 1 <= scope_depth <= len(self._tables) + extra:
             raise BXSADecodeError(
-                f"namespace scope depth {scope_depth} exceeds nesting {len(self._tables)}"
+                f"namespace scope depth {scope_depth} exceeds nesting "
+                f"{len(self._tables) + extra}"
             )
-        table = self._tables[-scope_depth]
+        table = own if extra and scope_depth == 1 else self._tables[extra - scope_depth]
         if not 0 <= index < len(table):
             raise BXSADecodeError(
                 f"namespace index {index} out of range for table of {len(table)}"

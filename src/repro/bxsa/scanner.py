@@ -20,10 +20,19 @@ from repro.bxsa.constants import FrameType
 from repro.bxsa.errors import BXSADecodeError
 from repro.bxsa.frames import (
     read_frame_prefix,
+    read_namespace_table,
     read_string,
     read_vls,
     skip_element_header,
     skip_name_ref,
+    skip_namespace_table,
+)
+
+#: Frame types whose body starts with an element header.
+_ELEMENT_FRAMES = (
+    FrameType.COMPONENT_ELEMENT,
+    FrameType.LEAF_ELEMENT,
+    FrameType.ARRAY_ELEMENT,
 )
 
 
@@ -72,14 +81,7 @@ class FrameScanner:
         skipped via their Size fields.
         """
         info = self.frame_at(offset)
-        if not info.is_container:
-            raise BXSADecodeError(
-                f"frame type {info.frame_type.name} has no child frames"
-            )
-        pos = info.body_start
-        if info.frame_type is FrameType.COMPONENT_ELEMENT:
-            pos = skip_element_header(self.data, pos)
-        count, pos = read_vls(self.data, pos)
+        count, pos = self._child_count(info)
         for _ in range(count):
             if pos >= info.end:
                 raise BXSADecodeError(
@@ -102,45 +104,35 @@ class FrameScanner:
 
     def child_count(self, offset: int = 0) -> int:
         """Number of direct children of a container, header-skip only."""
-        info = self.frame_at(offset)
+        return self._child_count(self.frame_at(offset))[0]
+
+    def _child_count(self, info: FrameInfo) -> tuple[int, int]:
+        """``(child count, offset of the first child)`` of a container."""
         if not info.is_container:
-            raise BXSADecodeError(f"frame type {info.frame_type.name} has no children")
+            raise BXSADecodeError(f"frame type {info.frame_type.name} has no child frames")
         pos = info.body_start
         if info.frame_type is FrameType.COMPONENT_ELEMENT:
             pos = skip_element_header(self.data, pos)
-        count, _ = read_vls(self.data, pos)
-        return count
+        return read_vls(self.data, pos)
 
     # ------------------------------------------------------------------
 
     def element_name(self, offset: int) -> str:
         """Local name of an element frame, without decoding attributes."""
         info = self.frame_at(offset)
-        if info.frame_type not in (
-            FrameType.COMPONENT_ELEMENT,
-            FrameType.LEAF_ELEMENT,
-            FrameType.ARRAY_ELEMENT,
-        ):
+        if info.frame_type not in _ELEMENT_FRAMES:
             raise BXSADecodeError(f"frame type {info.frame_type.name} has no name")
-        pos = info.body_start
-        n1, pos = read_vls(self.data, pos)
-        for _ in range(n1):
-            from repro.bxsa.frames import skip_string
-
-            pos = skip_string(self.data, pos)
-            pos = skip_string(self.data, pos)
-        pos = skip_name_ref(self.data, pos)
+        pos = skip_name_ref(self.data, skip_namespace_table(self.data, info.body_start))
         local, _ = read_string(self.data, pos)
         return local
 
     def find_child_named(self, offset: int, local_name: str) -> FrameInfo | None:
         """First child element frame with the given local name."""
         for info in self.children(offset):
-            if info.frame_type in (
-                FrameType.COMPONENT_ELEMENT,
-                FrameType.LEAF_ELEMENT,
-                FrameType.ARRAY_ELEMENT,
-            ) and self.element_name(info.start) == local_name:
+            if (
+                info.frame_type in _ELEMENT_FRAMES
+                and self.element_name(info.start) == local_name
+            ):
                 return info
         return None
 
@@ -158,19 +150,9 @@ class FrameScanner:
         """The namespace declarations of an element frame (empty for
         document/text/comment/PI frames)."""
         info = self.frame_at(offset)
-        if info.frame_type not in (
-            FrameType.COMPONENT_ELEMENT,
-            FrameType.LEAF_ELEMENT,
-            FrameType.ARRAY_ELEMENT,
-        ):
+        if info.frame_type not in _ELEMENT_FRAMES:
             return []
-        pos = info.body_start
-        n1, pos = read_vls(self.data, pos)
-        table: list[tuple[str, str]] = []
-        for _ in range(n1):
-            prefix, pos = read_string(self.data, pos)
-            uri, pos = read_string(self.data, pos)
-            table.append((prefix, uri))
+        table, _ = read_namespace_table(self.data, info.body_start)
         return table
 
     def walk_with_ancestors(

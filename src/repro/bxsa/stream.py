@@ -24,13 +24,18 @@ and consumers iterate events the way a StAX/pull parser walks textual XML:
 
 * :class:`BXSAStreamReader` — pull events from a *complete* buffer with
   zero-copy numpy views over array payloads.
-* :class:`StreamDecoder` — the incremental twin: ``feed(bytes)`` returns the
-  events completed by those bytes, however the stream was split.  It accepts
-  both the standard and the streamed container profiles; within one ``feed``
-  call array events are zero-copy views into the caller's buffer.  With
+* :class:`StreamDecoder` — ``feed(bytes)`` returns the events completed by
+  those bytes, however the stream was split.  It accepts both the standard
+  and the streamed container profiles; within one ``feed`` call array events
+  are zero-copy views into the caller's buffer.  With
   ``array_chunk_threshold`` set, arrays at least that large are delivered as
   ``ARRAY_BEGIN`` / ``ARRAY_CHUNK`` / ``ARRAY_END`` so a multi-GiB payload
   never has to be resident at once.
+
+Neither reader parses: both collect the events of the one frame grammar in
+:class:`repro.bxsa.walker.FrameWalker` (the pull reader steps it over a
+complete buffer, the incremental decoder feeds it), so they cannot disagree
+with each other or with the tree decoder about which bytes are a document.
 
 A round trip through writer → bytes → reader → writer reproduces the byte
 stream exactly; :func:`write_document` drives a writer from a bXDM tree and
@@ -46,24 +51,15 @@ from typing import Iterator
 import numpy as np
 
 from repro import obs
-from repro.bxsa.constants import FrameType, pack_prefix_byte, unpack_prefix_byte
-from repro.bxsa.encoder import BXSAEncoder
-from repro.bxsa.errors import BXSADecodeError, BXSAEncodeError
-from repro.bxsa.frames import (
-    read_frame_prefix,
-    read_name_ref,
-    read_scalar_value,
-    read_string,
-    read_type_code,
-    read_vls,
-)
+from repro.bxsa.constants import FrameType, pack_prefix_byte
+from repro.bxsa.encoder import BXSAEncoder, array_frame_head
+from repro.bxsa.errors import BXSAEncodeError
 from repro.bxsa.namespaces import ScopeStack, to_nodes
+from repro.bxsa.walker import FrameWalker
 from repro.xbs.constants import NATIVE_ENDIAN, TypeCode, dtype_for
-from repro.xbs.varint import _MAX_VLS_BYTES, encode_vls
-from repro.xdm.errors import XDMTypeError
+from repro.xbs.varint import encode_vls
 from repro.xdm.nodes import (
     ArrayElement,
-    AttributeNode,
     CommentNode,
     DocumentNode,
     ElementNode,
@@ -73,7 +69,7 @@ from repro.xdm.nodes import (
     TextNode,
 )
 from repro.xdm.qname import QName
-from repro.xdm.types import atomic_type_for_code, atomic_type_for_xsd
+from repro.xdm.types import atomic_type_for_xsd
 
 #: Default sink-mode flush granularity: bytes are handed to the sink in
 #: pieces of (at most) this many bytes.
@@ -122,13 +118,6 @@ class StreamEvent:
     depth: int = 0  #: element nesting depth at which the event occurs
     count: int | None = None  #: total item count of the (chunked) array
     item_offset: int = 0  #: index of the first item carried by an ARRAY_CHUNK
-
-
-def _atype_for(code: TypeCode):
-    try:
-        return atomic_type_for_code(code)
-    except XDMTypeError as exc:
-        raise BXSADecodeError(str(exc)) from exc
 
 
 def _type_code_of(atype) -> TypeCode:
@@ -403,13 +392,10 @@ class BXSAStreamWriter:
         header = self._header_for(node.name, attributes, namespaces)
         self._scopes.pop()
         code = node.atype.code
-        meta = bytes((int(code),)) + self._encoder._string(node.item_name or "")
-        count = encode_vls(int(node.values.size))
-        pad = (-(len(header) + len(meta) + len(count) + 1)) % code.size
+        head = array_frame_head(header, code, node.item_name, int(node.values.size))
         target = dtype_for(code, self.byte_order)
         normalized = np.ascontiguousarray(node.values, dtype=target)
         payload = memoryview(normalized).cast("B") if normalized.size else b""
-        head = header + meta + count + bytes((pad,)) + b"\x00" * pad
         self._emit_frame(FrameType.ARRAY_ELEMENT, [head, payload])
         return self
 
@@ -444,10 +430,7 @@ class BXSAStreamWriter:
             raise BXSAEncodeError(f"array item count must be >= 0, got {count}")
         header = self._header_for(name, attributes, namespaces)
         self._scopes.pop()
-        meta = bytes((int(code),)) + self._encoder._string(item_name or "")
-        count_vls = encode_vls(count)
-        pad = (-(len(header) + len(meta) + len(count_vls) + 1)) % code.size
-        head = header + meta + count_vls + bytes((pad,)) + b"\x00" * pad
+        head = array_frame_head(header, code, item_name, count)
         nbytes = count * code.size
         prefix = bytes((pack_prefix_byte(self.byte_order, FrameType.ARRAY_ELEMENT),))
         self._emit(prefix + encode_vls(len(head) + nbytes))
@@ -550,7 +533,64 @@ def write_document(writer: BXSAStreamWriter, document: DocumentNode) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# reader
+# readers: event-collecting consumers of the frame walker
+
+
+class _EventCollector:
+    """Walker handler that materialises each production as a StreamEvent."""
+
+    def __init__(self) -> None:
+        self.events: list[StreamEvent] = []
+        self._depth = 0  # open element frames
+        self._array: dict = {}  # the open chunked array's common event fields
+
+    def _add(self, kind: EventKind, name=None, attrs=(), table=(), **fields) -> None:
+        namespaces = tuple(to_nodes(table)) if table else ()
+        self.events.append(
+            StreamEvent(kind, name, tuple(attrs), namespaces, depth=self._depth, **fields)
+        )
+
+    def start_document(self) -> None:
+        self._add(EventKind.START_DOCUMENT)
+
+    def end_document(self) -> None:
+        self._add(EventKind.END_DOCUMENT)
+
+    def start_element(self, name, attrs, table) -> None:
+        self._add(EventKind.START_ELEMENT, name, attrs, table)
+        self._depth += 1
+
+    def end_element(self, name) -> None:
+        self._depth -= 1
+        self._add(EventKind.END_ELEMENT, name)
+
+    def leaf(self, name, attrs, table, value, atype) -> None:
+        self._add(EventKind.LEAF, name, attrs, table, value=value, atype=atype)
+
+    def array(self, name, attrs, table, values, atype, item_name) -> None:
+        self._add(
+            EventKind.ARRAY, name, attrs, table,
+            values=values, atype=atype, item_name=item_name, count=len(values),
+        )
+
+    def array_begin(self, name, attrs, table, atype, item_name, count) -> None:
+        self._array = {"name": name, "atype": atype, "item_name": item_name, "count": count}
+        self._add(EventKind.ARRAY_BEGIN, attrs=attrs, table=table, **self._array)
+
+    def array_chunk(self, values, item_offset) -> None:
+        self._add(EventKind.ARRAY_CHUNK, values=values, item_offset=item_offset, **self._array)
+
+    def array_end(self) -> None:
+        self._add(EventKind.ARRAY_END, item_offset=self._array["count"], **self._array)
+
+    def text(self, content) -> None:
+        self._add(EventKind.TEXT, text=content)
+
+    def comment(self, content) -> None:
+        self._add(EventKind.COMMENT, text=content)
+
+    def pi(self, target, data) -> None:
+        self._add(EventKind.PI, target=target, text=data)
 
 
 class BXSAStreamReader:
@@ -559,7 +599,8 @@ class BXSAStreamReader:
     Accepts any buffer (``bytes``, ``bytearray``, ``memoryview``, mmap)
     without copying: array events are numpy views aliasing the caller's
     buffer, extending the codec's documented ``copy=False`` contract to the
-    stream layer.
+    stream layer.  Lazy: the walker is stepped one frame per pull, so a
+    frame is only parsed (and can only fail) once its events are asked for.
     """
 
     def __init__(self, data, offset: int = 0) -> None:
@@ -571,217 +612,18 @@ class BXSAStreamReader:
 
     def events(self) -> Iterator[StreamEvent]:
         """Yield the event stream for the frame at the start offset."""
+        collector = _EventCollector()
+        walker = FrameWalker(collector)
+        pos = self._pos
         count = 0
-        for event in self._events():
-            count += 1
-            yield event
+        while not walker.done:
+            pos = walker.step(self.data, pos)
+            count += len(collector.events)
+            yield from collector.events
+            collector.events.clear()
         # metrics land once per document, not per event, so the pull loop
         # costs nothing extra whether or not a recorder is active
         obs.counter("bxsa.stream.events_read").add(count)
-
-    def _events(self) -> Iterator[StreamEvent]:
-        scopes = ScopeStack()
-        # stack of (remaining children, frame end, is_element, name|None)
-        stack: list[list] = []
-        data = self.data
-        pos = self._pos
-        while True:
-            byte_order, frame_type, body, end = read_frame_prefix(data, pos)
-            if stack and end > stack[-1][1]:
-                # a child whose Size reaches past its container would hand
-                # the consumer bytes belonging to the *next* frame; a pull
-                # parser must refuse before yielding the event
-                raise BXSADecodeError(
-                    f"frame at offset {pos} ends at {end}, overrunning its "
-                    f"enclosing frame's end {stack[-1][1]}"
-                )
-            depth = sum(1 for entry in stack if entry[2])
-
-            if frame_type is FrameType.DOCUMENT:
-                count, body = read_vls(data, body)
-                yield StreamEvent(EventKind.START_DOCUMENT, depth=depth)
-                if count == 0:
-                    yield StreamEvent(EventKind.END_DOCUMENT, depth=depth)
-                    if not stack:
-                        return
-                    raise BXSADecodeError("document frame nested inside a document")
-                stack.append([count, end, False, None])
-                pos = body
-                continue
-
-            if frame_type is FrameType.COMPONENT_ELEMENT:
-                name, attrs, table, body = self._read_header(data, body, byte_order, scopes)
-                count, body = read_vls(data, body)
-                yield StreamEvent(
-                    EventKind.START_ELEMENT,
-                    name=name,
-                    attributes=tuple(attrs),
-                    namespaces=tuple(to_nodes(table)),
-                    depth=depth,
-                )
-                if count == 0:
-                    scopes.pop()
-                    yield StreamEvent(EventKind.END_ELEMENT, name=name, depth=depth)
-                    pos = body
-                    event = self._close_containers(stack, scopes, pos)
-                    for e in event:
-                        yield e
-                    if not stack:
-                        return
-                    continue
-                stack.append([count, end, True, name])
-                pos = body
-                continue
-
-            # atom frames ------------------------------------------------
-            if frame_type is FrameType.LEAF_ELEMENT:
-                name, attrs, table, body = self._read_header(data, body, byte_order, scopes)
-                scopes.pop()
-                code, body = read_type_code(data, body)
-                value, body = read_scalar_value(data, body, code, byte_order)
-                if body > end:
-                    raise BXSADecodeError("leaf value overruns its frame")
-                yield StreamEvent(
-                    EventKind.LEAF,
-                    name=name,
-                    attributes=tuple(attrs),
-                    namespaces=tuple(to_nodes(table)),
-                    value=value,
-                    atype=self._atype(code),
-                    depth=depth,
-                )
-                pos = end
-            elif frame_type is FrameType.ARRAY_ELEMENT:
-                name, attrs, table, body = self._read_header(data, body, byte_order, scopes)
-                scopes.pop()
-                code, body = read_type_code(data, body)
-                if code is TypeCode.STRING:
-                    raise BXSADecodeError("array frames cannot hold strings")
-                item_name, body = read_string(data, body)
-                count, body = read_vls(data, body)
-                # the pad byte must live inside *this* frame: validating
-                # against len(data) would read the next frame's bytes when
-                # the Size field was truncated
-                if body >= end:
-                    raise BXSADecodeError("truncated array frame")
-                pad = data[body]
-                body += 1 + pad
-                nbytes = count * code.size
-                if body + nbytes > end:
-                    raise BXSADecodeError("array payload overruns its frame")
-                values = np.frombuffer(
-                    data[body : body + nbytes], dtype=dtype_for(code, byte_order), count=count
-                )
-                yield StreamEvent(
-                    EventKind.ARRAY,
-                    name=name,
-                    attributes=tuple(attrs),
-                    namespaces=tuple(to_nodes(table)),
-                    values=values,
-                    atype=self._atype(code),
-                    item_name=item_name or None,
-                    count=count,
-                    depth=depth,
-                )
-                pos = end
-            elif frame_type in (FrameType.CHARACTER_DATA, FrameType.COMMENT):
-                content, body = read_string(data, body)
-                kind = (
-                    EventKind.TEXT
-                    if frame_type is FrameType.CHARACTER_DATA
-                    else EventKind.COMMENT
-                )
-                yield StreamEvent(kind, text=content, depth=depth)
-                pos = end
-            elif frame_type is FrameType.PI:
-                target, body = read_string(data, body)
-                content, body = read_string(data, body)
-                yield StreamEvent(EventKind.PI, target=target, text=content, depth=depth)
-                pos = end
-            else:
-                raise BXSADecodeError(
-                    f"streamed-profile frame {frame_type.name} requires the "
-                    "incremental reader; feed this byte stream to "
-                    "repro.bxsa.stream.StreamDecoder"
-                )
-
-            if not stack:
-                return  # a bare atom frame at top level
-            for event in self._close_containers(stack, scopes, pos):
-                yield event
-            if not stack:
-                return
-
-    def _close_containers(self, stack, scopes, pos) -> list[StreamEvent]:
-        """Decrement the open container; emit END events for completed ones."""
-        events: list[StreamEvent] = []
-        while stack:
-            stack[-1][0] -= 1
-            if stack[-1][0] > 0:
-                break
-            remaining, end, is_element, name = stack.pop()
-            if pos != end:
-                raise BXSADecodeError(
-                    f"frame size mismatch: content ends at {pos}, Size says {end}"
-                )
-            depth = sum(1 for entry in stack if entry[2])
-            if is_element:
-                scopes.pop()
-                events.append(StreamEvent(EventKind.END_ELEMENT, name=name, depth=depth))
-            else:
-                events.append(StreamEvent(EventKind.END_DOCUMENT, depth=depth))
-        return events
-
-    @staticmethod
-    def _atype(code: TypeCode):
-        return _atype_for(code)
-
-    def _read_header(self, data, pos, byte_order, scopes):
-        """Element header → (QName, [AttributeNode], table, new pos).
-
-        Same wire walk as the tree decoder, kept local so the reader stays
-        importable without constructing a BXSADecoder.
-        """
-        n1, pos = read_vls(data, pos)
-        table: list[tuple[str, str]] = []
-        for _ in range(n1):
-            prefix, pos = read_string(data, pos)
-            uri, pos = read_string(data, pos)
-            table.append((prefix, uri))
-        scopes.push(table)
-        depth, index, pos = read_name_ref(data, pos)
-        local, pos = read_string(data, pos)
-        if depth == 0:
-            name = QName(local)
-        else:
-            prefix, uri = scopes.resolve(depth, index)
-            name = QName(local, uri, prefix)
-        n2, pos = read_vls(data, pos)
-        attrs: list[AttributeNode] = []
-        for _ in range(n2):
-            a_depth, a_index, pos = read_name_ref(data, pos)
-            a_local, pos = read_string(data, pos)
-            code, pos = read_type_code(data, pos)
-            value, pos = read_scalar_value(data, pos, code, byte_order)
-            if a_depth == 0:
-                qname = QName(a_local)
-            else:
-                a_prefix, a_uri = scopes.resolve(a_depth, a_index)
-                qname = QName(a_local, a_uri, a_prefix)
-            attrs.append(AttributeNode(qname, value, self._atype(code)))
-        return name, attrs, table, pos
-
-
-# ---------------------------------------------------------------------------
-# incremental decoder
-
-
-class _NeedMore(Exception):
-    """Internal: the current frame cannot complete with the bytes buffered."""
-
-
-# container-stack entry kinds
-_STD_DOC, _STD_ELEM, _S_DOC, _S_ELEM = 0, 1, 2, 3
 
 
 class StreamDecoder:
@@ -814,497 +656,24 @@ class StreamDecoder:
             raise ValueError(
                 f"array_chunk_threshold must be positive, got {array_chunk_threshold}"
             )
-        self._threshold = array_chunk_threshold
-        self._buf = bytearray()
-        self._abs = 0  # absolute stream offset of the next unconsumed byte
-        self._scopes = ScopeStack()
-        # entries: [kind, name, end_abs|None, children remaining|seen]
-        self._stack: list[list] = []
-        self._array: dict | None = None
-        self._ndepth = 0  # open element frames (event depth)
-        self._started = False
-        self._done = False
+        self._collector = _EventCollector()
+        self._walker = FrameWalker(
+            self._collector,
+            streamed_profile=True,
+            array_chunk_threshold=array_chunk_threshold,
+        )
 
     @property
     def done(self) -> bool:
         """True once a complete document (or bare top-level frame) ended."""
-        return self._done
+        return self._walker.done
 
     def feed(self, data) -> list[StreamEvent]:
-        view = data if isinstance(data, memoryview) else memoryview(data)
-        if view.format != "B" or view.ndim != 1:
-            view = view.cast("B")
-        events: list[StreamEvent] = []
-        n = len(view)
-        pos = 0
-        while pos < n:
-            if self._done:
-                raise BXSADecodeError(
-                    f"{n - pos} byte(s) past the end of the document"
-                )
-            if self._array is not None:
-                new = self._consume_array(view, pos, events, zero_copy=True)
-                self._abs += new - pos
-                pos = new
-            elif self._buf:
-                self._buf += view[pos:]
-                pos = n
-                self._drain_buffer(events)
-            else:
-                pos = self._parse_span(view, pos, events)
+        events = self._collector.events = []
+        self._walker.feed(data)
         obs.counter("bxsa.stream.events_read").add(len(events))
         return events
 
     def close(self) -> None:
         """Assert the stream ended exactly at a document boundary."""
-        if self._array is not None:
-            raise BXSADecodeError("stream ended inside an array payload")
-        if self._buf:
-            raise BXSADecodeError(
-                f"stream ended with a truncated frame at offset {self._abs}"
-            )
-        if self._stack:
-            raise BXSADecodeError(
-                f"stream ended with {len(self._stack)} container frame(s) still open"
-            )
-        if not self._done:
-            raise BXSADecodeError("stream ended before any document content")
-
-    # -- consumption paths ---------------------------------------------
-
-    def _parse_span(self, data, pos, events) -> int:
-        """Parse frames straight off the caller's buffer (zero-copy arrays)."""
-        base = self._abs - pos
-        n = len(data)
-        while pos < n and self._array is None and not self._done:
-            try:
-                pos = self._parse_one(data, pos, base, events, zero_copy=True)
-            except _NeedMore:
-                self._buf += data[pos:]
-                return n
-            self._abs = base + pos
-        return pos
-
-    def _drain_buffer(self, events) -> None:
-        buf = self._buf
-        base = self._abs  # absolute offset of buf[0], fixed for this drain
-        pos = 0
-        n = len(buf)
-        while pos < n and not self._done:
-            if self._array is not None:
-                pos = self._consume_array(buf, pos, events, zero_copy=False)
-                continue
-            try:
-                pos = self._parse_one(buf, pos, base, events, zero_copy=False)
-            except _NeedMore:
-                break
-        del buf[:pos]
-        self._abs = base + pos
-        if self._done and buf:
-            raise BXSADecodeError(f"{len(buf)} byte(s) past the end of the document")
-
-    # -- frame parsing --------------------------------------------------
-
-    def _incremental_vls(self, data, pos: int) -> tuple[int, int]:
-        n = len(data)
-        limit = min(n, pos + _MAX_VLS_BYTES)
-        i = pos
-        while i < limit:
-            if not data[i] & 0x80:
-                return read_vls(data, pos)
-            i += 1
-        if i - pos >= _MAX_VLS_BYTES:
-            return read_vls(data, pos)  # raises: longer than the VLS bound
-        raise _NeedMore
-
-    def _parse_header(self, data, pos: int, byte_order: int):
-        """Element header → (QName, [AttributeNode], table, new pos).
-
-        On success the element's namespace table is left pushed on the
-        scope stack; on any failure the stack is unwound, so a retry after
-        more bytes arrive reparses from a clean state.
-        """
-        n1, pos = read_vls(data, pos)
-        table: list[tuple[str, str]] = []
-        for _ in range(n1):
-            prefix, pos = read_string(data, pos)
-            uri, pos = read_string(data, pos)
-            table.append((prefix, uri))
-        self._scopes.push(table)
-        try:
-            depth_ref, index, pos = read_name_ref(data, pos)
-            local, pos = read_string(data, pos)
-            if depth_ref == 0:
-                name = QName(local)
-            else:
-                prefix, uri = self._scopes.resolve(depth_ref, index)
-                name = QName(local, uri, prefix)
-            n2, pos = read_vls(data, pos)
-            attrs: list[AttributeNode] = []
-            for _ in range(n2):
-                a_depth, a_index, pos = read_name_ref(data, pos)
-                a_local, pos = read_string(data, pos)
-                code, pos = read_type_code(data, pos)
-                value, pos = read_scalar_value(data, pos, code, byte_order)
-                if a_depth == 0:
-                    qname = QName(a_local)
-                else:
-                    a_prefix, a_uri = self._scopes.resolve(a_depth, a_index)
-                    qname = QName(a_local, a_uri, a_prefix)
-                attrs.append(AttributeNode(qname, value, _atype_for(code)))
-        except BXSADecodeError:
-            self._scopes.pop()
-            raise
-        return name, attrs, table, pos
-
-    def _parse_one(self, data, pos: int, base: int, events, zero_copy: bool) -> int:
-        n = len(data)
-        byte_order, frame_type = unpack_prefix_byte(data[pos])
-        size, body = self._incremental_vls(data, pos + 1)
-        frame_end = body + size
-        top = self._stack[-1] if self._stack else None
-        if top is not None and top[2] is not None and base + frame_end > top[2]:
-            # provable from the prefix alone — fail now, don't wait for data
-            raise BXSADecodeError(
-                f"frame at offset {base + pos} ends at {base + frame_end}, "
-                f"overrunning its enclosing frame's end {top[2]}"
-            )
-        depth = self._ndepth
-
-        if frame_type is FrameType.DOCUMENT:
-            count, p = self._incremental_vls(data, body)
-            events.append(StreamEvent(EventKind.START_DOCUMENT, depth=depth))
-            self._started = True
-            if count == 0:
-                events.append(StreamEvent(EventKind.END_DOCUMENT, depth=depth))
-                if not self._stack:
-                    self._done = True
-                    return p
-                raise BXSADecodeError("document frame nested inside a document")
-            self._stack.append([_STD_DOC, None, base + frame_end, count])
-            return p
-
-        if frame_type is FrameType.COMPONENT_ELEMENT:
-            try:
-                name, attrs, table, p = self._parse_header(data, body, byte_order)
-                try:
-                    count, p = read_vls(data, p)
-                except BXSADecodeError:
-                    self._scopes.pop()
-                    raise
-            except BXSADecodeError:
-                if frame_end <= n:
-                    raise
-                raise _NeedMore from None
-            events.append(
-                StreamEvent(
-                    EventKind.START_ELEMENT,
-                    name=name,
-                    attributes=tuple(attrs),
-                    namespaces=tuple(to_nodes(table)),
-                    depth=depth,
-                )
-            )
-            self._started = True
-            if count == 0:
-                self._scopes.pop()
-                events.append(StreamEvent(EventKind.END_ELEMENT, name=name, depth=depth))
-                self._finish_child(events, base + p)
-                return p
-            self._stack.append([_STD_ELEM, name, base + frame_end, count])
-            self._ndepth += 1
-            return p
-
-        if frame_type is FrameType.ARRAY_ELEMENT:
-            return self._parse_array(
-                data, body, frame_end, base, byte_order, depth, events, zero_copy
-            )
-
-        # the remaining frame types are small and forward-length: parse
-        # only once every byte the frame claims has arrived
-        if frame_end > n:
-            raise _NeedMore
-
-        if frame_type is FrameType.LEAF_ELEMENT:
-            name, attrs, table, p = self._parse_header(data, body, byte_order)
-            self._scopes.pop()
-            code, p = read_type_code(data, p)
-            value, p = read_scalar_value(data, p, code, byte_order)
-            if p > frame_end:
-                raise BXSADecodeError("leaf value overruns its frame")
-            events.append(
-                StreamEvent(
-                    EventKind.LEAF,
-                    name=name,
-                    attributes=tuple(attrs),
-                    namespaces=tuple(to_nodes(table)),
-                    value=value,
-                    atype=_atype_for(code),
-                    depth=depth,
-                )
-            )
-            self._started = True
-            self._finish_child(events, base + frame_end)
-            return frame_end
-
-        if frame_type in (FrameType.CHARACTER_DATA, FrameType.COMMENT):
-            content, _p = read_string(data, body)
-            kind = (
-                EventKind.TEXT
-                if frame_type is FrameType.CHARACTER_DATA
-                else EventKind.COMMENT
-            )
-            events.append(StreamEvent(kind, text=content, depth=depth))
-            self._started = True
-            self._finish_child(events, base + frame_end)
-            return frame_end
-
-        if frame_type is FrameType.PI:
-            target, p = read_string(data, body)
-            content, _p = read_string(data, p)
-            events.append(
-                StreamEvent(EventKind.PI, target=target, text=content, depth=depth)
-            )
-            self._started = True
-            self._finish_child(events, base + frame_end)
-            return frame_end
-
-        if frame_type is FrameType.STREAM_DOCUMENT:
-            if size != 0:
-                raise BXSADecodeError("STREAM_DOCUMENT frame carries a non-empty body")
-            if top is not None and top[0] in (_STD_DOC, _STD_ELEM):
-                raise BXSADecodeError(
-                    "streamed-profile frame inside a standard container frame"
-                )
-            events.append(StreamEvent(EventKind.START_DOCUMENT, depth=depth))
-            self._started = True
-            self._stack.append([_S_DOC, None, None, 0])
-            return frame_end
-
-        if frame_type is FrameType.STREAM_ELEMENT:
-            if top is not None and top[0] in (_STD_DOC, _STD_ELEM):
-                raise BXSADecodeError(
-                    "streamed-profile frame inside a standard container frame"
-                )
-            name, attrs, table, p = self._parse_header(data, body, byte_order)
-            if p != frame_end:
-                self._scopes.pop()
-                raise BXSADecodeError(
-                    "STREAM_ELEMENT frame size does not match its element header"
-                )
-            events.append(
-                StreamEvent(
-                    EventKind.START_ELEMENT,
-                    name=name,
-                    attributes=tuple(attrs),
-                    namespaces=tuple(to_nodes(table)),
-                    depth=depth,
-                )
-            )
-            self._started = True
-            self._stack.append([_S_ELEM, name, None, 0])
-            self._ndepth += 1
-            return frame_end
-
-        if frame_type is FrameType.STREAM_END:
-            count, _p = read_vls(data, body)
-            if top is None or top[0] not in (_S_DOC, _S_ELEM):
-                raise BXSADecodeError("STREAM_END with no open streamed container")
-            if count != top[3]:
-                raise BXSADecodeError(
-                    f"STREAM_END child count {count} does not match "
-                    f"the {top[3]} children seen"
-                )
-            kind, name, _, _ = self._stack.pop()
-            if kind == _S_ELEM:
-                self._ndepth -= 1
-                self._scopes.pop()
-                events.append(
-                    StreamEvent(EventKind.END_ELEMENT, name=name, depth=self._ndepth)
-                )
-            else:
-                events.append(StreamEvent(EventKind.END_DOCUMENT, depth=self._ndepth))
-            self._finish_child(events, base + frame_end)
-            return frame_end
-
-        raise BXSADecodeError(f"unhandled frame type {frame_type!r}")
-
-    def _parse_array(
-        self, data, body: int, frame_end: int, base: int, byte_order: int,
-        depth: int, events, zero_copy: bool,
-    ) -> int:
-        n = len(data)
-        try:
-            name, attrs, table, p = self._parse_header(data, body, byte_order)
-            self._scopes.pop()
-            code, p = read_type_code(data, p)
-            if code is TypeCode.STRING:
-                raise BXSADecodeError("array frames cannot hold strings")
-            item_name, p = read_string(data, p)
-            count, p = read_vls(data, p)
-            if p >= frame_end or p >= n:
-                raise BXSADecodeError("truncated array frame")
-            pad = data[p]
-            p += 1 + pad
-            nbytes = count * code.size
-            if p + nbytes > frame_end:
-                raise BXSADecodeError("array payload overruns its frame")
-        except BXSADecodeError:
-            if frame_end <= n:
-                raise
-            raise _NeedMore from None
-        self._started = True
-        atype = _atype_for(code)
-        if self._threshold is None or nbytes < self._threshold:
-            if frame_end > n:
-                raise _NeedMore
-            raw = data[p : p + nbytes]
-            if not zero_copy:
-                raw = bytes(raw)
-            values = np.frombuffer(raw, dtype=dtype_for(code, byte_order), count=count)
-            events.append(
-                StreamEvent(
-                    EventKind.ARRAY,
-                    name=name,
-                    attributes=tuple(attrs),
-                    namespaces=tuple(to_nodes(table)),
-                    values=values,
-                    atype=atype,
-                    item_name=item_name or None,
-                    count=count,
-                    depth=depth,
-                )
-            )
-            self._finish_child(events, base + frame_end)
-            return frame_end
-        events.append(
-            StreamEvent(
-                EventKind.ARRAY_BEGIN,
-                name=name,
-                attributes=tuple(attrs),
-                namespaces=tuple(to_nodes(table)),
-                atype=atype,
-                item_name=item_name or None,
-                count=count,
-                depth=depth,
-            )
-        )
-        self._array = {
-            "name": name,
-            "atype": atype,
-            "item_name": item_name or None,
-            "count": count,
-            "itemsize": code.size,
-            "dtype": dtype_for(code, byte_order),
-            "remaining": nbytes,
-            "slack": frame_end - (p + nbytes),  # in-frame bytes after the payload
-            "carry": bytearray(),
-            "item_offset": 0,
-            "frame_end_abs": base + frame_end,
-            "depth": depth,
-        }
-        return p
-
-    def _consume_array(self, data, pos: int, events, zero_copy: bool) -> int:
-        st = self._array
-        n = len(data)
-        itemsize = st["itemsize"]
-        carry = st["carry"]
-        while pos < n and st["remaining"] > 0:
-            if carry:
-                take = min(itemsize - len(carry), n - pos, st["remaining"])
-                carry += data[pos : pos + take]
-                pos += take
-                st["remaining"] -= take
-                if len(carry) == itemsize:
-                    values = np.frombuffer(bytes(carry), dtype=st["dtype"], count=1)
-                    events.append(self._chunk_event(st, values))
-                    st["item_offset"] += 1
-                    carry.clear()
-                continue
-            avail = min(n - pos, st["remaining"])
-            nitems = avail // itemsize
-            if nitems:
-                span = nitems * itemsize
-                raw = data[pos : pos + span]
-                if not zero_copy:
-                    raw = bytes(raw)
-                values = np.frombuffer(raw, dtype=st["dtype"], count=nitems)
-                events.append(self._chunk_event(st, values))
-                st["item_offset"] += nitems
-                pos += span
-                st["remaining"] -= span
-                continue
-            carry += data[pos : pos + avail]
-            pos += avail
-            st["remaining"] -= avail
-        if st["remaining"] == 0:
-            if carry:  # count*itemsize is a multiple of itemsize; unreachable
-                raise BXSADecodeError("array payload not a multiple of the item size")
-            if st["slack"]:
-                skip = min(st["slack"], n - pos)
-                pos += skip
-                st["slack"] -= skip
-                if st["slack"]:
-                    return pos
-            events.append(
-                StreamEvent(
-                    EventKind.ARRAY_END,
-                    name=st["name"],
-                    atype=st["atype"],
-                    item_name=st["item_name"],
-                    count=st["count"],
-                    item_offset=st["count"],
-                    depth=st["depth"],
-                )
-            )
-            frame_end_abs = st["frame_end_abs"]
-            self._array = None
-            self._finish_child(events, frame_end_abs)
-        return pos
-
-    @staticmethod
-    def _chunk_event(st: dict, values: np.ndarray) -> StreamEvent:
-        return StreamEvent(
-            EventKind.ARRAY_CHUNK,
-            name=st["name"],
-            values=values,
-            atype=st["atype"],
-            item_name=st["item_name"],
-            count=st["count"],
-            item_offset=st["item_offset"],
-            depth=st["depth"],
-        )
-
-    def _finish_child(self, events, pos_abs: int) -> None:
-        """A child frame completed at ``pos_abs``; update its container.
-
-        Mirrors the buffered reader's ``_close_containers``: standard
-        containers count down and close (strictly at their recorded end)
-        when they reach zero, cascading upward; streamed containers count
-        up and close only on their explicit STREAM_END frame.
-        """
-        stack = self._stack
-        while stack:
-            top = stack[-1]
-            if top[0] in (_S_DOC, _S_ELEM):
-                top[3] += 1
-                return
-            top[3] -= 1
-            if top[3] > 0:
-                return
-            kind, name, end_abs, _ = stack.pop()
-            if pos_abs != end_abs:
-                raise BXSADecodeError(
-                    f"frame size mismatch: content ends at {pos_abs}, "
-                    f"Size says {end_abs}"
-                )
-            if kind == _STD_ELEM:
-                self._ndepth -= 1
-                self._scopes.pop()
-                events.append(
-                    StreamEvent(EventKind.END_ELEMENT, name=name, depth=self._ndepth)
-                )
-            else:
-                events.append(StreamEvent(EventKind.END_DOCUMENT, depth=self._ndepth))
-        self._done = True
+        self._walker.close()

@@ -55,10 +55,14 @@ def decode_vls(data, offset: int = 0) -> tuple[int, int]:
     last byte consumed.  Raises :class:`XBSDecodeError` on truncation,
     over-long input, or non-canonical (zero-padded) encodings.
     """
+    n = len(data)
+    if offset < n and data[offset] < 0x80:
+        # one-byte values (most counts, depths and small frame sizes) skip
+        # the general loop; the checks below cannot fire for them
+        return data[offset], offset + 1
     value = 0
     shift = 0
     pos = offset
-    n = len(data)
     while True:
         if pos >= n:
             raise XBSDecodeError("truncated VLS integer")

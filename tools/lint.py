@@ -28,6 +28,11 @@ lint) — they confine the concurrency machinery to its designated homes:
   write the generic 500 body or call ``busy_response`` — serving
   semantics are defined once, in the request pipeline, and an I/O driver
   or a host that spells any of them is growing a second copy.
+* inside ``src/repro`` only ``bxsa/frames.py`` (which defines them)
+  and ``bxsa/walker.py`` may call ``read_name_ref``, ``read_type_code``
+  or ``read_scalar_value`` — the BXSA element header and the typed
+  frame bodies are parsed once, by the frame walker; a call anywhere
+  else is a second header walk growing back.
 * inside ``src/repro`` only ``fed/balancer.py`` may define
   ``choose_replica`` — replica-selection policy is one pluggable
   surface; a routing brain elsewhere would bypass the balancer's
@@ -409,6 +414,46 @@ def replica_policy_findings(path: str) -> list[tuple[int, str]]:
     ]
 
 
+#: The modules allowed to read BXSA element headers and typed values.
+FRAME_GRAMMAR_HOMES = {"bxsa/frames.py", "bxsa/walker.py"}
+
+#: The readers only an element-header / frame-body parser has a use for.
+FRAME_GRAMMAR_READERS = {"read_name_ref", "read_type_code", "read_scalar_value"}
+
+
+def frame_grammar_findings(path: str) -> list[tuple[int, str]]:
+    """Confine BXSA frame parsing to the one frame walker.
+
+    Tree decode, the pull reader, the incremental decoder and the plan
+    compiler are handlers over ``bxsa/walker.py``; none of them reads a
+    header.  The three readers below are what a header walk or a typed
+    frame body cannot be written without, so a call to one of them outside
+    ``bxsa/frames.py`` and the walker — no exceptions — is a fifth decode
+    path reappearing.  (The scanner *skips* with the ``skip_*`` helpers.)
+    """
+    rel = _repro_relative(path)
+    if rel is None or rel in FRAME_GRAMMAR_HOMES:
+        return []
+    with open(path, "rb") as fh:
+        source = fh.read()
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError:
+        return []  # dead_imports already reports the syntax error
+    message = (
+        "BXSA frame parsing is reserved to bxsa/walker.py; {name}() here is a "
+        "second element-header/frame-body reader — write a FrameWalker handler"
+    )
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in FRAME_GRAMMAR_READERS:
+                findings.append((node.lineno, message.format(name=name)))
+    return findings
+
+
 #: Every repo-specific rule: ``path -> [(line, message)]``.
 REPO_RULES = (
     serve_thread_findings,
@@ -417,6 +462,7 @@ REPO_RULES = (
     trace_header_findings,
     serving_semantics_findings,
     replica_policy_findings,
+    frame_grammar_findings,
 )
 
 
