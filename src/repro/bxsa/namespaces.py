@@ -57,10 +57,6 @@ class ScopeStack:
     def depth(self) -> int:
         return len(self._tables)
 
-    def current(self) -> list[tuple[str, str]]:
-        """The innermost table (read-only by convention; see :meth:`declare`)."""
-        return self._tables[-1]
-
     def all_prefixes(self) -> set[str]:
         """Every prefix bound anywhere in the current scope chain."""
         return {prefix for table in self._tables for prefix, _uri in table}
@@ -95,11 +91,6 @@ class ScopeStack:
             return None
         table_position, entry = positions[-1]
         return len(self._tables) - table_position, entry
-
-
-def declarations_of(node) -> list[tuple[str, str]]:
-    """Extract a node's namespace declarations as an ordered table."""
-    return [(ns.prefix, ns.uri) for ns in node.namespaces]
 
 
 def to_nodes(table: list[tuple[str, str]]) -> list[NamespaceNode]:

@@ -15,8 +15,10 @@ compiles a flat **encode plan**: a list of instructions in which everything
 value-independent is pre-rendered to constant byte strings and only the
 value-dependent holes (leaf payloads, attribute values, text runs, array
 bodies, frame sizes that depend on variable-length content) remain live.
-Re-encoding a structurally identical message replays the instruction list —
-no tree dispatch, no scope stack, no name encoding.
+Compiling is the encoder's own tree walk (:mod:`repro.bxsa.emitter`) over a
+handler that records the productions instead of writing them.  Re-encoding
+a structurally identical message replays the instruction list — no tree
+dispatch, no scope stack, no name encoding.
 
 **Wire compatibility is absolute.**  A plan never changes what lands on the
 wire: each message still carries its complete namespace tables (there is no
@@ -24,11 +26,12 @@ cross-message delta state on the wire), so warm output is byte-identical to
 the stateless encoder's and decodes with a stateless decoder.  The session
 enforces this itself: every freshly compiled plan is replayed once against
 the stateless encoder's output for the same tree, and a shape whose replay
-diverges is poisoned — it falls back to the stateless path forever.  The
-cache is therefore an execution strategy, not a format change, which is why
-warm sessions do not alter any Figure 4-6 measured semantics (the harness
-still opts out to keep its *cold-start* CPU segments honest; see
-``repro.harness.runners``).
+diverges is poisoned — it falls back to the stateless path forever (replay
+shares no frame-assembly code with the emitter; the check rests on that
+independence).  The cache is therefore an execution strategy, not a format
+change, which is why warm sessions do not alter any Figure 4-6 measured
+semantics (the harness still opts out to keep its *cold-start* CPU segments
+honest; see ``repro.harness.runners``).
 
 Decode-side, the session mirrors the same idea with compiled **decode
 plans** (:mod:`repro.bxsa.decodeplan`): the first decode of a shape runs
@@ -48,11 +51,12 @@ of same-shape envelopes allocates each name once.
 
 from __future__ import annotations
 
+import struct
 from itertools import islice
 
 import numpy as np
 
-from repro.bxsa.constants import FrameType, pack_prefix_byte
+from repro.bxsa.constants import FrameType
 from repro.bxsa.decodeplan import (
     DecodePlan,
     compile_decode_plan,
@@ -60,9 +64,9 @@ from repro.bxsa.decodeplan import (
     replay_decode_plan,
 )
 from repro.bxsa.decoder import BXSADecoder
+from repro.bxsa.emitter import FrameHandler, string_bytes, walk_tree
 from repro.bxsa.encoder import BXSAEncoder
 from repro.bxsa.errors import BXSADecodeError, BXSAEncodeError
-from repro.bxsa.namespaces import ScopeStack
 from repro.xbs.constants import NATIVE_ENDIAN, TypeCode, dtype_for
 from repro.xbs.structcache import struct_for
 from repro.xbs.varint import encode_vls
@@ -92,7 +96,7 @@ _OP_PI = 8  # (tag, prefix, target_bytes, node_idx)
 _OP_ARRAY = 9  # (tag, prefix, header, meta, head_const, dtype, item_size, node_idx)
 
 # pad-length byte + that many zero bytes, for every pad an item size ≤ 8
-# can require (array payload alignment; see BXSAEncoder._array_frame)
+# can require (array payload alignment; see emitter.array_frame_head)
 _PAD_BYTES = tuple(bytes((p,)) + b"\x00" * p for p in range(8))
 
 #: Decode plans cached per fingerprint.  Distinct shapes can share a
@@ -205,7 +209,11 @@ class CodecSession:
         plan = self._plans.get(shape)
         if plan is not None:
             self.stats.plan_hits += 1
-            return self._replay(plan, nodes)
+            try:
+                return self._replay(plan, nodes)
+            except (struct.error, OverflowError, UnicodeEncodeError) as exc:
+                # a value reassigned past what its declared type can hold
+                raise BXSAEncodeError(f"value does not fit its wire type: {exc}") from exc
         if shape in self._plans:  # poisoned shape: permanent stateless path
             self.stats.stateless_encodes += 1
             return self._encoder.encode(node)
@@ -394,174 +402,10 @@ class CodecSession:
         return reference
 
     def _compile(self, root: Node) -> EncodePlan:
-        """Walk the tree once, mirroring ``BXSAEncoder.encode`` emission
-        order exactly, and record instructions instead of bytes.
-
-        Scope handling is delegated to the real encoder's helpers
-        (``_own_table``/``_name_ref``/``_pick_prefix``), so namespace
-        auto-declaration — including the generated ``nsN`` prefix counter —
-        is bit-for-bit the behaviour of the stateless path.
-        """
-        enc = BXSAEncoder(self.byte_order)
-        order = self.byte_order
-        scopes = ScopeStack()
-        ops: list[tuple] = []
-        const_run: list[bytes] = []  # pending constant bytes, merged lazily
-
-        def flush_const() -> None:
-            if const_run:
-                ops.append((_OP_CONST, b"".join(const_run)))
-                const_run.clear()
-
-        def prefix_for(frame_type: FrameType) -> bytes:
-            return bytes((pack_prefix_byte(order, frame_type),))
-
-        node_idx = -1
-        _ENTER, _EXIT = 0, 1
-        stack: list[tuple] = [(_ENTER, root, 0)]
-        while stack:
-            action, current, idx = stack.pop()
-            if action == _EXIT:
-                if isinstance(current, DocumentNode):
-                    header: list | bytes = b""
-                    frame_type = FrameType.DOCUMENT
-                else:
-                    frame_type = FrameType.COMPONENT_ELEMENT
-                    header = self._header_segments(enc, current, scopes, idx)
-                    scopes.pop()
-                flush_const()
-                count_vls = encode_vls(len(current.children))
-                tail = header + count_vls if isinstance(header, bytes) else None
-                ops.append(
-                    (_OP_EXIT, prefix_for(frame_type), header, count_vls, tail)
-                )
-                continue
-            node_idx += 1
-            idx = node_idx
-            if isinstance(current, LeafElement):
-                scopes.push(enc._own_table(current))
-                try:
-                    header = self._header_segments(enc, current, scopes, idx)
-                finally:
-                    scopes.pop()
-                code = current.atype.code
-                if isinstance(header, bytes) and code.is_numeric:
-                    # fully constant frame head: prefix + Size + header +
-                    # type code, followed only by the fixed-width value
-                    if code is TypeCode.BOOL:
-                        head = (
-                            prefix_for(FrameType.LEAF_ELEMENT)
-                            + encode_vls(len(header) + 2)
-                            + header
-                            + bytes((int(code),))
-                        )
-                        flush_const()
-                        ops.append((_OP_LEAF_BOOL, head, idx))
-                    else:
-                        head = (
-                            prefix_for(FrameType.LEAF_ELEMENT)
-                            + encode_vls(len(header) + 1 + code.size)
-                            + header
-                            + bytes((int(code),))
-                        )
-                        flush_const()
-                        ops.append((_OP_LEAF_FIXED, head, struct_for(order, code), idx))
-                else:
-                    flush_const()
-                    ops.append(
-                        (_OP_LEAF_VAR, prefix_for(FrameType.LEAF_ELEMENT), header, code, idx)
-                    )
-            elif isinstance(current, ArrayElement):
-                scopes.push(enc._own_table(current))
-                try:
-                    header = self._header_segments(enc, current, scopes, idx)
-                finally:
-                    scopes.pop()
-                code = current.atype.code
-                meta = bytes((int(code),)) + enc._string(current.item_name or "")
-                head_const = header + meta if isinstance(header, bytes) else None
-                flush_const()
-                ops.append(
-                    (
-                        _OP_ARRAY,
-                        prefix_for(FrameType.ARRAY_ELEMENT),
-                        header,
-                        meta,
-                        head_const,
-                        dtype_for(code, order),
-                        code.size,
-                        idx,
-                    )
-                )
-            elif isinstance(current, (DocumentNode, ElementNode)):
-                if isinstance(current, ElementNode):
-                    scopes.push(enc._own_table(current))
-                flush_const()
-                ops.append((_OP_ENTER,))
-                stack.append((_EXIT, current, idx))
-                for child in reversed(current.children):
-                    stack.append((_ENTER, child, 0))
-            elif isinstance(current, TextNode):
-                flush_const()
-                ops.append((_OP_TEXT, prefix_for(FrameType.CHARACTER_DATA), idx))
-            elif isinstance(current, CommentNode):
-                flush_const()
-                ops.append((_OP_COMMENT, prefix_for(FrameType.COMMENT), idx))
-            elif isinstance(current, PINode):
-                flush_const()
-                ops.append(
-                    (_OP_PI, prefix_for(FrameType.PI), enc._string(current.target), idx)
-                )
-            else:
-                raise BXSAEncodeError(f"cannot encode node {type(current).__name__}")
-        flush_const()
-        return EncodePlan(ops, node_idx + 1)
-
-    def _header_segments(
-        self, enc: BXSAEncoder, node: ElementNode, scopes: ScopeStack, node_idx: int
-    ):
-        """Element header with attribute-value holes.
-
-        Mirrors ``BXSAEncoder._element_header`` field for field; constant
-        fields are rendered now, each attribute *value* (type code byte
-        included) becomes a ``(node_idx, attr_index, code)`` hole.  Returns
-        plain ``bytes`` when the header has no holes (no attributes), which
-        lets leaf compilation fold the whole frame head into one constant.
-        """
-        name_depth, name_index = enc._name_ref(node.name, scopes)
-        attr_refs = []
-        seen_attrs: set = set()
-        for attr in node.attributes:
-            if attr.name in seen_attrs:
-                raise BXSAEncodeError(
-                    f"element {node.name.clark()} has duplicate attribute "
-                    f"{attr.name.clark()}"
-                )
-            seen_attrs.add(attr.name)
-            depth, index = enc._name_ref(attr.name, scopes)
-            attr_refs.append((depth, index, attr))
-
-        segments: list = []
-        const: list[bytes] = []
-        table = scopes.current()
-        const.append(encode_vls(len(table)))
-        for prefix, uri in table:
-            const.append(self._cached_string_bytes(prefix))
-            const.append(self._cached_string_bytes(uri))
-        const.append(enc._ref_bytes(name_depth, name_index))
-        const.append(self._cached_string_bytes(node.name.local))
-        const.append(encode_vls(len(attr_refs)))
-        for attr_index, (depth, index, attr) in enumerate(attr_refs):
-            const.append(enc._ref_bytes(depth, index))
-            const.append(self._cached_string_bytes(attr.name.local))
-            segments.append(b"".join(const))
-            const.clear()
-            segments.append((node_idx, attr_index, attr.atype.code))
-        if const:
-            segments.append(b"".join(const))
-        if len(segments) == 1 and isinstance(segments[0], bytes):
-            return segments[0]
-        return segments
+        """Walk the tree once, recording instructions instead of bytes."""
+        recorder = _PlanRecorder(self.byte_order)
+        walk_tree(root, recorder)
+        return EncodePlan(recorder.ops, recorder.node_count)
 
     # ------------------------------------------------------------------
     # replay
@@ -688,6 +532,91 @@ class CodecSession:
                     del cache[stale]
             cache[text] = rendered
         return rendered
+
+
+# ---------------------------------------------------------------------------
+# plan compilation
+
+
+class _PlanRecorder(FrameHandler):
+    """Tree-walk handler that turns each production into a plan op.
+
+    Prefixes, header segments and scope rules are the emitter module's, so
+    a plan pre-renders what the emitter would have written; only the op
+    layout — constant per shape, or a hole — is decided here.  Ops index
+    nodes by pre-order position, as :func:`_shape_and_nodes` lists them.
+    """
+
+    def __init__(self, byte_order: int) -> None:
+        super().__init__(byte_order)
+        self.ops: list[tuple] = []
+        self.node_count = 0
+
+    def _node(self) -> int:
+        self._child()
+        self.node_count += 1
+        return self.node_count - 1
+
+    def _header(self, idx: int, name, namespaces, attributes, container: bool = False):
+        """Header segments whose holes also name the owning node: container
+        EXIT ops are replayed with no node at hand.  Plain ``bytes`` when
+        there are no holes, which lets a leaf fold its whole frame head into
+        one constant."""
+        header = self._header_segments(name, namespaces, attributes, container)
+        if isinstance(header, bytes):
+            return header
+        return [seg if isinstance(seg, bytes) else (idx, *seg) for seg in header]
+
+    def _enter(self, frame_type: FrameType, header) -> None:
+        self.ops.append((_OP_ENTER,))
+        self._open.append([0, frame_type, header])
+
+    def _exit(self) -> None:
+        count, frame_type, header = self._open.pop()
+        count_vls = encode_vls(count)
+        tail = header + count_vls if isinstance(header, bytes) else None
+        self.ops.append((_OP_EXIT, self._prefixes[frame_type], header, count_vls, tail))
+
+    def start_document(self) -> None:
+        self._node()
+        self._enter(FrameType.DOCUMENT, b"")
+
+    def start_element(self, name, namespaces, attributes) -> None:
+        header = self._header(self._node(), name, namespaces, attributes, container=True)
+        self._enter(FrameType.COMPONENT_ELEMENT, header)
+
+    def leaf(self, name, namespaces, attributes, code, value) -> None:
+        idx = self._node()
+        header = self._header(idx, name, namespaces, attributes)
+        prefix = self._prefixes[FrameType.LEAF_ELEMENT]
+        if not (isinstance(header, bytes) and code.is_numeric):
+            self.ops.append((_OP_LEAF_VAR, prefix, header, code, idx))
+            return
+        # fully constant frame head: prefix + Size + header + type code,
+        # followed only by the fixed-width value
+        head = prefix + encode_vls(len(header) + 1 + code.size) + header + bytes((int(code),))
+        if code is TypeCode.BOOL:
+            self.ops.append((_OP_LEAF_BOOL, head, idx))
+        else:
+            self.ops.append((_OP_LEAF_FIXED, head, struct_for(self.byte_order, code), idx))
+
+    def array(self, name, namespaces, attributes, code, item_name, values) -> None:
+        idx = self._node()
+        header = self._header(idx, name, namespaces, attributes)
+        meta = bytes((int(code),)) + string_bytes(item_name or "")
+        head_const = header + meta if isinstance(header, bytes) else None
+        prefix = self._prefixes[FrameType.ARRAY_ELEMENT]
+        target = dtype_for(code, self.byte_order)
+        self.ops.append((_OP_ARRAY, prefix, header, meta, head_const, target, code.size, idx))
+
+    def text(self, content) -> None:
+        self.ops.append((_OP_TEXT, self._prefixes[FrameType.CHARACTER_DATA], self._node()))
+
+    def comment(self, content) -> None:
+        self.ops.append((_OP_COMMENT, self._prefixes[FrameType.COMMENT], self._node()))
+
+    def pi(self, target, data) -> None:
+        self.ops.append((_OP_PI, self._prefixes[FrameType.PI], string_bytes(target), self._node()))
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,14 @@ and consumers iterate events the way a StAX/pull parser walks textual XML:
 
 * :class:`BXSAStreamWriter` — ``start_element`` / ``attribute-carrying``
   starts, ``leaf`` / ``array`` / ``text`` / ``comment`` / ``pi`` items,
-  ``end_element``.  Two assembly modes:
-
-  - **buffered** (default): the document is assembled with the same O(n)
-    placeholder back-patching as the tree encoder and returned by
-    :meth:`~BXSAStreamWriter.end_document` as one ``bytes`` blob, using the
-    standard container frames — byte-identical to the tree encoder.
-  - **sink-driven** (``sink=``): completed bytes are handed to ``sink`` in
-    bounded chunks *as they are produced*.  Container Size fields cannot be
-    back-patched once flushed, so containers are written in the streamed
-    profile (``STREAM_DOCUMENT``/``STREAM_ELEMENT``/``STREAM_END``, see
-    :mod:`repro.bxsa.constants`); atom frames stay byte-identical to the
-    standard profile.  Peak memory is O(chunk size), independent of the
-    message size — :meth:`~BXSAStreamWriter.array_blocks` even lets the
-    payload of one giant array arrive block by block.
+  ``end_element``: the public, input-normalising face of the one
+  :class:`~repro.bxsa.emitter.FrameEmitter`.  **Buffered** (default), it
+  returns the tree encoder's bytes, being the tree encoder's emitter;
+  **sink-driven** (``sink=``), completed bytes reach ``sink`` in bounded
+  chunks *as they are produced*, containers in the streamed profile, and
+  peak memory is O(chunk size) whatever the message size —
+  :meth:`~BXSAStreamWriter.array_blocks` even lets the payload of one giant
+  array arrive block by block.
 
 * :class:`BXSAStreamReader` — pull events from a *complete* buffer with
   zero-copy numpy views over array payloads.
@@ -38,35 +32,30 @@ complete buffer, the incremental decoder feeds it), so they cannot disagree
 with each other or with the tree decoder about which bytes are a document.
 
 A round trip through writer → bytes → reader → writer reproduces the byte
-stream exactly; :func:`write_document` drives a writer from a bXDM tree and
-(in buffered mode) reproduces the tree encoder's bytes exactly.
+stream exactly; :func:`write_document` drives a writer from a bXDM tree.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from repro import obs
-from repro.bxsa.constants import FrameType, pack_prefix_byte
-from repro.bxsa.encoder import BXSAEncoder, array_frame_head
+from repro.bxsa.emitter import FrameEmitter, walk_tree
 from repro.bxsa.errors import BXSAEncodeError
-from repro.bxsa.namespaces import ScopeStack, to_nodes
+from repro.bxsa.namespaces import to_nodes
 from repro.bxsa.walker import FrameWalker
 from repro.xbs.constants import NATIVE_ENDIAN, TypeCode, dtype_for
-from repro.xbs.varint import encode_vls
 from repro.xdm.nodes import (
     ArrayElement,
-    CommentNode,
+    AttributeNode,
     DocumentNode,
-    ElementNode,
     LeafElement,
     NamespaceNode,
-    PINode,
-    TextNode,
 )
 from repro.xdm.qname import QName
 from repro.xdm.types import atomic_type_for_xsd
@@ -131,31 +120,54 @@ def _type_code_of(atype) -> TypeCode:
     raise BXSAEncodeError(f"cannot derive an array item type from {atype!r}")
 
 
-def _namespace_items(namespaces):
+def _qname(name) -> QName:
+    return name if isinstance(name, QName) else QName.parse(name)
+
+
+def _namespace_nodes(namespaces) -> list:
     if not namespaces:
-        return ()
+        return []
     if isinstance(namespaces, dict):
-        return namespaces.items()
-    out = []
-    for entry in namespaces:
-        if isinstance(entry, NamespaceNode):
-            out.append((entry.prefix, entry.uri))
-        else:
-            prefix, uri = entry
-            out.append((prefix, uri))
-    return out
+        namespaces = namespaces.items()
+    return [ns if isinstance(ns, NamespaceNode) else NamespaceNode(*ns) for ns in namespaces]
+
+
+def _attribute_nodes(attributes) -> list:
+    if not attributes:
+        return []
+    if isinstance(attributes, dict):
+        return [AttributeNode(name, value) for name, value in attributes.items()]
+    return list(attributes)
 
 
 # ---------------------------------------------------------------------------
 # writer
 
 
+def _production(method):
+    """The one rule of every public writer call: refuse a poisoned writer,
+    and poison it when the call raises — a frame may be half-emitted, a
+    child counted, a scope pushed, bytes already with the sink."""
+
+    @functools.wraps(method)
+    def guarded(self, *args, **kwargs):
+        if self._poisoned:
+            raise BXSAEncodeError("an earlier call failed; the writer's output is unusable")
+        try:
+            return method(self, *args, **kwargs)
+        except BaseException:
+            self._poisoned = True
+            raise
+
+    return guarded
+
+
 class BXSAStreamWriter:
     """Emit a BXSA document incrementally.
 
-    The writer reuses the tree encoder's header serialization (namespace
-    tokenization, auto-declaration, typed attributes) by building
-    throwaway header-only nodes; payloads never pass through bXDM.
+    The public methods normalise their input (``str`` names, ``dict``
+    attributes and namespaces, type inference) and call the productions of
+    one :class:`~repro.bxsa.emitter.FrameEmitter`.
 
     Without ``sink`` the document accumulates in memory and
     :meth:`end_document` returns it, byte-identical to the tree encoder.
@@ -166,6 +178,9 @@ class BXSAStreamWriter:
     :meth:`end_document` returns ``b""``.  The sink must consume (or copy)
     each piece before returning: large array payloads are passed as
     memoryviews whose buffer is reused afterwards.
+
+    A call that raises poisons the writer: every later call, including
+    :meth:`end_document`, raises :class:`BXSAEncodeError`.
     """
 
     def __init__(
@@ -175,31 +190,17 @@ class BXSAStreamWriter:
         sink=None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> None:
-        self._encoder = BXSAEncoder(byte_order)
         self.byte_order = byte_order
         self._sink = sink
         self._chunk_size = int(chunk_size)
         if sink is not None and self._chunk_size <= 0:
             raise BXSAEncodeError(f"chunk_size must be positive, got {chunk_size}")
         self._pending = bytearray()
-        self._chunks: list = []
-        self._nbytes = 0
         self._pieces = 0
-        self._scopes = ScopeStack()
-        # (placeholder index, byte mark, child count, header bytes|None);
-        # sink mode keeps only the child count (no back-patching)
-        self._open: list[list] = []
-        self._document_started = False
-        self._finished = False
+        self._emitter = FrameEmitter(byte_order, None if sink is None else self._sink_write)
+        self._poisoned = False
 
-    # -- plumbing ------------------------------------------------------
-
-    def _emit(self, chunk) -> None:
-        self._nbytes += len(chunk)
-        if self._sink is None:
-            self._chunks.append(chunk)
-        else:
-            self._sink_write(chunk)
+    # -- sink chunking --------------------------------------------------
 
     def _piece_out(self, piece) -> None:
         # a traced stream marks when its first piece left (TTFB's encode
@@ -238,67 +239,21 @@ class BXSAStreamWriter:
             self._piece_out(bytes(pending[:cs]))
             del pending[:cs]
 
-    def _flush_pending(self) -> None:
-        if self._pending:
-            self._piece_out(bytes(self._pending))
-            self._pending.clear()
-
-    def _count_child(self) -> None:
-        if not self._open:
-            raise BXSAEncodeError("content outside the document")
-        self._open[-1][2] += 1
-
-    def _emit_frame(self, frame_type: FrameType, body_chunks: list) -> None:
-        size = sum(len(c) for c in body_chunks)
-        prefix = bytes((pack_prefix_byte(self.byte_order, frame_type),))
-        self._emit(prefix + encode_vls(size))
-        for chunk in body_chunks:
-            self._emit(chunk)
-
-    def _header_for(self, name: QName | str, attributes, namespaces) -> bytes:
-        qname = name if isinstance(name, QName) else QName.parse(name)
-        shell = ElementNode(qname)
-        for prefix, uri in _namespace_items(namespaces):
-            shell.declare_namespace(prefix, uri)
-        if attributes:
-            if isinstance(attributes, dict):
-                for attr_name, attr_value in attributes.items():
-                    shell.set_attribute(attr_name, attr_value)
-            else:
-                for attr in attributes:
-                    shell.set_attribute(attr.name, attr.value, attr.atype)
-        table = self._encoder._own_table(shell)
-        explicit = len(table)
-        self._scopes.push(table)
-        try:
-            header = self._encoder._element_header(shell, self._scopes)
-        except BXSAEncodeError:
-            self._scopes.pop()
-            raise
-        if len(table) > explicit:
-            # Auto-declarations serialized into this header must stay
-            # invisible to descendant frames: the tree encoder resolves a
-            # container's header only after its children are encoded, so
-            # descendants re-declare such URIs in their own frames.  Byte
-            # identity between the two engines depends on doing the same.
-            self._scopes.pop()
-            self._scopes.push(table[:explicit])
-        return header
-
     # -- structure ------------------------------------------------------
 
+    def _content(self) -> FrameEmitter:
+        if not self._emitter.depth:
+            raise BXSAEncodeError("content outside the document")
+        return self._emitter
+
+    @_production
     def start_document(self) -> "BXSAStreamWriter":
-        if self._document_started:
+        if self._emitter.depth or self._emitter.nbytes:
             raise BXSAEncodeError("document already started")
-        self._document_started = True
-        if self._sink is not None:
-            self._open.append([None, None, 0, None])
-            self._emit_frame(FrameType.STREAM_DOCUMENT, [])
-        else:
-            self._open.append([len(self._chunks), self._nbytes, 0, None])
-            self._chunks.append(b"")  # placeholder
+        self._emitter.start_document()
         return self
 
+    @_production
     def start_element(
         self,
         name: QName | str,
@@ -306,58 +261,38 @@ class BXSAStreamWriter:
         attributes=None,
         namespaces=None,
     ) -> "BXSAStreamWriter":
-        if not self._document_started:
-            raise BXSAEncodeError("start_document() first")
-        self._count_child()
-        header = self._header_for(name, attributes, namespaces)
-        if self._sink is not None:
-            self._open.append([None, None, 0, None])
-            self._emit_frame(FrameType.STREAM_ELEMENT, [header])
-        else:
-            self._open.append([len(self._chunks), self._nbytes, 0, header])
-            self._chunks.append(b"")
+        self._content().start_element(
+            _qname(name), _namespace_nodes(namespaces), _attribute_nodes(attributes)
+        )
         return self
 
+    @_production
     def end_element(self) -> "BXSAStreamWriter":
-        if len(self._open) <= 1:
+        if self._emitter.depth <= 1:
             raise BXSAEncodeError("no element open")
-        placeholder, mark, n_children, header = self._open.pop()
-        self._scopes.pop()
-        if self._sink is not None:
-            self._emit_frame(FrameType.STREAM_END, [encode_vls(n_children)])
-        else:
-            self._patch(
-                placeholder, mark, n_children, FrameType.COMPONENT_ELEMENT, header
-            )
+        self._emitter.end_element()
         return self
 
+    @_production
     def end_document(self) -> bytes:
-        if len(self._open) != 1:
-            raise BXSAEncodeError(f"{len(self._open) - 1} element(s) still open")
-        placeholder, mark, n_children, _ = self._open.pop()
-        self._finished = True
-        if self._sink is not None:
-            self._emit_frame(FrameType.STREAM_END, [encode_vls(n_children)])
-            self._flush_pending()
-            obs.event("stream.last_chunk", pieces=self._pieces, bytes=self._nbytes)
-            obs.counter("bxsa.stream.bytes_written").add(self._nbytes)
-            return b""
-        self._patch(placeholder, mark, n_children, FrameType.DOCUMENT, b"")
-        out = b"".join(self._chunks)
-        obs.counter("bxsa.stream.bytes_written").add(len(out))
+        emitter = self._emitter
+        if emitter.depth != 1:
+            raise BXSAEncodeError(f"{emitter.depth - 1} element(s) still open")
+        emitter.end_document()
+        if self._sink is None:
+            out = emitter.getvalue()
+        else:
+            if self._pending:
+                self._piece_out(bytes(self._pending))
+                self._pending.clear()
+            obs.event("stream.last_chunk", pieces=self._pieces, bytes=emitter.nbytes)
+            out = b""
+        obs.counter("bxsa.stream.bytes_written").add(emitter.nbytes)
         return out
-
-    def _patch(self, placeholder, mark, n_children, frame_type, header) -> None:
-        children_len = self._nbytes - mark
-        count_vls = encode_vls(n_children)
-        body_len = len(header) + len(count_vls) + children_len
-        prefix = bytes((pack_prefix_byte(self.byte_order, frame_type),))
-        chunk = prefix + encode_vls(body_len) + header + count_vls
-        self._chunks[placeholder] = chunk
-        self._nbytes += len(chunk)
 
     # -- content --------------------------------------------------------
 
+    @_production
     def leaf(
         self,
         name: QName | str,
@@ -367,16 +302,15 @@ class BXSAStreamWriter:
         attributes=None,
         namespaces=None,
     ) -> "BXSAStreamWriter":
-        self._count_child()
-        node = LeafElement(name, value, atype)
-        header = self._header_for(node.name, attributes, namespaces)
-        self._scopes.pop()
-        self._emit_frame(
-            FrameType.LEAF_ELEMENT,
-            [header + self._encoder._typed_value(node.atype.code, node.value)],
-        )
+        # the node constructor is the normaliser: type inference, coercion
+        node = LeafElement(
+            name, value, atype,
+            attributes=_attribute_nodes(attributes), namespaces=_namespace_nodes(namespaces),
+        )  # fmt: skip
+        walk_tree(node, self._content())
         return self
 
+    @_production
     def array(
         self,
         name: QName | str,
@@ -387,18 +321,16 @@ class BXSAStreamWriter:
         attributes=None,
         namespaces=None,
     ) -> "BXSAStreamWriter":
-        self._count_child()
-        node = ArrayElement(name, values, atype, item_name=item_name)
-        header = self._header_for(node.name, attributes, namespaces)
-        self._scopes.pop()
-        code = node.atype.code
-        head = array_frame_head(header, code, node.item_name, int(node.values.size))
-        target = dtype_for(code, self.byte_order)
-        normalized = np.ascontiguousarray(node.values, dtype=target)
-        payload = memoryview(normalized).cast("B") if normalized.size else b""
-        self._emit_frame(FrameType.ARRAY_ELEMENT, [head, payload])
+        """One array frame.  ``values`` is not copied until the document is
+        joined (buffered) or the sink takes it: do not mutate it before."""
+        node = ArrayElement(
+            name, values, atype, item_name=item_name,
+            attributes=_attribute_nodes(attributes), namespaces=_namespace_nodes(namespaces),
+        )  # fmt: skip
+        walk_tree(node, self._content())
         return self
 
+    @_production
     def array_blocks(
         self,
         name: QName | str,
@@ -420,21 +352,24 @@ class BXSAStreamWriter:
         it from.  The block byte total must match ``count`` items exactly;
         a mismatch poisons the writer (bytes may already be flushed) and
         raises.
+
+        A block belongs to the producer again as soon as the next one is
+        asked for, so one refilled buffer can feed the whole array: with a
+        sink each block has been handed over by then, and without one each
+        block is copied on entry (unlike :meth:`array`'s single payload).
         """
-        self._count_child()
         code = _type_code_of(atype)
         if code is TypeCode.STRING:
             raise BXSAEncodeError("array frames cannot hold strings")
         count = int(count)
         if count < 0:
             raise BXSAEncodeError(f"array item count must be >= 0, got {count}")
-        header = self._header_for(name, attributes, namespaces)
-        self._scopes.pop()
-        head = array_frame_head(header, code, item_name, count)
+        emitter = self._content()
+        emitter.array_head(
+            _qname(name), _namespace_nodes(namespaces), _attribute_nodes(attributes),
+            code, item_name, count,
+        )  # fmt: skip
         nbytes = count * code.size
-        prefix = bytes((pack_prefix_byte(self.byte_order, FrameType.ARRAY_ELEMENT),))
-        self._emit(prefix + encode_vls(len(head) + nbytes))
-        self._emit(head)
         target = dtype_for(code, self.byte_order)
         written = 0
         for block in blocks:
@@ -448,7 +383,7 @@ class BXSAStreamWriter:
                     f"array_blocks promised {count} items ({nbytes} bytes) but "
                     f"received at least {written} payload bytes"
                 )
-            self._emit(payload)
+            emitter.emit(payload if self._sink is not None else bytes(payload))
         if written != nbytes:
             raise BXSAEncodeError(
                 f"array_blocks promised {count} items ({nbytes} bytes) but "
@@ -456,25 +391,26 @@ class BXSAStreamWriter:
             )
         return self
 
+    @_production
     def text(self, content: str) -> "BXSAStreamWriter":
-        self._count_child()
-        self._emit_frame(FrameType.CHARACTER_DATA, [self._encoder._string(content)])
+        self._content().text(content)
         return self
 
+    @_production
     def comment(self, content: str) -> "BXSAStreamWriter":
-        self._count_child()
-        self._emit_frame(FrameType.COMMENT, [self._encoder._string(content)])
+        self._content().comment(content)
         return self
 
+    @_production
     def pi(self, target: str, data: str = "") -> "BXSAStreamWriter":
-        self._count_child()
-        self._emit_frame(
-            FrameType.PI, [self._encoder._string(target) + self._encoder._string(data)]
-        )
+        self._content().pi(target, data)
         return self
 
-
-_ENTER, _EXIT = 0, 1
+    @_production
+    def _subtrees(self, nodes) -> None:
+        emitter = self._content()
+        for node in nodes:
+            walk_tree(node, emitter)
 
 
 def write_document(writer: BXSAStreamWriter, document: DocumentNode) -> bytes:
@@ -488,47 +424,7 @@ def write_document(writer: BXSAStreamWriter, document: DocumentNode) -> bytes:
     if not isinstance(document, DocumentNode):
         raise BXSAEncodeError(f"expected DocumentNode, got {type(document).__name__}")
     writer.start_document()
-    work: list[tuple[int, object]] = [
-        (_ENTER, child) for child in reversed(document.children)
-    ]
-    while work:
-        action, node = work.pop()
-        if action == _EXIT:
-            writer.end_element()
-        elif isinstance(node, LeafElement):
-            writer.leaf(
-                node.name,
-                node.value,
-                node.atype,
-                attributes=list(node.attributes),
-                namespaces=list(node.namespaces),
-            )
-        elif isinstance(node, ArrayElement):
-            writer.array(
-                node.name,
-                node.values,
-                node.atype,
-                item_name=node.item_name,
-                attributes=list(node.attributes),
-                namespaces=list(node.namespaces),
-            )
-        elif isinstance(node, ElementNode):
-            writer.start_element(
-                node.name,
-                attributes=list(node.attributes),
-                namespaces=list(node.namespaces),
-            )
-            work.append((_EXIT, node))
-            for child in reversed(node.children):
-                work.append((_ENTER, child))
-        elif isinstance(node, TextNode):
-            writer.text(node.text)
-        elif isinstance(node, CommentNode):
-            writer.comment(node.text)
-        elif isinstance(node, PINode):
-            writer.pi(node.target, node.data)
-        else:
-            raise BXSAEncodeError(f"cannot stream node {type(node).__name__}")
+    writer._subtrees(document.children)
     return writer.end_document()
 
 

@@ -7,6 +7,9 @@ additionally asserts ``poisoned_shapes == 0`` so any compiler blind spot a
 generated tree exposes fails loudly instead of silently costing performance.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,10 +17,13 @@ from hypothesis import HealthCheck, given, settings
 from repro.bxsa import (
     BXSADecodeError,
     BXSAEncodeError,
+    BXSAStreamWriter,
     CodecSession,
     decode,
     encode,
+    write_document,
 )
+from repro.core.policies import BXSAEncoding
 from repro.bxsa.decodeplan import _D_ELEM, _D_LEAF
 from repro.bxsa.session import _OP_CONST, EncodePlan
 from repro.xdm.qname import QName
@@ -268,17 +274,26 @@ class TestSelfVerification:
         assert session.stats.poisoned_shapes == 1
 
     def test_invalid_tree_raises_like_stateless(self):
-        bad = doc(
+        duplicate = doc(
             ElementNode(
                 "r",
                 attributes=[AttributeNode("a", "1"), AttributeNode("a", "2")],
             )
         )
-        session = CodecSession()
-        with pytest.raises(BXSAEncodeError):
-            session.encode(bad)
-        # the failed shape must not leave a cached plan behind
-        assert session.stats.plans_compiled == 0
+        # values that stopped fitting their declared type after construction
+        out_of_range = doc(element("r", leaf("x", 1, "int")))
+        out_of_range.root.children[0].value = 2**40
+        surrogate = doc(element("r", text("ok")))
+        surrogate.root.children[0].text = "\ud800"
+        for bad in (duplicate, out_of_range, surrogate):
+            with pytest.raises(BXSAEncodeError):
+                encode(bad)
+            session = CodecSession()
+            with pytest.raises(BXSAEncodeError):
+                session.encode(bad)
+            # the failed shape must not leave a cached plan behind
+            assert session.stats.plans_compiled == 0
+            assert session._plans == {}
 
 
 class TestSessionDecode:
@@ -370,7 +385,9 @@ class TestSessionDecode:
     def test_encode_string_cache_eviction_is_bounded(self):
         session = CodecSession(max_cached_strings=16)
         for i in range(120):
-            session.encode(doc(element(f"name{i}", leaf("x", i, "int"))))
+            # string *values* are what the session interns: header names are
+            # pre-rendered into the plan by the emitter's one serializer
+            session.encode(doc(element("r", leaf("x", f"value{i}"))))
             assert 0 < len(session._string_bytes) <= session.max_cached_strings + 4
         assert len(session._string_bytes) >= session.max_cached_strings // 2
 
@@ -596,3 +613,127 @@ class TestBufferPooling:
         taken = session.__dict__.pop("_scratch")
         assert session.encode(_sample_doc(1)) == encode(_sample_doc(1))
         assert session._scratch is not taken
+
+
+# ---------------------------------------------------------------------------
+# encode errors are typed, on every entry point
+
+
+def _encode_entry_points():
+    """``(label, encode callable)`` pairs; the warm session has replayed the
+    probe's shape once, so the bad value meets the replay loop."""
+    warm = CodecSession()
+    warm.encode(_typed_error_probe())
+    return [
+        ("encode", encode),
+        ("session-cold", lambda tree: CodecSession().encode(tree)),
+        ("session-warm", warm.encode),
+        ("writer", lambda tree: write_document(BXSAStreamWriter(), tree)),
+    ]
+
+
+def _typed_error_probe():
+    return doc(
+        element(
+            "r",
+            leaf("n", 7, "int", attributes={"k": "v"}),
+            leaf("s", "value"),
+            text("t"),
+            attributes={"count": 3},
+        )
+    )
+
+
+class TestTypedEncodeErrors:
+    """A value reassigned after construction skips the node's own checks;
+    every encode entry point must still fail as ``BXSAEncodeError``."""
+
+    @pytest.mark.parametrize("where", ["leaf", "attribute"])
+    def test_out_of_range_value_raises_encode_error(self, where):
+        for label, entry in _encode_entry_points():
+            tree = _typed_error_probe()
+            if where == "leaf":
+                tree.root.children[0].value = 2**40
+            else:
+                tree.root.attributes[0].value = 2**40
+            with pytest.raises(BXSAEncodeError) as caught:
+                entry(tree)
+            assert caught.value.__cause__ is not None, label
+
+    @pytest.mark.parametrize("where", ["text", "string-value", "attribute-value"])
+    def test_lone_surrogate_raises_encode_error(self, where):
+        for label, entry in _encode_entry_points():
+            tree = _typed_error_probe()
+            if where == "text":
+                tree.root.children[2].text = "\udc00"
+            elif where == "string-value":
+                tree.root.children[1].value = "a\ud800"
+            else:
+                tree.root.children[0].attributes[0].value = "\ud800"
+            with pytest.raises(BXSAEncodeError) as caught:
+                entry(tree)
+            assert isinstance(caught.value.__cause__, UnicodeEncodeError), label
+
+    def test_lone_surrogate_in_a_name_raises_encode_error(self):
+        # names are shape, so there is no warm variant: the shape is new
+        tree = doc(element("r", leaf(QName("x\ud800"), 1)))
+        for _label, entry in _encode_entry_points():
+            with pytest.raises(BXSAEncodeError):
+                entry(tree)
+
+
+# ---------------------------------------------------------------------------
+# one encoder / one session under several threads
+
+
+def _churn_documents():
+    """Five shapes — more than ``max_plans=2`` holds, so a shared session
+    keeps recompiling — each with an array payload and attribute holes."""
+    return [
+        doc(
+            element(
+                f"batch{k}",
+                leaf("id", k, "int", attributes={"unit": f"u{k}"}),
+                array("values", np.arange(64, dtype="f8") + k, item_name="v"),
+                *[leaf(f"extra{j}", float(j)) for j in range(k)],
+                element("meta", text(f"run {k}"), attributes={"seq": k}),
+            )
+        )
+        for k in range(5)
+    ]
+
+
+class TestReentrancy:
+    def test_shared_encoder_and_session_are_reentrant(self):
+        """One ``BXSAEncoding(session=False)`` (one stateless encoder) and one
+        ``CodecSession`` (whose compile and poisoned paths use a stateless
+        encoder too) shared by four threads: every blob is the
+        single-threaded one and no shape poisons."""
+        documents = _churn_documents()
+        expected = [encode(d) for d in documents]
+        policy = BXSAEncoding(session=False)
+        session = CodecSession(max_plans=2)
+        wrong: list = []
+
+        def work(offset: int) -> None:
+            try:
+                for i in range(150):
+                    k = (i + offset) % len(documents)
+                    for encoder in (policy.encode, session.encode):
+                        if encoder(documents[k]) != expected[k]:
+                            wrong.append((encoder.__self__.__class__.__name__, k))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not wrong, wrong[:5]
+        assert session.stats.poisoned_shapes == 0

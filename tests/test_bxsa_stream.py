@@ -35,6 +35,35 @@ def sample_document():
     )
 
 
+def replay_events(events, writer) -> bytes:
+    """Drive the writer's public API from a document's event stream."""
+    for event in events:
+        kind = event.kind
+        header = {"attributes": event.attributes, "namespaces": event.namespaces}
+        if kind is EventKind.START_DOCUMENT:
+            writer.start_document()
+        elif kind is EventKind.END_DOCUMENT:
+            return writer.end_document()
+        elif kind is EventKind.START_ELEMENT:
+            writer.start_element(event.name, **header)
+        elif kind is EventKind.END_ELEMENT:
+            writer.end_element()
+        elif kind is EventKind.LEAF:
+            writer.leaf(event.name, event.value, event.atype, **header)
+        elif kind is EventKind.ARRAY:
+            writer.array(
+                event.name, event.values, event.atype, item_name=event.item_name, **header
+            )
+        elif kind is EventKind.TEXT:
+            writer.text(event.text)
+        elif kind is EventKind.COMMENT:
+            writer.comment(event.text)
+        else:
+            assert kind is EventKind.PI
+            writer.pi(event.target, event.text)
+    raise AssertionError("no END_DOCUMENT event")
+
+
 class TestWriter:
     def test_stream_matches_tree_encoder(self):
         """The stream writer must produce bytes the tree decoder accepts
@@ -102,6 +131,67 @@ class TestWriter:
         out = decode(w.end_document())
         for i, child in enumerate(out.root.elements()):
             np.testing.assert_array_equal(np.asarray(child.values), blocks[i])
+
+
+class TestWriterPoisoning:
+    """A production that raises poisons the writer: whatever it already
+    counted, pushed or flushed, no later call can finish the document."""
+
+    def assert_poisoned(self, writer):
+        for call in (
+            lambda: writer.leaf("later", 1),
+            lambda: writer.end_element(),
+            lambda: writer.end_document(),
+        ):
+            with pytest.raises(BXSAEncodeError):
+                call()
+
+    @pytest.mark.parametrize("items", [3, 5], ids=["short", "long"])
+    def test_array_blocks_payload_mismatch_poisons(self, items):
+        # the frame's Size already promised four items
+        w = BXSAStreamWriter().start_document()
+        w.start_element("r")
+        with pytest.raises(BXSAEncodeError, match="promised 4 items"):
+            w.array_blocks("v", 4, [np.zeros(items)], "double")
+        self.assert_poisoned(w)
+
+    def test_rejected_leaf_value_poisons(self):
+        # the parent's child count may already include the failed frame
+        w = BXSAStreamWriter().start_document()
+        w.start_element("r")
+        with pytest.raises(Exception, match="out of range"):
+            w.leaf("x", 2**40, "int")
+        self.assert_poisoned(w)
+
+    def test_unencodable_attribute_poisons(self):
+        # the header's scope was pushed before the attribute failed to
+        # encode; a sibling's namespace reference would be one depth off
+        w = BXSAStreamWriter().start_document()
+        w.start_element(QName("r", "urn:x", "p"), namespaces={"p": "urn:x"})
+        with pytest.raises(BXSAEncodeError):
+            w.start_element("bad", attributes={"a": "\ud800"}, namespaces={"q": "urn:y"})
+        self.assert_poisoned(w)
+
+
+class TestArrayBlocks:
+    @pytest.mark.parametrize("sink", [False, True], ids=["buffered", "sink"])
+    def test_producer_may_refill_one_buffer(self, sink):
+        """The normal way to feed blocks: one buffer, refilled per block."""
+        pieces = []
+        w = BXSAStreamWriter(sink=(lambda p: pieces.append(bytes(p))) if sink else None)
+
+        def blocks():
+            buffer = np.empty(4)
+            for fill in (1.0, 2.0, 3.0):
+                buffer[:] = fill
+                yield buffer
+
+        w.start_document().start_element("r")
+        w.array_blocks("v", 12, blocks(), "double")
+        blob = w.end_element().end_document() or b"".join(pieces)
+        events = StreamDecoder().feed(blob)
+        values = next(e.values for e in events if e.kind is EventKind.ARRAY)
+        np.testing.assert_array_equal(values, np.repeat([1.0, 2.0, 3.0], 4))
 
 
 class TestReader:
@@ -206,30 +296,7 @@ class TestStreamingUseCases:
         """Replaying a reader's events through a writer reproduces the
         document (event-level transcoding)."""
         original = encode(sample_document())
-        w = BXSAStreamWriter()
-        for event in BXSAStreamReader(original):
-            if event.kind is EventKind.START_DOCUMENT:
-                w.start_document()
-            elif event.kind is EventKind.END_DOCUMENT:
-                replayed = w.end_document()
-            elif event.kind is EventKind.START_ELEMENT:
-                w.start_element(
-                    event.name,
-                    attributes={a.name: a.value for a in event.attributes} or None,
-                    namespaces={n.prefix: n.uri for n in event.namespaces} or None,
-                )
-            elif event.kind is EventKind.END_ELEMENT:
-                w.end_element()
-            elif event.kind is EventKind.LEAF:
-                w.leaf(event.name, event.value, event.atype)
-            elif event.kind is EventKind.ARRAY:
-                w.array(event.name, event.values, event.atype, item_name=event.item_name)
-            elif event.kind is EventKind.TEXT:
-                w.text(event.text)
-            elif event.kind is EventKind.COMMENT:
-                w.comment(event.text)
-            elif event.kind is EventKind.PI:
-                w.pi(event.target, event.text)
+        replayed = replay_events(BXSAStreamReader(original), BXSAStreamWriter())
         assert deep_equal(decode(replayed), decode(original))
 
 

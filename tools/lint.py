@@ -33,6 +33,11 @@ lint) — they confine the concurrency machinery to its designated homes:
   or ``read_scalar_value`` — the BXSA element header and the typed
   frame bodies are parsed once, by the frame walker; a call anywhere
   else is a second header walk growing back.
+* inside ``src/repro`` only ``bxsa/constants.py`` and
+  ``bxsa/emitter.py`` may call ``pack_prefix_byte``,
+  ``array_frame_head`` or ``element_header`` — BXSA frames are
+  assembled once, by the frame emitter; the tree encoder, the stream
+  writer and the encode-plan recorder are handlers of its productions.
 * inside ``src/repro`` only ``fed/balancer.py`` may define
   ``choose_replica`` — replica-selection policy is one pluggable
   surface; a routing brain elsewhere would bypass the balancer's
@@ -421,6 +426,27 @@ FRAME_GRAMMAR_HOMES = {"bxsa/frames.py", "bxsa/walker.py"}
 FRAME_GRAMMAR_READERS = {"read_name_ref", "read_type_code", "read_scalar_value"}
 
 
+def _calls_outside(path: str, homes: set, names: set, message: str) -> list[tuple[int, str]]:
+    """Calls to any of ``names`` in a ``src/repro`` module not in ``homes``."""
+    rel = _repro_relative(path)
+    if rel is None or rel in homes:
+        return []
+    with open(path, "rb") as fh:
+        source = fh.read()
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError:
+        return []  # dead_imports already reports the syntax error
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                findings.append((node.lineno, message.format(name=name)))
+    return findings
+
+
 def frame_grammar_findings(path: str) -> list[tuple[int, str]]:
     """Confine BXSA frame parsing to the one frame walker.
 
@@ -431,27 +457,37 @@ def frame_grammar_findings(path: str) -> list[tuple[int, str]]:
     ``bxsa/frames.py`` and the walker — no exceptions — is a fifth decode
     path reappearing.  (The scanner *skips* with the ``skip_*`` helpers.)
     """
-    rel = _repro_relative(path)
-    if rel is None or rel in FRAME_GRAMMAR_HOMES:
-        return []
-    with open(path, "rb") as fh:
-        source = fh.read()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return []  # dead_imports already reports the syntax error
-    message = (
+    return _calls_outside(
+        path, FRAME_GRAMMAR_HOMES, FRAME_GRAMMAR_READERS,
         "BXSA frame parsing is reserved to bxsa/walker.py; {name}() here is a "
-        "second element-header/frame-body reader — write a FrameWalker handler"
-    )
-    findings = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in FRAME_GRAMMAR_READERS:
-                findings.append((node.lineno, message.format(name=name)))
-    return findings
+        "second element-header/frame-body reader — write a FrameWalker handler",
+    )  # fmt: skip
+
+
+#: The modules allowed to assemble BXSA frames.
+FRAME_EMIT_HOMES = {"bxsa/constants.py", "bxsa/emitter.py"}
+
+#: What a frame cannot be assembled without: the prefix byte, the array
+#: frame head, the element-header serializer.
+FRAME_EMIT_WRITERS = {"pack_prefix_byte", "array_frame_head", "element_header"}
+
+
+def frame_emit_findings(path: str) -> list[tuple[int, str]]:
+    """Confine BXSA frame assembly to the one frame emitter.
+
+    The encode mirror of :func:`frame_grammar_findings`.  The tree encoder,
+    the stream writer and the encode-plan recorder are handlers of the
+    productions in ``bxsa/emitter.py`` (the recorder takes its prefixes and
+    header segments from ``FrameHandler``); a call to one of the three
+    functions below anywhere else — no exceptions — is a fourth encode path
+    reappearing.  (Plan *replay* assembles from a plan's pre-rendered
+    constants and calls none of them.)
+    """
+    return _calls_outside(
+        path, FRAME_EMIT_HOMES, FRAME_EMIT_WRITERS,
+        "BXSA frame assembly is reserved to bxsa/emitter.py; {name}() here is a "
+        "second frame emitter — write a handler of its productions",
+    )  # fmt: skip
 
 
 #: Every repo-specific rule: ``path -> [(line, message)]``.
@@ -463,6 +499,7 @@ REPO_RULES = (
     serving_semantics_findings,
     replica_policy_findings,
     frame_grammar_findings,
+    frame_emit_findings,
 )
 
 
