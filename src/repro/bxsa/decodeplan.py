@@ -165,7 +165,13 @@ class _Compiler:
         self._walker = FrameWalker(self, qname_cache=qname_cache, record_spans=True)
 
     def compile(self) -> DecodePlan:
-        self._walker.walk(self.data, self._const_start)
+        try:
+            self._walker.walk(self.data, self._const_start)
+        finally:
+            # the walker holds this handler and this handler the message
+            # buffer: left as a cycle, the whole body lingers until a full
+            # collection long after the exchange that compiled the plan
+            self._walker = None
         return DecodePlan(self.ops)
 
     # -- byte partitioning ------------------------------------------------

@@ -105,6 +105,12 @@ _PAD_BYTES = tuple(bytes((p,)) + b"\x00" * p for p in range(8))
 #: the bucket is tried, so a small bucket absorbs benign collisions.
 _MAX_BUCKET_PLANS = 4
 
+#: :meth:`CodecSession.encode_pieces` hands an array payload of at least
+#: this many bytes over by reference; smaller chunks are joined into the
+#: runs between them (a piece costs its consumer a queue slot or a write).
+_GATHER_BYTES = 64 << 10
+
+
 class EncodePlan:
     """A compiled per-shape instruction list (internal to the session)."""
 
@@ -205,12 +211,36 @@ class CodecSession:
 
     def encode(self, node: Node) -> bytes:
         """Encode ``node``, compiling/replaying a plan for its shape."""
+        return self._encode(node, gather=False)
+
+    def encode_pieces(self, node: Node) -> list:
+        """:meth:`encode` for a consumer that can write pieces: the byte
+        strings and read-only views whose concatenation is the message.
+
+        A warm shape's large array payloads (:data:`_GATHER_BYTES` and up)
+        come back as views of the tree's own arrays instead of being
+        copied into one buffer — for a bulk message that join is the
+        codec's only copy.  Everything else is a single piece, exactly
+        :meth:`encode`'s bytes.
+
+        Aliasing contract: a view is read when the consumer writes it, so
+        the tree's arrays must not be modified until then — the send-side
+        mirror of ``decode(copy=False)``, whose arrays alias the received
+        buffer (and which, echoed, these views keep alive).
+        """
+        out = self._encode(node, gather=True)
+        return out if isinstance(out, list) else [out]
+
+    def _encode(self, node: Node, gather: bool):
+        """The message as ``bytes`` — or, with ``gather``, as a list of
+        pieces when a replayed plan's message is large enough to hold a
+        gatherable payload."""
         shape, nodes = _shape_and_nodes(node)
         plan = self._plans.get(shape)
         if plan is not None:
             self.stats.plan_hits += 1
             try:
-                return self._replay(plan, nodes)
+                return self._replay(plan, nodes, gather)
             except (struct.error, OverflowError, UnicodeEncodeError) as exc:
                 # a value reassigned past what its declared type can hold
                 raise BXSAEncodeError(f"value does not fit its wire type: {exc}") from exc
@@ -410,8 +440,12 @@ class CodecSession:
     # ------------------------------------------------------------------
     # replay
 
-    def _replay(self, plan: EncodePlan, nodes: list) -> bytes:
-        """Execute a plan against the value-bearing ``nodes`` flat list."""
+    def _replay(self, plan: EncodePlan, nodes: list, gather: bool = False):
+        """Execute a plan against the value-bearing ``nodes`` flat list.
+
+        Returns the joined bytes; with ``gather``, a message large enough
+        to carry a gatherable payload comes back as :func:`_gather`'s
+        piece list."""
         chunks = self.__dict__.pop("_scratch", None)
         if chunks is None:
             chunks = []
@@ -485,7 +519,11 @@ class CodecSession:
                     nbytes += len(chunk)
                 else:  # pragma: no cover - compiler/replayer must stay in sync
                     raise AssertionError(f"unknown plan op {tag}")
-            out = b"".join(chunks)
+            # a message shorter than one gatherable payload has none
+            if gather and nbytes >= _GATHER_BYTES:
+                out = _gather(chunks)
+            else:
+                out = b"".join(chunks)
         finally:
             chunks.clear()  # release payload views before pooling the list
             self._scratch = chunks
@@ -532,6 +570,22 @@ class CodecSession:
                     del cache[stale]
             cache[text] = rendered
         return rendered
+
+
+def _gather(chunks: list) -> list:
+    """A replayed chunk list as few pieces: large payload views by
+    reference, the runs of small chunks between them joined."""
+    pieces: list = []
+    run_start = 0
+    for i, chunk in enumerate(chunks):
+        if len(chunk) >= _GATHER_BYTES:
+            if i > run_start:
+                pieces.append(b"".join(chunks[run_start:i]))
+            pieces.append(chunk.toreadonly() if isinstance(chunk, memoryview) else chunk)
+            run_start = i + 1
+    if run_start < len(chunks):
+        pieces.append(b"".join(chunks[run_start:]))
+    return pieces
 
 
 # ---------------------------------------------------------------------------

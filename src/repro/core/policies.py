@@ -149,6 +149,28 @@ class BXSAEncoding:
             sp.set("bytes", len(payload))
             return payload
 
+    def encode_pieces(self, document: DocumentNode) -> list:
+        """:meth:`encode` as the pieces a gather-writing consumer sends.
+
+        Not one of the policy's three valid expressions: a host that can
+        write pieces looks for it and falls back to :meth:`encode`.  With
+        a warm session a bulk message's array payloads come back as views
+        of the tree's arrays, not copied — see
+        :meth:`CodecSession.encode_pieces
+        <repro.bxsa.session.CodecSession.encode_pieces>` for the aliasing
+        contract; in every other case the one piece is :meth:`encode`'s.
+        """
+        if not self.session:
+            return [self.encode(document)]
+        codec = self._get_session()
+        recorder = obs.get_recorder()
+        if not recorder.enabled:
+            return codec.encode_pieces(document)
+        with recorder.span("bxsa.encode") as sp:
+            pieces = codec.encode_pieces(document)
+            sp.set("bytes", sum(len(piece) for piece in pieces))
+            return pieces
+
     def _decode_node(self, payload: bytes):
         if self.session:
             return self._get_session().decode(payload, copy=self.copy)

@@ -38,7 +38,7 @@ from repro.core.policies import EncodingPolicy, XMLEncoding, encoding_for_conten
 from repro.obs import propagation
 from repro.obs.metrics import MetricsRegistry
 from repro.transport.base import Listener, TransportError
-from repro.transport.http.messages import HttpRequest, HttpResponse
+from repro.transport.http.messages import BodyPieces, HttpRequest, HttpResponse
 from repro.transport.http.server import HttpServer
 from repro.transport.tcp_binding import TcpServerBinding
 
@@ -141,10 +141,20 @@ def run_soap_http_exchange(
 
     if security is not None:
         security.sign(response)
-    body = encoding.encode(response.to_document())
-    resp = HttpResponse(200, body=body)
+    resp = HttpResponse(200, body=_encode_body(encoding, response.to_document()))
     resp.headers.set("Content-Type", encoding.content_type)
     return resp, operation, encoding.content_type, "ok"
+
+
+def _encode_body(encoding: EncodingPolicy, document):
+    """The response body: ``encoding.encode``'s bytes, or — from a policy
+    that can gather (``encode_pieces``) and has a bulk payload to hand
+    over by reference — the pieces, for the driver to write one by one."""
+    gather = getattr(encoding, "encode_pieces", None)
+    if gather is None:
+        return encoding.encode(document)
+    pieces = gather(document)
+    return pieces[0] if len(pieces) == 1 else BodyPieces(pieces)
 
 
 def _soap_fault_response(

@@ -17,7 +17,10 @@ Semantics:
   every task it runs — this is where warm per-worker
   :class:`~repro.bxsa.session.CodecSession`-backed encodings live, so
   compiled encode/decode plans and interned name tables persist across
-  the requests one worker serves without any cross-thread sharing.
+  the requests one worker serves without any cross-thread sharing.  A
+  worker lets go of a finished task and its result before it reports
+  itself idle: ``busy_workers == 0`` means the pool references nothing of
+  the work it has done.
 * **Drain** — :meth:`stop` rejects new submissions, lets the workers
   finish everything already admitted within ``drain_timeout`` seconds,
   then abandons what remains (waiters get :class:`PoolStopped`, never a
@@ -318,6 +321,11 @@ class WorkerPool:
                 item.completion._finish(result=result)
                 m.counter("serve_completed_total", labels={"status": "ok"}).add()
             finally:
+                # dropped before this worker reports itself idle and parks
+                # in get(): ``busy_workers == 0`` means nothing of a
+                # finished task is held (an idle worker that kept its last
+                # request and response cost the next exchange two payloads)
+                item = result = None
                 self._set_busy(-1)
                 m.histogram("serve_handle_seconds").observe(time.perf_counter() - start)
             if self._abandoned:

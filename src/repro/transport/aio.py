@@ -45,7 +45,7 @@ from collections import deque
 from typing import Callable
 
 from repro.obs.metrics import MetricsRegistry
-from repro.transport.base import TransportError
+from repro.transport.base import TransportError, read_size, take
 from repro.transport.http.messages import (
     HEADER_END,
     ChunkedDecoder,
@@ -54,8 +54,8 @@ from repro.transport.http.messages import (
     HttpResponse,
     _parse_headers,
     body_framing,
+    chunk_pieces,
     declared_body_length,
-    encode_chunk,
     error_response,
     last_chunk,
     parse_request_head,
@@ -71,8 +71,39 @@ MAX_HEAD_BYTES = 1 << 20
 #: unprocessed pipelined data while a request is already in flight.
 MAX_PIPELINE_BYTES = 1 << 20
 
+#: Buffers handed to one ``sendmsg`` (the kernel refuses more than
+#: ``IOV_MAX``, 1024 on Linux; a response is rarely more than a few).
+_MAX_SEND_PIECES = 64
+
 _ACCEPT = "accept"
 _WAKEUP = "wakeup"
+
+
+class _Body:
+    """A ``Content-Length`` body in flight: head parsed, bytes still owed.
+
+    Received the way the blocking driver's ``recv_exactly`` does it —
+    reads sized by what is owed, pieces in a list, one join — so a
+    payload byte is copied once between the socket and ``request.body``.
+    """
+
+    __slots__ = ("head", "pieces", "missing")
+
+    def __init__(self, head: tuple, first: bytes, missing: int) -> None:
+        self.head = head  # (method, target, version, headers)
+        self.pieces = [first]  # what arrived with the head (may be empty)
+        self.missing = missing
+
+    def feed(self, data: bytes) -> HttpRequest | None:
+        """Take the next piece; the request once nothing is owed."""
+        self.pieces.append(data)
+        self.missing -= len(data)
+        if self.missing:
+            return None
+        method, target, version, headers = self.head
+        body = b"".join(self.pieces)
+        self.pieces = None  # the join is the copy; the pieces die here
+        return HttpRequest(method, target, headers, body, version)
 
 
 class _Conn:
@@ -82,10 +113,11 @@ class _Conn:
         "sock",
         "fd",
         "inbuf",
+        "scan",
+        "body",
         "outbuf",
         "events",
         "busy",
-        "need",
         "close_after_flush",
         "peer_eof",
         "closed",
@@ -98,10 +130,15 @@ class _Conn:
         self.sock = sock
         self.fd = sock.fileno()
         self.inbuf = bytearray()
-        self.outbuf = bytearray()
+        self.scan = 0  # inbuf offset the search for the head's end resumes at
+        self.body: _Body | None = None  # mid-flight length-framed request
+        # wire pieces not yet written, in order; the front one becomes a
+        # memoryview when a write stops inside it.  A list, not a deque:
+        # an idle connection must cost no more than the empty bytearray
+        # this replaced, and a response is a handful of pieces
+        self.outbuf: list = []
         self.events = 0  # selector interest; 0 means not registered
         self.busy = False  # a request is with the pipeline
-        self.need = 0  # bytes required to complete the current body
         self.close_after_flush = False
         self.peer_eof = False
         self.closed = False
@@ -275,6 +312,11 @@ class AsyncHttpServer(DriverBase):
             pass
         # idle connections owe nothing; close them now
         for conn in list(self._conns.values()):
+            if conn.body is not None:
+                # a request still arriving is never started: its bytes now
+                # fall to ``_advance``, which parses nothing while draining
+                conn.body = None
+                conn.close_after_flush = True
             if not conn.busy and not conn.outbuf and conn.body_iter is None:
                 self._close_conn(conn)
 
@@ -351,8 +393,11 @@ class AsyncHttpServer(DriverBase):
             pass
 
     def _on_readable(self, conn: _Conn) -> None:
+        body = conn.body
         try:
-            data = conn.sock.recv(65536)
+            # a declared body is read by what it still owes, under the one
+            # ceiling: the peer's claim must not size an allocation
+            data = conn.sock.recv(65536 if body is None else read_size(body.missing))
         except (BlockingIOError, InterruptedError):
             return
         except OSError:
@@ -365,7 +410,15 @@ class AsyncHttpServer(DriverBase):
             else:
                 self._update_interest(conn)
             return
-        conn.inbuf += data
+        if body is None:
+            conn.inbuf += data
+        else:
+            request = body.feed(data)
+            if request is None:
+                return
+            del data  # the last piece must not outlive the join
+            conn.body = None
+            self._dispatch(conn, request)
         self._advance(conn)
 
     def _advance(self, conn: _Conn) -> None:
@@ -375,8 +428,11 @@ class AsyncHttpServer(DriverBase):
         A streamed response still being written (``body_iter``) blocks
         dispatch the same way ``busy`` does — a pipelined response
         serialized into ``outbuf`` mid-stream would interleave with the
-        chunks being pulled.
+        chunks being pulled.  A head is parsed exactly once, however its
+        bytes were split: a request whose body is still owed leaves
+        ``inbuf`` for ``conn.body`` (or ``conn.chunked``) with its head.
         """
+        inbuf = conn.inbuf
         while not conn.busy and not conn.closed and conn.body_iter is None:
             if self._draining:
                 if not conn.outbuf:
@@ -387,36 +443,37 @@ class AsyncHttpServer(DriverBase):
                 if not self._advance_chunked(conn):
                     break
                 continue
-            idx = conn.inbuf.find(HEADER_END)
+            idx = inbuf.find(HEADER_END, conn.scan)
             if idx < 0:
-                if len(conn.inbuf) > MAX_HEAD_BYTES:
+                if len(inbuf) > MAX_HEAD_BYTES:
                     self._abort(conn, HttpError("request head exceeds 1 MiB"))
                     return
+                # resume where this search stopped: a head dribbled a byte
+                # at a time costs O(n), not O(n^2)
+                conn.scan = max(0, len(inbuf) - len(HEADER_END) + 1)
                 break
+            conn.scan = 0
             try:
-                method, target, version, headers = parse_request_head(
-                    bytes(conn.inbuf[:idx])
-                )
-                mode, length = body_framing(headers)
+                head = parse_request_head(bytes(inbuf[:idx]))
+                mode, length = body_framing(head[3])
             except HttpError as exc:
                 self._abort(conn, exc)
                 return
+            start = idx + len(HEADER_END)
             if mode == "chunked":
                 # head consumed; the body is framed incrementally by the
                 # one ChunkedDecoder (messages.py owns the grammar)
-                del conn.inbuf[: idx + len(HEADER_END)]
-                conn.need = 0
-                conn.chunked = ((method, target, version, headers), ChunkedDecoder(), [])
+                del inbuf[:start]
+                conn.chunked = (head, ChunkedDecoder(), [])
                 continue
-            total = idx + len(HEADER_END) + length
-            if len(conn.inbuf) < total:
-                conn.need = total  # keep reading even past the pipeline cap
+            owed = start + length - len(inbuf)
+            if owed > 0:
+                # what came with the head is the body's first piece
+                conn.body = _Body(head, take(inbuf, len(inbuf), start), owed)
                 break
-            conn.need = 0
-            body = bytes(conn.inbuf[idx + len(HEADER_END) : total])
-            del conn.inbuf[:total]
-            request = HttpRequest(method, target, headers, body, version)
-            self._dispatch(conn, request)
+            method, target, version, headers = head
+            body = take(inbuf, start + length, start)
+            self._dispatch(conn, HttpRequest(method, target, headers, body, version))
         self._update_interest(conn)
 
     def _advance_chunked(self, conn: _Conn) -> bool:
@@ -446,22 +503,26 @@ class AsyncHttpServer(DriverBase):
         """Unserviceable framing: answer ``exc.status`` (400 malformed,
         501 unsupported transfer coding) and close once it is flushed."""
         conn.inbuf.clear()
-        conn.need = 0
+        conn.scan = 0
         conn.chunked = None
         conn.close_after_flush = True
-        conn.outbuf += error_response(exc, close=True).to_bytes()
+        conn.outbuf.append(error_response(exc, close=True).to_bytes())
         self._flush(conn)
 
     def _flush(self, conn: _Conn) -> None:
+        out = conn.outbuf
         while True:
-            if not conn.outbuf and conn.body_iter is not None:
+            if not out and conn.body_iter is not None:
                 self._pull_body(conn)
                 if conn.closed:
                     return
-            if not conn.outbuf:
+            if not out:
                 break
             try:
-                sent = conn.sock.send(conn.outbuf)
+                if len(out) == 1:
+                    sent = conn.sock.send(out[0])
+                else:
+                    sent = conn.sock.sendmsg(out[:_MAX_SEND_PIECES])
             except (BlockingIOError, InterruptedError):
                 break
             except OSError:
@@ -469,8 +530,16 @@ class AsyncHttpServer(DriverBase):
                 return
             if sent <= 0:  # pragma: no cover - defensive
                 break
-            del conn.outbuf[:sent]
-        if not conn.outbuf and conn.body_iter is None and (
+            # advance in place: whole pieces leave the queue, a piece the
+            # write stopped inside continues as a view of its remainder
+            while sent:
+                size = len(out[0])
+                if sent < size:
+                    out[0] = memoryview(out[0])[sent:]
+                    break
+                sent -= size
+                del out[0]
+        if not out and conn.body_iter is None and (
             conn.close_after_flush or (conn.peer_eof and not conn.busy)
         ):
             self._close_conn(conn)
@@ -481,19 +550,20 @@ class AsyncHttpServer(DriverBase):
         """Refill ``outbuf`` from the streamed response body.
 
         Pull-on-drain: the producer is asked for its next piece only when
-        the already-serialized bytes have left (or at least entered the
+        the already-queued bytes have left (or at least entered the
         socket buffer), so a slow client holds back the producer instead
-        of ballooning ``outbuf`` with the whole message.
+        of ballooning ``outbuf`` with the whole message.  A piece is
+        queued by reference between its size line and its CRLF.
         """
         try:
             while not conn.outbuf:
                 piece = next(conn.body_iter, None)
                 if piece is None:
-                    conn.outbuf += last_chunk(conn.body_trailers)
+                    conn.outbuf.append(last_chunk(conn.body_trailers))
                     conn.body_iter = None
                     conn.body_trailers = None
                     return
-                conn.outbuf += encode_chunk(piece)
+                conn.outbuf += chunk_pieces(piece)
         except Exception:  # noqa: BLE001 - producer failed mid-body (the
             # pipeline has recorded it); the head is on the wire, so no
             # error status can be sent — the truncated chunked body marks
@@ -504,9 +574,7 @@ class AsyncHttpServer(DriverBase):
         if conn.closed:
             return
         desired = 0
-        if not conn.peer_eof and (
-            len(conn.inbuf) < MAX_PIPELINE_BYTES or len(conn.inbuf) < conn.need
-        ):
+        if not conn.peer_eof and len(conn.inbuf) < MAX_PIPELINE_BYTES:
             desired |= selectors.EVENT_READ
         if conn.outbuf or conn.body_iter is not None:
             desired |= selectors.EVENT_WRITE
@@ -548,11 +616,15 @@ class AsyncHttpServer(DriverBase):
     def _dispatch(self, conn: _Conn, request: HttpRequest) -> None:
         conn.busy = True
         self._in_flight += 1
+        # the answer needs this one bit of the request, not the request:
+        # whatever waits for a response (the pool's queue item, the
+        # completion hand-off) must not keep the request body alive
+        keep_alive = request.keep_alive
         self._pipeline.begin(
-            request, lambda response: self._on_answer(conn, request, response)
+            request, lambda response: self._on_answer(conn, keep_alive, response)
         )
 
-    def _on_answer(self, conn: _Conn, request: HttpRequest, response: HttpResponse) -> None:
+    def _on_answer(self, conn: _Conn, keep_alive: bool, response: HttpResponse) -> None:
         """The pipeline's callback: deliver here, or hand off to the loop.
 
         It fires on the loop thread (inside :meth:`_dispatch`) for a
@@ -560,32 +632,32 @@ class AsyncHttpServer(DriverBase):
         a worker only queues the answer and pokes the loop.
         """
         if threading.current_thread() is self._thread:
-            self._deliver(conn, request, response)
+            self._deliver(conn, keep_alive, response)
         else:
-            self._done.append((conn, request, response))
+            self._done.append((conn, keep_alive, response))
             self._wake()
 
     def _drain_completions(self) -> None:
         while True:
             try:
-                conn, request, response = self._done.popleft()
+                conn, keep_alive, response = self._done.popleft()
             except IndexError:
                 return
-            self._deliver(conn, request, response)
+            self._deliver(conn, keep_alive, response)
             if not conn.closed and not conn.busy:
                 self._advance(conn)  # a pipelined request may be buffered
 
-    def _deliver(self, conn: _Conn, request: HttpRequest, response: HttpResponse) -> None:
+    def _deliver(self, conn: _Conn, keep_alive: bool, response: HttpResponse) -> None:
         self._in_flight -= 1
         conn.busy = False
         if not conn.closed:
-            self._enqueue_response(conn, request, response)
+            self._enqueue_response(conn, keep_alive, response)
 
     def _enqueue_response(
-        self, conn: _Conn, request: HttpRequest, response: HttpResponse
+        self, conn: _Conn, keep_alive: bool, response: HttpResponse
     ) -> None:
         keep = (
-            request.keep_alive
+            keep_alive
             and not self._draining
             and (response.headers.get("Connection") or "").lower() != "close"
         )
@@ -595,11 +667,13 @@ class AsyncHttpServer(DriverBase):
         if response.stream is not None:
             # head now, body pulled chunk-by-chunk as the socket drains —
             # the client sees first bytes before the producer finishes
-            conn.outbuf += response.head_bytes()
+            conn.outbuf.append(response.head_bytes())
             conn.body_iter = iter(response.stream)
             conn.body_trailers = response.trailers
         else:
-            conn.outbuf += response.to_bytes()
+            # head and body by reference: nothing joins or copies a
+            # payload between the codec and the socket
+            conn.outbuf += response.iter_wire()
         self._flush(conn)
 
     @property
@@ -850,7 +924,7 @@ def drive_connections(
                 idx = conn.inbuf.find(HEADER_END)
                 if idx < 0:
                     return
-                head = bytes(conn.inbuf[:idx])
+                head = bytes(memoryview(conn.inbuf)[:idx])
                 status_line, _, header_block = head.partition(b"\r\n")
                 parts = status_line.split(b" ", 2)
                 try:

@@ -10,11 +10,12 @@ may be length-by-EOF.
 
 Chunked framing — both directions — lives *only* here
 (``tools/lint.py`` pins that): :class:`ChunkedDecoder` is the single
-incremental parser, :func:`encode_chunk`/:func:`last_chunk` the single
-serializer.  A message whose ``stream`` attribute is set serializes as a
-chunked body pulled lazily from that iterable (:meth:`HttpRequest.iter_wire`),
-which is what lets a server start writing a response before the body is
-fully produced — the transport half of the streaming pipeline.
+incremental parser, :func:`encode_chunk`/:func:`chunk_pieces`/
+:func:`last_chunk` the single serializer.  A message whose ``stream``
+attribute is set serializes as a chunked body pulled lazily from that
+iterable (:meth:`HttpRequest.iter_wire`), which is what lets a server
+start writing a response before the body is fully produced — the
+transport half of the streaming pipeline.
 """
 
 from __future__ import annotations
@@ -127,12 +128,36 @@ class _Headers:
         return f"_Headers({self._items!r})"
 
 
+class BodyPieces:
+    """A buffered body kept as the pieces its producer made.
+
+    To the framing it is a body like any other — ``len()`` is the
+    ``Content-Length`` — but :meth:`_Message.iter_wire` yields the pieces
+    one by one, so a producer holding large buffers (the BXSA codec's
+    array payloads) reaches the socket without a payload-sized join.  The
+    peer sees an ordinary length-framed message.  ``bytes(body)`` joins.
+    """
+
+    __slots__ = ("pieces", "_length")
+
+    def __init__(self, pieces: list) -> None:
+        self.pieces = pieces
+        self._length = sum(len(piece) for piece in pieces)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.pieces)
+
+
 class _Message:
     """Serialization shared by requests and responses.
 
     A message carries its body one of two ways:
 
-    * ``body`` — fully buffered bytes, framed by ``Content-Length``;
+    * ``body`` — fully buffered bytes (or :class:`BodyPieces`), framed by
+      ``Content-Length``;
     * ``stream`` — an iterable of byte pieces, framed chunked.  Set by a
       producer that cannot (or will not) buffer — the sink-driven BXSA
       writer, a streaming handler — or by the streaming readers, where it
@@ -176,17 +201,13 @@ class _Message:
         """
         yield self.head_bytes()
         if self.stream is None:
-            if self.body:
+            if type(self.body) is BodyPieces:
+                yield from self.body.pieces
+            elif self.body:
                 yield self.body
             return
         for piece in self.stream:
-            if len(piece):
-                # size line, payload, CRLF as separate pieces: never
-                # concatenate a payload-sized buffer just to frame it —
-                # for large streamed bodies that copy IS the peak memory
-                yield (b"%x" % len(piece)) + CRLF
-                yield piece
-                yield CRLF
+            yield from chunk_pieces(piece)
         yield last_chunk(self.trailers)
 
     def to_bytes(self) -> bytes:
@@ -347,17 +368,25 @@ MAX_CHUNK_LINE = 256
 MAX_TRAILER_BYTES = 16 * 1024
 
 
-def encode_chunk(data: bytes | bytearray | memoryview) -> bytes:
-    """One data chunk: hex size, CRLF, payload, CRLF.
+def chunk_pieces(data: bytes | bytearray | memoryview) -> tuple:
+    """One data chunk as its wire pieces: hex size line, payload, CRLF.
 
-    Empty input returns ``b""`` — a zero-size chunk on the wire would
-    terminate the body, so producers may pass through empty pieces
-    without guarding.
+    The payload rides by reference: framing must never concatenate a
+    payload-sized buffer — for large streamed bodies that copy IS the
+    peak memory.  Empty input frames to nothing — a zero-size chunk on
+    the wire would terminate the body, so producers may pass through
+    empty pieces without guarding.
     """
     n = len(data)
     if n == 0:
-        return b""
-    return (b"%x" % n) + CRLF + bytes(data) + CRLF
+        return ()
+    return (b"%x" % n) + CRLF, data, CRLF
+
+
+def encode_chunk(data: bytes | bytearray | memoryview) -> bytes:
+    """:func:`chunk_pieces` joined into one byte string (a payload copy:
+    for callers that need the chunk as a value, not writers)."""
+    return b"".join(chunk_pieces(data))
 
 
 def last_chunk(trailers: _Headers | None = None) -> bytes:
@@ -401,64 +430,68 @@ class ChunkedDecoder:
         pieces: list[bytes] = []
         pos = 0
         n = len(buf)
-        while not self.done:
-            if self._state == "data":
-                take = min(self._remaining, n - pos)
-                if take == 0:
-                    break
-                pieces.append(bytes(buf[pos : pos + take]))
-                pos += take
-                self._remaining -= take
-                if self._remaining == 0:
-                    self._state = "data-end"
-                continue
-            if self._state == "data-end":
-                if n - pos < 2:
-                    break
-                if buf[pos : pos + 2] != CRLF:
-                    raise HttpError("chunk data not terminated by CRLF")
-                pos += 2
-                self._state = "size"
-                continue
-            if self._state == "size":
+        # slices go through one view: ``bytes(buf[a:b])`` copies twice.  It
+        # is released before ``buf`` is resized (an exported bytearray
+        # cannot be)
+        with memoryview(buf) as view:
+            while not self.done:
+                if self._state == "data":
+                    take = min(self._remaining, n - pos)
+                    if take == 0:
+                        break
+                    pieces.append(bytes(view[pos : pos + take]))
+                    pos += take
+                    self._remaining -= take
+                    if self._remaining == 0:
+                        self._state = "data-end"
+                    continue
+                if self._state == "data-end":
+                    if n - pos < 2:
+                        break
+                    if buf[pos : pos + 2] != CRLF:
+                        raise HttpError("chunk data not terminated by CRLF")
+                    pos += 2
+                    self._state = "size"
+                    continue
+                if self._state == "size":
+                    idx = buf.find(CRLF, pos)
+                    if idx < 0:
+                        if n - pos > MAX_CHUNK_LINE:
+                            raise HttpError("chunk-size line exceeds limit")
+                        break
+                    line = bytes(view[pos:idx])
+                    pos = idx + 2
+                    size_field = line.split(b";", 1)[0].strip()
+                    try:
+                        size = int(size_field, 16)
+                    except ValueError:
+                        raise HttpError(
+                            f"bad chunk size {size_field[:32]!r}"
+                        ) from None
+                    if size == 0:
+                        self._state = "trailers"
+                    else:
+                        self._remaining = size
+                        self._state = "data"
+                    continue
+                # trailers: field lines up to an empty line
                 idx = buf.find(CRLF, pos)
                 if idx < 0:
-                    if n - pos > MAX_CHUNK_LINE:
-                        raise HttpError("chunk-size line exceeds limit")
+                    if n - pos + len(self._trailer_block) > MAX_TRAILER_BYTES:
+                        raise HttpError("chunked trailer section exceeds limit")
                     break
-                line = bytes(buf[pos:idx])
+                line = bytes(view[pos:idx])
                 pos = idx + 2
-                size_field = line.split(b";", 1)[0].strip()
-                try:
-                    size = int(size_field, 16)
-                except ValueError:
-                    raise HttpError(
-                        f"bad chunk size {size_field[:32]!r}"
-                    ) from None
-                if size == 0:
-                    self._state = "trailers"
-                else:
-                    self._remaining = size
-                    self._state = "data"
-                continue
-            # trailers: field lines up to an empty line
-            idx = buf.find(CRLF, pos)
-            if idx < 0:
-                if n - pos + len(self._trailer_block) > MAX_TRAILER_BYTES:
-                    raise HttpError("chunked trailer section exceeds limit")
-                break
-            line = bytes(buf[pos:idx])
-            pos = idx + 2
-            if line:
-                if len(self._trailer_block) + len(line) > MAX_TRAILER_BYTES:
-                    raise HttpError("chunked trailer section exceeds limit")
-                self._trailer_block += line + CRLF
-                continue
-            self.trailers = _parse_headers(bytes(self._trailer_block))
-            self.residue = bytes(buf[pos:])
-            self._buf = bytearray()
-            self.done = True
-            return pieces
+                if line:
+                    if len(self._trailer_block) + len(line) > MAX_TRAILER_BYTES:
+                        raise HttpError("chunked trailer section exceeds limit")
+                    self._trailer_block += line + CRLF
+                    continue
+                self.trailers = _parse_headers(bytes(self._trailer_block))
+                self.residue = bytes(view[pos:])
+                self._buf = bytearray()
+                self.done = True
+                return pieces
         del buf[:pos]
         return pieces
 

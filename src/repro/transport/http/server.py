@@ -29,7 +29,7 @@ import time
 from typing import Callable
 
 from repro.obs.metrics import MetricsRegistry
-from repro.transport.base import BufferedChannel, Listener, TransportError
+from repro.transport.base import BufferedChannel, Listener, TransportError, prime_allocator
 from repro.transport.http.messages import (
     HttpError,
     HttpRequest,
@@ -93,6 +93,9 @@ class DriverBase:
             )
         self._running = True
         self._pipeline.started_at = time.monotonic()
+        # process-wide, once: keeps glibc from trimming the heap after
+        # every bulk exchange (see prime_allocator for what it costs)
+        prime_allocator()
         self._launch()
         return self
 
@@ -251,59 +254,66 @@ class HttpServer(DriverBase):
         m.counter("http_connections_total").add()
         key = id(channel)
         try:
-            while True:
-                with self._conn_lock:
-                    if not self._running:
-                        return  # draining: never park a read stop() must break
-                    self._idle[key] = channel
-                try:
-                    request = read_request(channel, stream_body=self._stream_bodies)
-                except HttpError as exc:
-                    # framing the server understands enough to refuse —
-                    # an unsupported Transfer-Encoding earns its 501 (and
-                    # bad framing its 400) before the connection closes,
-                    # instead of a silent reset the client cannot act on
-                    try:
-                        channel.send_all(error_response(exc, close=True).to_bytes())
-                    except TransportError:
-                        pass
-                    return  # body boundary unknown: never reuse
-                except TransportError:
-                    return  # client went away between requests
-                finally:
-                    with self._conn_lock:
-                        self._idle.pop(key, None)
-                response = self._pipeline.run(request)
-                keep = (
-                    request.keep_alive
-                    and self._running
-                    and (response.headers.get("Connection") or "").lower() != "close"
-                )
-                response.headers.set("Connection", "keep-alive" if keep else "close")
-                try:
-                    # piece-by-piece: a streamed response's first bytes go
-                    # out before its producer has generated the rest
-                    for piece in response.iter_wire():
-                        channel.send_all(piece)
-                    # a streaming handler may not have read the whole
-                    # request body; the rest must leave the channel before
-                    # the next request head can be framed
-                    drain_stream(request)
-                except TransportError:
-                    return  # client went away mid-response
-                except Exception:  # noqa: BLE001 - a streaming body producer
-                    # failing mid-write cannot be turned into an error
-                    # status (the head is on the wire; the pipeline has
-                    # recorded the failure); the truncated chunked body
-                    # tells the peer the message is bad
-                    return
-                if not keep:
-                    return
+            while self._serve_one(channel, key):
+                pass
         finally:
             open_gauge.dec()
             with self._conn_lock:
                 self._conn_channels.pop(key, None)
             self._close_channels([channel])
+
+    def _serve_one(self, channel: BufferedChannel, key: int) -> bool:
+        """Read, run and answer one request; True keeps the connection.
+
+        Its own frame on purpose: the request, the response and the last
+        wire piece die with it, so nothing payload-sized rides along while
+        the thread parks in the next read.
+        """
+        with self._conn_lock:
+            if not self._running:
+                return False  # draining: never park a read stop() must break
+            self._idle[key] = channel
+        try:
+            request = read_request(channel, stream_body=self._stream_bodies)
+        except HttpError as exc:
+            # framing the server understands enough to refuse — an
+            # unsupported Transfer-Encoding earns its 501 (and bad framing
+            # its 400) before the connection closes, instead of a silent
+            # reset the client cannot act on
+            try:
+                channel.send_all(error_response(exc, close=True).to_bytes())
+            except TransportError:
+                pass
+            return False  # body boundary unknown: never reuse
+        except TransportError:
+            return False  # client went away between requests
+        finally:
+            with self._conn_lock:
+                self._idle.pop(key, None)
+        response = self._pipeline.run(request)
+        keep = (
+            request.keep_alive
+            and self._running
+            and (response.headers.get("Connection") or "").lower() != "close"
+        )
+        response.headers.set("Connection", "keep-alive" if keep else "close")
+        try:
+            # piece-by-piece: a streamed response's first bytes go out
+            # before its producer has generated the rest
+            for piece in response.iter_wire():
+                channel.send_all(piece)
+            # a streaming handler may not have read the whole request
+            # body; the rest must leave the channel before the next
+            # request head can be framed
+            drain_stream(request)
+        except TransportError:
+            return False  # client went away mid-response
+        except Exception:  # noqa: BLE001 - a streaming body producer
+            # failing mid-write cannot be turned into an error status (the
+            # head is on the wire; the pipeline has recorded the failure);
+            # the truncated chunked body tells the peer the message is bad
+            return False
+        return keep
 
 
 def make_admin_server(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import queue
 import threading
 
-from repro.transport.base import TransportClosed, TransportError
+from repro.transport.base import TransportClosed, TransportError, take
 
 _EOF = None  # sentinel on the chunk queue
 
@@ -37,9 +37,7 @@ class _PipeEnd:
 
     def recv(self, max_bytes: int = 65536) -> bytes:
         if self._recv_buf:
-            out = bytes(self._recv_buf[:max_bytes])
-            del self._recv_buf[: len(out)]
-            return out
+            return take(self._recv_buf, max_bytes)
         if self._recv_eof:
             return b""
         chunk = self._recv_q.get()

@@ -615,6 +615,70 @@ class TestBufferPooling:
         assert session._scratch is not taken
 
 
+def _bulk_doc(seed: int = 0, n: int = 20_000) -> DocumentNode:
+    """Two arrays past the gather threshold around small frames."""
+    return doc(
+        element(
+            "d",
+            leaf("run", seed, "int"),
+            array("i", np.arange(seed, seed + n, dtype=np.int32), item_name="i"),
+            leaf("tag", f"value-{seed}"),
+            array("v", np.arange(seed, seed + n, dtype=np.float64), item_name="v"),
+            array("tiny", np.arange(4, dtype=np.float64)),
+        )
+    )
+
+
+class TestEncodePieces:
+    """``encode_pieces`` is ``encode`` without the join: same wire bytes."""
+
+    def test_pieces_concatenate_to_the_stateless_bytes_cold_and_warm(self):
+        session = CodecSession()
+        for seed in range(3):  # cold (compiles), then two replays
+            pieces = session.encode_pieces(_bulk_doc(seed))
+            assert b"".join(pieces) == encode(_bulk_doc(seed))
+        assert session.stats.plans_compiled == 1 and session.stats.plan_hits == 2
+        assert session.stats.poisoned_shapes == 0
+
+    def test_cold_and_small_messages_are_one_bytes_piece(self):
+        session = CodecSession()
+        (cold,) = session.encode_pieces(_bulk_doc())
+        assert type(cold) is bytes
+        session.encode(_sample_doc(0))
+        (small,) = session.encode_pieces(_sample_doc(1))  # warm, nothing large
+        assert small == encode(_sample_doc(1)) and type(small) is bytes
+
+    def test_warm_large_payloads_are_read_only_views_of_the_trees_arrays(self):
+        session = CodecSession()
+        session.encode(_bulk_doc(0))
+        tree = _bulk_doc(1)
+        pieces = session.encode_pieces(tree)
+        # small run, i payload, small run, v payload, small run (tiny array + tail)
+        assert [type(p) for p in pieces] == [bytes, memoryview, bytes, memoryview, bytes]
+        root = tree.children[0]
+        for view, node in zip(pieces[1::2], (root.children[1], root.children[3])):
+            assert view.readonly and view.nbytes == node.values.nbytes
+            assert np.shares_memory(np.frombuffer(view, dtype=np.uint8), node.values)
+        # the aliasing contract: the view is read when it is written
+        root.children[3].values[0] = -1.0
+        assert b"".join(pieces) == encode(tree)
+
+    def test_encode_is_untouched_by_a_gathering_neighbour(self):
+        session = CodecSession()
+        session.encode_pieces(_bulk_doc(0))
+        session.encode_pieces(_bulk_doc(1))
+        assert session.encode(_bulk_doc(2)) == encode(_bulk_doc(2))
+        assert session._scratch == []  # views released before pooling the list
+
+    def test_policy_exposes_it_and_cold_mode_stays_one_piece(self):
+        warm = BXSAEncoding()
+        warm.encode(_bulk_doc(0))
+        assert len(warm.encode_pieces(_bulk_doc(1))) == 5
+        assert b"".join(warm.encode_pieces(_bulk_doc(2))) == encode(_bulk_doc(2))
+        (only,) = BXSAEncoding(session=False).encode_pieces(_bulk_doc(3))
+        assert only == encode(_bulk_doc(3))
+
+
 # ---------------------------------------------------------------------------
 # encode errors are typed, on every entry point
 

@@ -5,8 +5,9 @@ What a request *means* is defined once, in
 the selector driver only move bytes.  So every behaviour a client can
 observe — keep-alive, the admin surface, error mapping, framing refusals,
 the connection cap, pooled admission and shedding, drain, chunked
-transfer, and the accounting of all of it — is asserted here once and run
-against both drivers over real TCP via the ``serving_core`` fixture.
+transfer, bulk bodies however their bytes are split, and the accounting of
+all of it — is asserted here once and run against both drivers over real
+TCP via the ``serving_core`` fixture.
 
 Driver-only behaviour keeps its own unparametrized tests next to the
 driver: memory-listener rejection and ``drive_connections`` in
@@ -51,24 +52,29 @@ the test floor pins their ids; each may go once its id is released —
 """
 
 import json
+import random
 import socket
 import threading
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.core.dispatcher import Dispatcher
 from repro.core.envelope import SoapEnvelope
-from repro.core.policies import XMLEncoding
+from repro.core.policies import BXSAEncoding, XMLEncoding
 from repro.core.service import SoapTcpService
 from repro.obs import render_prometheus
 from repro.serve import ServeConfig, SoapServeService
 from repro.serve.pool import WorkerPool
 from repro.transport import TcpListener, connect_tcp
+from repro.transport.base import MAX_READ_BYTES
 from repro.transport.http import HttpClient, HttpError, HttpRequest, HttpResponse
+from repro.transport.http.messages import HEADER_END
 from repro.transport.http.pipeline import REJECT_RETRY_AFTER, RequestPipeline
-from repro.xdm import element, leaf
+from repro.xdm import ArrayElement, DocumentNode, array, element, leaf
 from tests.conftest import (
     DRIVERS,
     PipelineApp,
@@ -618,6 +624,281 @@ class TestChunkedTransfer:
 
 
 # ----------------------------------------------------------------------
+# bulk bodies: one copy in, none out, whatever the segmentation
+
+BULK = random.Random(18).randbytes(3 << 20)
+
+
+def read_response(sock) -> tuple[bytes, bytes]:
+    """One ``Content-Length`` response off a blocking socket: (head, body).
+
+    Reads exactly the response's bytes, so a pipelined next response
+    stays in the socket for the next call.
+    """
+    head = b""
+    while not head.endswith(HEADER_END):
+        byte = sock.recv(1)
+        if not byte:
+            return head, b""
+        head += byte
+    length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+    body = bytearray()
+    while len(body) < length:
+        chunk = sock.recv(length - len(body))
+        if not chunk:
+            break
+        body += chunk
+    return head, bytes(body)
+
+
+def send_split(sock, wire: bytes, cuts) -> None:
+    """Send ``wire`` as one segment per cut (``TCP_NODELAY``), pausing
+    briefly after the early ones so each is its own readable event."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    start = 0
+    for n, cut in enumerate([*cuts, len(wire)]):
+        sock.sendall(wire[start:cut])
+        start = cut
+        if n < 12:
+            time.sleep(0.002)
+
+
+def split_plans(wire: bytes) -> dict:
+    """Cut points for one request: the odd sizes the framers must survive."""
+    head_end = wire.index(HEADER_END) + len(HEADER_END)
+    coarse = list(range(head_end + 40, len(wire), (64 << 10) + 1))
+    return {
+        "1-byte": [*range(1, head_end + 40), *coarse],
+        "7-byte": [*range(7, head_end + 40, 7), *coarse],
+        "64KiB+1": list(range((64 << 10) + 1, len(wire), (64 << 10) + 1)),
+        "inside-head": [head_end // 2],
+        "at-head-end": [head_end],
+    }
+
+
+def bulk_echo(request, _state=None):
+    return HttpResponse(200, body=b"echo:" + request.body)
+
+
+@pytest.fixture(params=["inline", "pooled"])
+def bulk_server(request, serving_core, pooled):
+    """The driver under test serving ``bulk_echo``, pool-less and pooled."""
+
+    def start(exchange=bulk_echo):
+        if request.param == "pooled":
+            return pooled(exchange, queue_depth=4)[0]
+        return serving_core.serve(lambda req: exchange(req, None))
+
+    return start
+
+
+class TestLargeBodies:
+    @pytest.mark.parametrize(
+        "plan", ["1-byte", "7-byte", "64KiB+1", "inside-head", "at-head-end"]
+    )
+    def test_dribbled_body_echoes_byte_identical(self, bulk_server, plan):
+        wire = HttpRequest("POST", "/bulk", body=BULK).to_bytes()
+        sock = raw_socket(bulk_server())
+        try:
+            send_split(sock, wire, split_plans(wire)[plan])
+            head, body = read_response(sock)
+        finally:
+            sock.close()
+        assert head.startswith(b"HTTP/1.1 200")
+        assert body == b"echo:" + BULK
+
+    def test_head_is_parsed_once_however_the_bytes_are_split(self, bulk_server, monkeypatch):
+        """Regression: the aio driver re-ran ``parse_request_head`` on every
+        readable event until the body was complete (and re-scanned the
+        buffer from 0 for the head's end)."""
+        from repro.transport import aio
+        from repro.transport.http import messages
+
+        parses = []
+        real = messages.parse_request_head
+
+        def counting(head):
+            parses.append(len(head))
+            return real(head)
+
+        monkeypatch.setattr(messages, "parse_request_head", counting)
+        monkeypatch.setattr(aio, "parse_request_head", counting)
+        wire = HttpRequest("POST", "/bulk", body=BULK).to_bytes()
+        sock = raw_socket(bulk_server())
+        try:
+            for plan in ("7-byte", "64KiB+1"):
+                send_split(sock, wire, split_plans(wire)[plan])
+                assert read_response(sock)[1] == b"echo:" + BULK
+        finally:
+            sock.close()
+        assert len(parses) == 2  # one per request
+
+    def test_body_is_bytes_and_zero_copy_arrays_are_read_only(self, bulk_server):
+        """``request.body`` stays immutable ``bytes`` on the bulk path, so
+        the ``copy=False`` arrays decoded over it cannot be written."""
+        seen = {}
+
+        def exchange(request, _state):
+            seen["type"] = type(request.body)
+            root = BXSAEncoding().decode(request.body).children[0]
+            (values,) = [c.values for c in root.children if isinstance(c, ArrayElement)]
+            seen["writeable"] = values.flags.writeable
+            seen["aliases"] = not values.flags.owndata
+            seen["sum"] = float(values.sum())
+            return HttpResponse(200, body=b"ok")
+
+        values = np.arange(400_000, dtype="f8")
+        payload = BXSAEncoding().encode(DocumentNode([element("d", array("v", values))]))
+        wire = HttpRequest("POST", "/bulk", body=payload).to_bytes()
+        sock = raw_socket(bulk_server(exchange))
+        try:
+            send_split(sock, wire, split_plans(wire)["64KiB+1"])
+            assert read_response(sock)[1] == b"ok"
+        finally:
+            sock.close()
+        assert seen == {
+            "type": bytes, "writeable": False, "aliases": True, "sum": float(values.sum()),
+        }
+
+    def test_small_request_behind_a_large_ones_tail_is_answered_second(self, bulk_server):
+        """The sized body read stops at the body's end: a pipelined request
+        sharing the last segment is not swallowed."""
+        large = HttpRequest("POST", "/bulk", body=BULK).to_bytes()
+        small = HttpRequest("POST", "/bulk", body=b"after").to_bytes()
+        sock = raw_socket(bulk_server())
+        try:
+            sock.sendall(large[:-100])
+            time.sleep(0.02)
+            sock.sendall(large[-100:] + small)
+            assert read_response(sock)[1] == b"echo:" + BULK
+            assert read_response(sock)[1] == b"echo:after"
+        finally:
+            sock.close()
+
+    def test_peer_closing_mid_body_is_closed_unanswered_and_uncounted(self, bulk_server):
+        server = bulk_server()
+        wire = HttpRequest("POST", "/bulk", body=BULK).to_bytes()
+        sock = raw_socket(server)
+        try:
+            sock.sendall(wire[: len(wire) // 3])
+            wait_until(lambda: server.metrics.gauge("http_connections_open").snapshot() == 1)
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(65536) == b""  # closed, nothing answered
+        finally:
+            sock.close()
+        wait_until(lambda: server.metrics.gauge("http_connections_open").snapshot() == 0)
+        samples = samples_of(server)
+        assert series_sum(samples, "http_requests_total") == 0
+        assert samples["http_requests_in_flight"] == 0
+
+    def test_large_response_to_a_slow_reader_arrives_byte_identical(self, bulk_server):
+        """Partial-write continuation across the queued pieces: a reader
+        with a small receive buffer that pauses between reads."""
+        server = bulk_server()
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)  # before connect
+            sock.settimeout(5)
+            sock.connect(server.address)
+            sock.sendall(HttpRequest("POST", "/bulk", body=BULK).to_bytes())
+            received = bytearray()
+            for _ in range(40):  # a slow start, then drain
+                received += sock.recv(1500)
+                time.sleep(0.001)
+            head_end = received.index(HEADER_END) + len(HEADER_END)
+            total = head_end + len(b"echo:") + len(BULK)
+            while len(received) < total:
+                chunk = sock.recv(1 << 16)
+                assert chunk, "server closed mid-response"
+                received += chunk
+        finally:
+            sock.close()
+        assert bytes(received[head_end:]) == b"echo:" + BULK
+
+    def test_request_still_arriving_when_the_drain_begins_is_never_started(self, bulk_server):
+        """The drain answers what is with the pipeline and starts nothing:
+        a pipelined request whose body completes only after ``stop()`` is
+        dropped, and its connection closes once the earlier response has
+        left.  (Whether that response survives the close is TCP's call —
+        a close over unread input resets — so only its prefix is pinned.)"""
+        calls = []
+        reply = b"r" * (8 << 20)  # more than the kernel will buffer for a reader that is not reading
+
+        def exchange(request, _state):
+            calls.append(len(request.body))
+            return HttpResponse(200, body=reply)
+
+        server = bulk_server(exchange)
+        first = HttpRequest("POST", "/bulk", body=b"first").to_bytes()
+        second = HttpRequest("POST", "/bulk", body=BULK[: 200 << 10]).to_bytes()
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        stopper = threading.Thread(target=server.stop, kwargs={"drain_timeout": 5}, daemon=True)
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)  # before connect
+            sock.settimeout(5)
+            sock.connect(server.address)
+            sock.sendall(first + second[:-100])
+            received = bytearray(sock.recv(1500))  # the first answer is on its way out
+            time.sleep(0.05)  # and the second request's head has been seen
+            stopper.start()
+            wait_until(lambda: not server._running)
+            time.sleep(0.05)  # the loop has begun its drain
+            sock.sendall(second[-100:])
+            try:
+                while chunk := sock.recv(1 << 16):
+                    received += chunk
+            except ConnectionResetError:
+                pass
+            stopper.join(5)
+        finally:
+            sock.close()
+        assert not stopper.is_alive()
+        assert calls == [len(b"first")]
+        head_end = received.index(HEADER_END) + len(HEADER_END)
+        assert received.startswith(b"HTTP/1.1 200") and reply.startswith(received[head_end:])
+        assert series_sum(samples_of(server), "http_requests_total") == 1
+
+    @pytest.mark.parametrize("declared", [10**15, 2**63, 2**64 + 5])
+    def test_hostile_content_length_never_sizes_an_allocation(
+        self, bulk_server, monkeypatch, declared
+    ):
+        """Regression: the threaded driver's connection thread died with an
+        uncaught MemoryError / OverflowError (``recv(remaining)``); a loop
+        that read by declared size would have taken every connection with
+        it.  Reads are capped: what the connection holds is what it has
+        received plus at most one read buffer of the ceiling's size (the
+        blocking driver parks in ``recv`` holding one, untouched)."""
+        died = []
+        monkeypatch.setattr(threading, "excepthook", died.append)
+        server = bulk_server()
+        sent = 256 << 10
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sock = raw_socket(server)
+            try:
+                sock.sendall(
+                    b"POST /bulk HTTP/1.1\r\nHost: a\r\nContent-Length: %d\r\n\r\n" % declared
+                    + BULK[:sent]
+                )
+                time.sleep(0.05)  # let the driver read what was sent
+                other = HttpClient(lambda: connect_tcp(*server.address))
+                try:
+                    assert other.get("/healthz").status == 200
+                finally:
+                    other.close()
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                sock.close()
+        finally:
+            tracemalloc.stop()
+        assert died == []
+        assert held < sent + MAX_READ_BYTES + (1 << 20)
+        wait_until(lambda: server.metrics.gauge("http_connections_open").snapshot() == 0)
+        assert series_sum(samples_of(server), "http_requests_total") == 1  # the /healthz
+
+
+# ----------------------------------------------------------------------
 # the SOAP host on both cores, and the pieces that have no core
 
 
@@ -685,6 +966,40 @@ def test_soap_shed_is_red_counted_with_its_real_latency(core):
     (fastest,) = [v for k, v in shed.items() if k.startswith("soap_request_seconds_min")]
     assert (counted, 'status="shed"' in "".join(shed)) == (1, True)
     assert fastest > 0.0
+
+
+@pytest.mark.parametrize("core", sorted(DRIVERS))
+def test_soap_bulk_reply_gathered_from_the_codec_is_the_one_piece_wire(core):
+    """The host hands a warm bulk reply to the driver as the codec's pieces
+    (array payloads by reference); the client must see exactly the bytes a
+    joined encode would have framed, ``Content-Length`` and all."""
+    started, release = threading.Event(), threading.Event()
+    listener = TcpListener()
+    service = SoapServeService(
+        listener, _soap_dispatcher(started, release), config=ServeConfig(core=core, workers=1)
+    ).start()
+    client = HttpClient(lambda: connect_tcp(*listener.address))
+    policy = BXSAEncoding(session=False)
+    try:
+        for seed in range(3):  # the worker's session: cold, then warm twice
+            payload = element(
+                "d",
+                array("i", np.arange(seed, seed + 50_000, dtype=np.int32)),
+                array("v", np.arange(seed, seed + 50_000, dtype=np.float64)),
+            )
+            request = SoapEnvelope.wrap(element("Echo", payload))
+            reply = SoapEnvelope.wrap(element("EchoResponse", payload))
+            response = client.post(
+                "/soap",
+                policy.encode(request.to_document()),
+                headers={"Content-Type": policy.content_type},
+            )
+            assert response.status == 200
+            assert response.headers.get("Content-Length") == str(len(response.body))
+            assert response.body == policy.encode(reply.to_document())
+    finally:
+        client.close()
+        service.stop()
 
 
 def test_run_outwaited_by_its_task_answers_503_and_settles_once():

@@ -16,7 +16,13 @@ from repro.transport import (
     read_message,
     write_message,
 )
-from repro.transport.base import BufferedChannel, recv_exactly
+from repro.transport.base import (
+    MAX_READ_BYTES,
+    BufferedChannel,
+    read_size,
+    recv_exactly,
+    take,
+)
 
 
 class TestMemoryPipe:
@@ -163,6 +169,39 @@ class TestBufferedChannel:
         a.send_all(b"x" * 2048)
         with pytest.raises(TransportError):
             BufferedChannel(b).recv_until(b"|", max_bytes=1024)
+
+
+class TestSizedReads:
+    def test_take_cuts_a_slice_and_drops_the_front(self):
+        buf = bytearray(b"HEAD|BODY|rest")
+        assert take(buf, 9, 5) == b"BODY" and buf == b"|rest"
+        out = take(buf, 1 << 20)  # an end past the buffer clamps, like a slice
+        assert (out, type(out), buf) == (b"|rest", bytes, b"")
+        buf += b"again"  # the view was released: the buffer still resizes
+        assert take(buf, 2) == b"ag"
+
+    def test_a_declared_length_never_sizes_a_read(self):
+        assert read_size(1) == 1 and read_size(200_000) == 200_000
+        for claimed in (MAX_READ_BYTES + 1, 10**15, 2**63, 2**64 + 5):
+            assert read_size(claimed) == MAX_READ_BYTES
+
+    def test_recv_exactly_asks_for_what_is_owed_under_the_ceiling(self):
+        asked = []
+
+        class Claimed:
+            """A peer that declared 2**64 + 5 bytes and sent ten."""
+
+            def recv(self, max_bytes):
+                asked.append(max_bytes)
+                return b"x" * 10 if len(asked) == 1 else b""
+
+        with pytest.raises(TransportClosed, match="10/"):
+            recv_exactly(Claimed(), 2**64 + 5)
+        assert asked == [MAX_READ_BYTES, MAX_READ_BYTES]
+        a, b = memory_pipe()
+        a.send_all(b"abc")
+        a.send_all(b"defgh")
+        assert recv_exactly(b, 7) == b"abcdefg"
 
 
 class TestFraming:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.transport import MemoryNetwork, TcpListener, connect_tcp, memory_pipe
 from repro.transport.base import BufferedChannel
+from repro.transport.http.messages import BodyPieces
 from repro.transport.http import (
     HttpClient,
     HttpError,
@@ -38,6 +39,21 @@ class TestMessageCodec:
         assert parsed.status == 200
         assert parsed.reason == "OK"
         assert parsed.body == b"hello"
+
+    def test_body_pieces_frame_as_one_length_delimited_body(self):
+        """A body kept as its producer's pieces: ``Content-Length`` is the
+        sum, ``iter_wire`` yields them unjoined, the peer cannot tell."""
+        pieces = [b"head-", memoryview(b"payload"), b"-tail"]
+        resp = HttpResponse(200, body=BodyPieces(pieces))
+        head, *body = resp.iter_wire()
+        assert b"Content-Length: 17" in head
+        assert all(sent is piece for sent, piece in zip(body, pieces))
+        a, b = memory_pipe()
+        for piece in resp.iter_wire():
+            a.send_all(piece)
+        parsed = read_response(BufferedChannel(b))
+        assert parsed.body == b"head-payload-tail" == bytes(resp.body)
+        assert type(parsed.body) is bytes
 
     def test_header_case_insensitive(self):
         req = HttpRequest("GET", "/")

@@ -38,6 +38,13 @@ lint) — they confine the concurrency machinery to its designated homes:
   ``array_frame_head`` or ``element_header`` — BXSA frames are
   assembled once, by the frame emitter; the tree encoder, the stream
   writer and the encode-plan recorder are handlers of its productions.
+* inside ``transport/aio.py`` and ``transport/http/server.py``
+  ``.to_bytes()`` may be called only directly on
+  ``connection_limit_response()`` / ``error_response(...)`` — the
+  refusals written before a request exists.  A response leaves through
+  ``iter_wire()``, piece by piece: joining head and body first is a
+  payload-sized copy the bulk path's copy budget (DESIGN.md §10) has no
+  room for.
 * inside ``src/repro`` only ``fed/balancer.py`` may define
   ``choose_replica`` — replica-selection policy is one pluggable
   surface; a routing brain elsewhere would bypass the balancer's
@@ -490,6 +497,53 @@ def frame_emit_findings(path: str) -> list[tuple[int, str]]:
     )  # fmt: skip
 
 
+#: The modules that write responses to sockets (relative to src/repro).
+RESPONSE_WRITERS = {"transport/aio.py", "transport/http/server.py"}
+
+#: The pre-request refusals: tiny, built and written in one expression.
+REFUSAL_BUILDERS = {"connection_limit_response", "error_response"}
+
+
+def response_join_findings(path: str) -> list[tuple[int, str]]:
+    """Keep the head+body join off the drivers' response path.
+
+    ``message.to_bytes()`` concatenates the whole message: for a bulk
+    response that is one more copy of the payload, made and thrown away
+    between the codec and the socket.  The drivers queue or send the
+    pieces ``iter_wire()`` yields instead.  The only ``.to_bytes()`` a
+    driver may spell is the one applied directly to a refusal it has just
+    built (``connection_limit_response().to_bytes()``,
+    ``error_response(...).to_bytes()``) — a few dozen bytes, no request.
+    """
+    if _repro_relative(path) not in RESPONSE_WRITERS:
+        return []
+    with open(path, "rb") as fh:
+        source = fh.read()
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError:
+        return []  # dead_imports already reports the syntax error
+    message = (
+        "a driver must not join a message: .to_bytes() here copies the whole "
+        "payload once more — queue or send the pieces of iter_wire() (only a "
+        "just-built connection_limit_response()/error_response(...) may be joined)"
+    )
+    findings = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "to_bytes"
+        ):
+            continue
+        built = node.func.value
+        builder = getattr(built, "func", None) if isinstance(built, ast.Call) else None
+        name = builder.id if isinstance(builder, ast.Name) else getattr(builder, "attr", None)
+        if name not in REFUSAL_BUILDERS:
+            findings.append((node.lineno, message))
+    return findings
+
+
 #: Every repo-specific rule: ``path -> [(line, message)]``.
 REPO_RULES = (
     serve_thread_findings,
@@ -500,6 +554,7 @@ REPO_RULES = (
     replica_policy_findings,
     frame_grammar_findings,
     frame_emit_findings,
+    response_join_findings,
 )
 
 
