@@ -8,8 +8,15 @@ The Python rendering of the paper's::
 A :class:`SoapEngine` owns one encoding policy and one binding policy and
 implements the SOAP message exchange patterns against them:
 
-* client side — :meth:`call` (request-response) and :meth:`send` (one-way);
-* server side — :meth:`receive` / :meth:`reply`, used by the service hosts.
+* client side — :meth:`SoapEngine.call` (request-response) and
+  :meth:`SoapEngine.send` (one-way);
+* receiving a one-way message — :meth:`SoapEngine.receive`.
+
+The server side of request-response is one binding-free function,
+:func:`serve_exchange`: negotiate → decode → verify → join the caller's
+trace → ``handle`` → sign → encode, every failure mapped — here and nowhere
+else — to a SOAP fault in the encoding the client spoke.  The HTTP host, the
+TCP host and the intermediary are its callers (DESIGN.md §10).
 
 The engine is completely ignorant of what the policies do internally: any
 object satisfying the concepts (checked at construction) composes, giving
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import random
 import time
+from typing import Callable, NamedTuple
 
 from repro import obs
 from repro.obs import propagation
@@ -30,8 +38,8 @@ from repro.core.concepts import (
     check_encoding_policy,
 )
 from repro.core.envelope import SoapEnvelope
-from repro.core.fault import SoapFault
-from repro.core.policies import EncodingPolicy, encoding_for_content_type
+from repro.core.fault import CLIENT_FAULT, SERVER_FAULT, SoapFault
+from repro.core.policies import EncodingPolicy, NegotiatedPolicies
 from repro.core.security import check_security_policy
 from repro.transport.base import TransportError
 from repro.transport.resilience import (
@@ -41,6 +49,130 @@ from repro.transport.resilience import (
     as_deadline,
     retry_call,
 )
+
+
+def decode_envelope(encoding: EncodingPolicy, payload: bytes) -> SoapEnvelope:
+    """``payload`` → envelope; what cannot be is the sender's ``soap:Client``."""
+    try:
+        document = encoding.decode(payload)
+    except SoapFault:
+        raise
+    except Exception as exc:
+        # any codec error (malformed XML, corrupt BXSA frames, bad
+        # deflate, ...) is the sender's problem, not a crash here
+        raise SoapFault(
+            CLIENT_FAULT, f"cannot decode {encoding.content_type} payload: {exc}"
+        ) from exc
+    try:
+        return SoapEnvelope.from_document(document)
+    except ValueError as exc:
+        raise SoapFault(CLIENT_FAULT, f"invalid SOAP envelope: {exc}") from exc
+
+
+class Served(NamedTuple):
+    """What :func:`serve_exchange` answers one request with."""
+
+    #: The encoded reply: ``bytes``, or the list of pieces a gathering
+    #: policy (``encode_pieces``) hands over for a binding to write in order.
+    body: "bytes | list"
+    #: Content type of ``body``.
+    content_type: str
+    #: RED operation label (``"?"`` until the request has been decoded).
+    operation: str
+    #: ``ok`` | ``client_fault`` | ``server_fault`` | ``unsupported_media``;
+    #: anything but ``ok`` means ``body`` is a fault envelope.
+    status: str
+    #: Trace the exchange ran under (the RED histogram's exemplar), if any.
+    trace_id: "str | None"
+
+
+def serve_exchange(
+    payload: bytes,
+    content_type: str,
+    handle: Callable[[SoapEnvelope], SoapEnvelope],
+    policies: NegotiatedPolicies,
+    *,
+    security=None,
+    label: Callable[[SoapEnvelope], str] | None = None,
+    span: str | None = None,
+) -> Served:
+    """Serve one SOAP request; nothing the request, ``handle`` or the reply
+    does makes it raise.
+
+    ``handle`` turns the request envelope into the response envelope
+    (``dispatcher.dispatch``, a next hop's ``call``) and fails by raising.
+    ``policies`` resolves the wire content type; the caller owns the cache.
+    ``label`` names the operation for RED.  ``span`` opens a logical span of
+    that name around handle → sign → encode, joined to the trace context in
+    the envelope's header block — a binding that carries the context in its
+    own framing (HTTP) has joined already and passes none.
+
+    Failure → fault, signed, in the encoding the client spoke:
+
+    * no registered policy speaks ``content_type`` → ``soap:Client`` in
+      ``policies.default``, status ``unsupported_media`` (a binding with a
+      refusal of its own for that — HTTP's 400 — sends it instead);
+    * decode, envelope → ``soap:Client``; verify → the policy's fault;
+    * ``handle`` raises :class:`SoapFault` → that fault;
+    * ``handle``, sign or encode raises anything else (a next hop gone, a
+      reply the policy cannot encode) → ``soap:Server``.
+    """
+    try:
+        encoding = policies.resolve(content_type)
+    except ValueError as exc:
+        fault = SoapFault(CLIENT_FAULT, str(exc))
+        return _faulted(fault, policies.default, security, "?", "unsupported_media")
+    operation = "?"
+    try:
+        envelope = decode_envelope(encoding, payload)
+        if label is not None:
+            operation = label(envelope)
+        if security is not None:
+            security.verify(envelope)
+    except SoapFault as fault:
+        return _faulted(fault, encoding, security, operation)
+    if span is None:
+        return _answer(envelope, handle, encoding, security, operation)
+    # this binding has no headers of its own: the trace context arrives as
+    # the envelope's SOAP header block
+    ctx = propagation.extract_envelope(envelope)
+    with obs.span(span, kind="logical", context=ctx, operation=operation), obs.use_context(ctx):
+        return _answer(envelope, handle, encoding, security, operation)
+
+
+def _answer(envelope, handle, encoding: EncodingPolicy, security, operation: str) -> Served:
+    """handle → sign → encode; a failure that is not already a fault is the
+    server's, exactly as the dispatcher treats a handler's."""
+    try:
+        response = handle(envelope)
+        if security is not None:
+            security.sign(response)
+        document = response.to_document()
+        gather = getattr(encoding, "encode_pieces", None)
+        if gather is None:
+            body = encoding.encode(document)
+        else:
+            pieces = gather(document)
+            body = pieces[0] if len(pieces) == 1 else pieces
+    except SoapFault as fault:
+        return _faulted(fault, encoding, security, operation)
+    except Exception as exc:  # noqa: BLE001 - server boundary
+        fault = SoapFault(SERVER_FAULT, f"{type(exc).__name__}: {exc}")
+        return _faulted(fault, encoding, security, operation)
+    return Served(body, encoding.content_type, operation, "ok", obs.current_trace_id())
+
+
+def _faulted(
+    fault: SoapFault, encoding: EncodingPolicy, security, operation: str, status: str | None = None
+) -> Served:
+    """The fault as a reply: wrapped, signed, in ``encoding``."""
+    envelope = SoapEnvelope.wrap(fault.to_element())
+    if security is not None:
+        security.sign(envelope)
+    if status is None:
+        status = "client_fault" if fault.code == CLIENT_FAULT else "server_fault"
+    body = encoding.encode(envelope.to_document())
+    return Served(body, encoding.content_type, operation, status, obs.current_trace_id())
 
 
 class SoapEngine:
@@ -106,12 +238,9 @@ class SoapEngine:
         self.resilience = resilience
         self.metrics = metrics
         self._retry_rng = random.Random()
-        # Per-engine cache of negotiated policies.  Content-type mismatch
-        # used to instantiate a fresh policy per message, which defeated
-        # every cross-message codec optimization (compiled plans, interned
-        # names) on the negotiation path; a long-lived engine now holds one
-        # warm policy per foreign content type it has spoken.
-        self._negotiated: dict[str, EncodingPolicy] = {}
+        # a long-lived engine holds one warm policy per foreign content
+        # type its peer has answered in
+        self._policies = NegotiatedPolicies(encoding)
 
     # ------------------------------------------------------------------
     # client-side MEPs
@@ -229,10 +358,14 @@ class SoapEngine:
             return envelope
 
     # ------------------------------------------------------------------
-    # server-side MEPs
+    # receiving side of the one-way MEP
 
     def receive(self) -> tuple[SoapEnvelope, str]:
-        """Receive one request; returns (envelope, wire content type)."""
+        """Receive one message; returns (envelope, wire content type).
+
+        Raises :class:`SoapFault` for one that cannot be decoded or verified
+        (a request that wants an answer goes through :func:`serve_exchange`).
+        """
         payload, content_type = self.binding.receive_request()
         with obs.span("soap.receive_request", kind="logical", bytes=len(payload)):
             envelope = self._decode(payload, content_type)
@@ -240,62 +373,16 @@ class SoapEngine:
                 self.security.verify(envelope)
             return envelope, content_type
 
-    def reply(self, envelope: SoapEnvelope, content_type: str | None = None) -> int:
-        """Send a response, re-encoding to ``content_type`` when given.
-
-        Passing the request's content type makes the server answer in the
-        encoding the client spoke, whatever this engine's default is.
-        """
-        encoding = self.encoding
-        if content_type is not None and self.strict_content_type:
-            if content_type.split(";")[0].strip() != encoding.content_type:
-                encoding = self._negotiated_policy(content_type)
-        with obs.span("soap.reply", kind="logical") as sp:
-            if self.security is not None:
-                self.security.sign(envelope)
-            payload = encoding.encode(envelope.to_document())
-            sp.set("bytes", len(payload))
-            self.binding.send_response(payload, encoding.content_type)
-            return len(payload)
-
-    def reply_fault(self, fault: SoapFault, content_type: str | None = None) -> int:
-        """Send a fault envelope."""
-        return self.reply(SoapEnvelope.wrap(fault.to_element()), content_type)
-
     # ------------------------------------------------------------------
-
-    def _negotiated_policy(self, content_type: str) -> EncodingPolicy:
-        """A held policy for a foreign content type (created on first use)."""
-        base = content_type.split(";")[0].strip().lower()
-        policy = self._negotiated.get(base)
-        if policy is None:
-            policy = encoding_for_content_type(content_type)
-            self._negotiated[base] = policy
-        return policy
 
     def _decode(self, payload: bytes, content_type: str) -> SoapEnvelope:
         encoding = self.encoding
         if self.strict_content_type:
-            base = content_type.split(";")[0].strip()
-            if base != encoding.content_type:
-                try:
-                    encoding = self._negotiated_policy(content_type)
-                except ValueError as exc:
-                    raise SoapFault("soap:Client", str(exc)) from exc
-        try:
-            document = encoding.decode(payload)
-        except SoapFault:
-            raise
-        except Exception as exc:
-            # any codec error (malformed XML, corrupt BXSA frames, bad
-            # deflate, ...) is the sender's problem, not a server crash
-            raise SoapFault(
-                "soap:Client", f"cannot decode {encoding.content_type} payload: {exc}"
-            ) from exc
-        try:
-            return SoapEnvelope.from_document(document)
-        except ValueError as exc:
-            raise SoapFault("soap:Client", f"invalid SOAP envelope: {exc}") from exc
+            try:
+                encoding = self._policies.resolve(content_type)
+            except ValueError as exc:
+                raise SoapFault(CLIENT_FAULT, str(exc)) from exc
+        return decode_envelope(encoding, payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SoapEngine({self.encoding!r}, {type(self.binding).__name__})"

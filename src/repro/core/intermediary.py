@@ -10,27 +10,30 @@ sender and receiver are communicating via textual XML."
 encoding/binding pair and forwards them to the next hop on another,
 re-encoding the *same* bXDM envelope in between — e.g. clients speak XML to
 the intermediary while the backbone hop runs BXSA.
+
+It is the SOAP/TCP host with a different ``handle``: messages run through
+:func:`~repro.core.engine.serve_exchange` with the next hop's ``call`` where
+the service host has its dispatcher — so an undecodable request, a
+downstream fault and a next hop gone are answered as every SOAP host does.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable
 
-from repro import obs
-from repro.core.engine import SoapEngine
-from repro.core.fault import SoapFault
-from repro.core.policies import EncodingPolicy
-from repro.obs import propagation
-from repro.transport.base import Channel, Listener, TransportError
-from repro.transport.tcp_binding import TcpClientBinding, TcpServerBinding
+from repro.core.engine import SoapEngine, serve_exchange
+from repro.core.policies import EncodingPolicy, NegotiatedPolicies
+from repro.transport.base import BufferedChannel, Channel, Listener, TransportError
+from repro.transport.host import ConnectionHost
+from repro.transport.tcp_binding import TcpClientBinding, serve_messages
 
 
-class TcpIntermediary:
+class TcpIntermediary(ConnectionHost):
     """A SOAP hop: TCP in on one encoding, TCP out on another.
 
     Each inbound connection gets its own outbound connection to the next
-    hop, so request/response ordering per client is trivially preserved.
+    hop, so request/response ordering per client is trivially preserved;
+    the outbound connection closes with the inbound one.
     """
 
     def __init__(
@@ -42,80 +45,35 @@ class TcpIntermediary:
         outbound_encoding: EncodingPolicy,
         name: str = "soap-intermediary",
     ) -> None:
-        self._listener = listener
+        super().__init__(listener, self._serve_connection, name=name)
         self._connect = connect_next_hop
         self._inbound_encoding = inbound_encoding
         self._outbound_encoding = outbound_encoding
-        self._name = name
-        self._running = False
-        self._thread: threading.Thread | None = None
         #: Number of envelopes forwarded (inspectable by tests/examples).
         self.forwarded = 0
 
-    def start(self) -> "TcpIntermediary":
-        self._running = True
-        self._thread = threading.Thread(target=self._accept_loop, name=self._name, daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._running = False
-        self._listener.close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-
-    def __enter__(self) -> "TcpIntermediary":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                inbound = self._listener.accept()
-            except TransportError:
-                return
-            threading.Thread(
-                target=self._bridge,
-                args=(inbound,),
-                name=f"{self._name}-hop",
-                daemon=True,
-            ).start()
-
-    def _bridge(self, inbound_channel) -> None:
-        up = SoapEngine(self._inbound_encoding, TcpServerBinding(inbound_channel))
-        outbound_channel = None
+    def _serve_connection(self, inbound: BufferedChannel) -> None:
         try:
-            outbound_channel = self._connect()
-            down = SoapEngine(self._outbound_encoding, TcpClientBinding(outbound_channel))
-            while True:
-                try:
-                    request, content_type = up.receive()
-                except TransportError:
-                    return
-                except SoapFault as fault:
-                    up.reply_fault(fault)
-                    continue
-                # Forward on the downstream encoding; relay the response
-                # (or the downstream fault) back on the upstream one.
-                # The hop joins the caller's trace (its span parents the
-                # next hop's work: down.call re-stamps the envelope's
-                # context block with this span as the new parent).
-                ctx = propagation.extract_envelope(request)
-                with obs.span(
-                    "soap.forward", kind="logical", context=ctx
-                ), obs.use_context(ctx):
-                    try:
-                        response = down.call(request)
-                    except SoapFault as fault:
-                        up.reply_fault(fault, content_type)
-                        continue
-                    self.forwarded += 1
-                    up.reply(response, content_type)
+            outbound = self._connect()
+        except TransportError:
+            return  # no next hop: the caller sees its connection close
+        down = SoapEngine(self._outbound_encoding, TcpClientBinding(outbound))
+        policies = NegotiatedPolicies(self._inbound_encoding)
+
+        def answer(payload: bytes, content_type: str):
+            # Forward on the downstream encoding; relay the response (or
+            # the downstream fault) back on the upstream one.  The hop
+            # joins the caller's trace: its span parents the next hop's
+            # work (down.call re-stamps the envelope's context block with
+            # this span as the new parent).
+            served = serve_exchange(
+                payload, content_type, down.call, policies, span="soap.forward"
+            )
+            if served.status == "ok":
+                self.forwarded += 1
+            return served.body, served.content_type
+
+        try:
+            serve_messages(inbound, self.receive, answer)
         finally:
-            inbound_channel.close()
-            if outbound_channel is not None:
-                outbound_channel.close()
+            outbound.close()

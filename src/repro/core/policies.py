@@ -213,14 +213,53 @@ register_content_type("application/xml", XMLEncoding)
 register_content_type(BXSA_CONTENT_TYPE, BXSAEncoding)
 
 
+def _base_type(content_type: str) -> str:
+    """A wire content type without its parameters, lower-cased."""
+    return content_type.split(";")[0].strip().lower()
+
+
 def encoding_for_content_type(content_type: str) -> EncodingPolicy:
     """Instantiate the registered policy matching a wire content type.
 
     Servers use this to decode whatever a client sent and to reply in
     kind — the generic engine's server side is encoding-agnostic.
     """
-    base = content_type.split(";")[0].strip().lower()
-    factory = _REGISTRY.get(base)
+    factory = _REGISTRY.get(_base_type(content_type))
     if factory is None:
         raise ValueError(f"no encoding policy for content type {content_type!r}")
     return factory()
+
+
+class NegotiatedPolicies:
+    """Per-message negotiation: one warm policy per content type spoken.
+
+    ``default`` answers its own content type (and is what an unresolvable
+    type is answered in); any other registered type gets a policy created
+    on first use and held, so the cross-message codec state — compiled
+    BXSA plans, interned names — survives on the negotiation path instead
+    of being rebuilt per message.
+
+    An instance belongs to whatever runs exchanges one at a time — a pool
+    worker, a TCP connection, a client engine — so the policies it creates
+    are used without locking and never shared across threads.
+    """
+
+    __slots__ = ("default", "_policies")
+
+    def __init__(self, default: EncodingPolicy | None = None) -> None:
+        self.default = default if default is not None else XMLEncoding()
+        self._policies = {_base_type(self.default.content_type): self.default}
+
+    def resolve(self, content_type: str) -> EncodingPolicy:
+        """The policy for a wire content type; :class:`ValueError` when no
+        registered policy speaks it."""
+        # keyed by base type only — a peer's parameters must not grow the
+        # table — so the bare, lower-case tag nearly every message carries
+        # is the one-lookup path
+        policy = self._policies.get(content_type)
+        if policy is None:
+            base = _base_type(content_type)
+            policy = self._policies.get(base)
+            if policy is None:
+                policy = self._policies[base] = encoding_for_content_type(base)
+        return policy

@@ -1,10 +1,14 @@
 """Service hosts: run a dispatcher behind a TCP or HTTP binding.
 
-There is one SOAP-over-HTTP host, :class:`SoapHttpService`: it supplies
-``route`` (404/405) and ``exchange`` (one SOAP exchange) to the shared
-:class:`~repro.transport.http.pipeline.RequestPipeline` and runs inline
-on the threaded driver; :class:`repro.serve.SoapServeService` is the same
-host configured with a worker pool and a choice of driver.
+What a server does with one SOAP message is written once, in
+:func:`repro.core.engine.serve_exchange`; a host supplies a binding's
+framing, the dispatcher as ``handle``, a policy cache and the RED count.
+:class:`SoapHttpService`, the one SOAP-over-HTTP host, supplies ``route``
+(404/405) and ``exchange`` to the shared
+:class:`~repro.transport.http.pipeline.RequestPipeline` and runs inline on
+the threaded driver (:class:`repro.serve.SoapServeService` is the same host
+with a worker pool and a choice of driver); :class:`SoapTcpService` is the
+length-prefixed binding on a :class:`~repro.transport.host.ConnectionHost`.
 
 Both hosts are content-type negotiating: a single host serves XML and BXSA
 clients simultaneously, answering each in the encoding it spoke — the
@@ -26,21 +30,17 @@ the shared ``"?"`` series, so clients cannot explode label cardinality.
 
 from __future__ import annotations
 
-import threading
 import time
 
-from repro import obs
 from repro.core.dispatcher import Dispatcher
-from repro.core.engine import SoapEngine
-from repro.core.envelope import SoapEnvelope
-from repro.core.fault import CLIENT_FAULT, SoapFault
-from repro.core.policies import EncodingPolicy, XMLEncoding, encoding_for_content_type
-from repro.obs import propagation
+from repro.core.engine import Served, serve_exchange
+from repro.core.policies import EncodingPolicy, NegotiatedPolicies, XMLEncoding
 from repro.obs.metrics import MetricsRegistry
-from repro.transport.base import Listener, TransportError
+from repro.transport.base import BufferedChannel, Listener
+from repro.transport.host import ConnectionHost
 from repro.transport.http.messages import BodyPieces, HttpRequest, HttpResponse
 from repro.transport.http.server import HttpServer
-from repro.transport.tcp_binding import TcpServerBinding
+from repro.transport.tcp_binding import serve_messages
 
 #: Label names of the service-level RED family (fixed at first use).
 RED_LABELS = ("operation", "encoding", "binding", "status")
@@ -64,14 +64,17 @@ class _RedRecorder:
             self._known = {op.rsplit("}", 1)[-1] for op in self._dispatcher.operations()}
         return local if local in self._known else "?"
 
-    def record(self, operation: str, encoding: str, status: str, seconds: float) -> None:
+    def record(self, served: Served, seconds: float) -> None:
+        # an unresolvable type was answered in the host's default encoding,
+        # which is not what the client spoke
+        encoding = "?" if served.status == "unsupported_media" else served.content_type
         self._metrics.counter(
             "soap_requests_total",
             labels={
-                "operation": operation,
+                "operation": served.operation,
                 "encoding": encoding,
                 "binding": self._binding,
-                "status": status,
+                "status": served.status,
             },
         ).add()
         # the worst request's trace id rides along as an exemplar, linking
@@ -79,99 +82,16 @@ class _RedRecorder:
         self._metrics.histogram(
             "soap_request_seconds",
             labels={
-                "operation": operation,
+                "operation": served.operation,
                 "encoding": encoding,
                 "binding": self._binding,
             },
-        ).observe(seconds, exemplar=obs.current_trace_id())
-
-    @staticmethod
-    def status_for(fault: SoapFault) -> str:
-        return "client_fault" if fault.code == CLIENT_FAULT else "server_fault"
+        ).observe(seconds, exemplar=served.trace_id)
 
 
-def run_soap_http_exchange(
-    request: HttpRequest,
-    dispatcher: Dispatcher,
-    red: _RedRecorder,
-    resolve_encoding,
-    security=None,
-) -> tuple[HttpResponse, str, str, str]:
-    """One SOAP-over-HTTP exchange → (response, operation, encoding, status).
-
-    The core of the HTTP host: inline on the driver's thread for
-    :class:`SoapHttpService`, on a pool worker for its pooled
-    configuration (:class:`repro.serve.SoapServeService`) — same wire
-    behaviour, different execution discipline.
-
-    ``resolve_encoding`` maps a bare content type to the
-    :class:`EncodingPolicy` that answers it (raising :class:`ValueError`
-    for unsupported types); callers choose the policy's lifetime — per
-    message, per service, or per worker (the warm-session reuse path).
-    """
-    content_type = (request.headers.get("Content-Type") or "text/xml").split(";")[0].strip()
-
-    try:
-        encoding = resolve_encoding(content_type)
-    except ValueError:
-        response = HttpResponse(
-            400, body=f"unsupported content type {content_type}".encode()
-        )
-        return response, "?", "?", "unsupported_media"
-
-    try:
-        envelope = SoapEnvelope.from_document(encoding.decode(request.body))
-    except Exception as exc:  # malformed payload → client fault
-        fault = SoapFault("soap:Client", f"cannot parse request: {exc}")
-        response = _soap_fault_response(fault, encoding, security)
-        return response, "?", encoding.content_type, "client_fault"
-
-    operation = red.operation_label(envelope)
-    try:
-        if security is not None:
-            security.verify(envelope)
-        response = dispatcher.dispatch(envelope)
-    except SoapFault as fault:
-        return (
-            _soap_fault_response(fault, encoding, security),
-            operation,
-            encoding.content_type,
-            red.status_for(fault),
-        )
-
-    if security is not None:
-        security.sign(response)
-    resp = HttpResponse(200, body=_encode_body(encoding, response.to_document()))
-    resp.headers.set("Content-Type", encoding.content_type)
-    return resp, operation, encoding.content_type, "ok"
-
-
-def _encode_body(encoding: EncodingPolicy, document):
-    """The response body: ``encoding.encode``'s bytes, or — from a policy
-    that can gather (``encode_pieces``) and has a bulk payload to hand
-    over by reference — the pieces, for the driver to write one by one."""
-    gather = getattr(encoding, "encode_pieces", None)
-    if gather is None:
-        return encoding.encode(document)
-    pieces = gather(document)
-    return pieces[0] if len(pieces) == 1 else BodyPieces(pieces)
-
-
-def _soap_fault_response(
-    fault: SoapFault, encoding: EncodingPolicy, security=None
-) -> HttpResponse:
-    envelope = SoapEnvelope.wrap(fault.to_element())
-    if security is not None:
-        security.sign(envelope)
-    body = encoding.encode(envelope.to_document())
-    # SOAP 1.1 over HTTP: faults ride a 500.
-    resp = HttpResponse(500, body=body)
-    resp.headers.set("Content-Type", encoding.content_type)
-    return resp
-
-
-class SoapTcpService:
-    """SOAP over the raw TCP binding, persistent connections, threaded."""
+class SoapTcpService(ConnectionHost):
+    """SOAP over the raw TCP binding, persistent connections, threaded
+    (``start``/``stop``/``with`` and the drain are the connection host's)."""
 
     def __init__(
         self,
@@ -183,113 +103,37 @@ class SoapTcpService:
         name: str = "soap-tcp",
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        self._listener = listener
+        super().__init__(listener, self._serve_connection, name=name)
         self._dispatcher = dispatcher
         self._encoding = encoding if encoding is not None else XMLEncoding()
         self._security = security
-        self._name = name
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._red = _RedRecorder(self.metrics, dispatcher, "tcp")
-        self._running = False
-        self._thread: threading.Thread | None = None
-        # accepted connections, so stop() can close and join them
-        self._conn_lock = threading.Lock()
-        self._conns: dict[threading.Thread, object] = {}
 
-    def start(self) -> "SoapTcpService":
-        if self._running:
-            raise RuntimeError("service already running")
-        self._running = True
-        self._thread = threading.Thread(target=self._accept_loop, name=self._name, daemon=True)
-        self._thread.start()
-        return self
+    def _serve_connection(self, channel: BufferedChannel) -> None:
+        # one cache per connection: its exchanges run one at a time
+        policies = NegotiatedPolicies(self._encoding)
 
-    def stop(self) -> None:
-        """Stop accepting, close every accepted channel, join the threads."""
-        self._running = False
-        self._listener.close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-        with self._conn_lock:
-            conns = dict(self._conns)
-        for channel in conns.values():
-            try:
-                channel.close()  # fails the connection thread's blocked read
-            except TransportError:
-                pass
-        deadline = time.monotonic() + 1.0
-        for thread in conns:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-
-    def __enter__(self) -> "SoapTcpService":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                channel = self._listener.accept()
-            except TransportError:
-                return
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(channel,),
-                name=f"{self._name}-conn",
-                daemon=True,
+        def answer(payload: bytes, content_type: str):
+            start = time.perf_counter()
+            served = serve_exchange(
+                payload,
+                content_type,
+                self._dispatcher.dispatch,
+                policies,
+                security=self._security,
+                label=self._red.operation_label,
+                span="soap.serve",
             )
-            with self._conn_lock:
-                self._conns[thread] = channel
-            thread.start()
+            self._red.record(served, time.perf_counter() - start)
+            return served.body, served.content_type
 
-    def _serve_connection(self, channel) -> None:
-        engine = SoapEngine(self._encoding, TcpServerBinding(channel), self._security)
-        red = self._red
-        self.metrics.gauge("soap_tcp_connections_open").inc()
+        open_gauge = self.metrics.gauge("soap_tcp_connections_open")
+        open_gauge.inc()
         try:
-            while True:
-                start = time.perf_counter()
-                try:
-                    request, content_type = engine.receive()
-                except TransportError:
-                    return  # client finished
-                except SoapFault as fault:
-                    red.record(
-                        "?", "?", red.status_for(fault), time.perf_counter() - start
-                    )
-                    engine.reply_fault(fault)
-                    continue
-                encoding_label = content_type.split(";")[0].strip()
-                operation = red.operation_label(request)
-                # the engine has no HTTP headers: here the trace context
-                # arrives as the envelope's SOAP header block
-                ctx = propagation.extract_envelope(request)
-                with obs.span(
-                    "soap.serve", kind="logical", context=ctx, operation=operation
-                ), obs.use_context(ctx):
-                    try:
-                        response = self._dispatcher.dispatch(request)
-                    except SoapFault as fault:
-                        red.record(
-                            operation,
-                            encoding_label,
-                            red.status_for(fault),
-                            time.perf_counter() - start,
-                        )
-                        engine.reply_fault(fault, content_type)
-                        continue
-                    engine.reply(response, content_type)
-                    red.record(
-                        operation, encoding_label, "ok", time.perf_counter() - start
-                    )
+            serve_messages(channel, self.receive, answer)
         finally:
-            self.metrics.gauge("soap_tcp_connections_open").dec()
-            with self._conn_lock:
-                self._conns.pop(threading.current_thread(), None)
-            channel.close()
+            open_gauge.dec()
 
 
 class SoapHttpService:
@@ -353,24 +197,38 @@ class SoapHttpService:
             return HttpResponse(405, body=b"SOAP endpoints accept POST only")
         return None
 
-    def exchange(self, request: HttpRequest, codecs) -> HttpResponse:
-        """One SOAP exchange, RED-counted; ``codecs`` is the pool worker's
-        warm encodings, or ``None`` when the exchange runs inline."""
-        resolve = codecs.resolve if codecs is not None else self._resolve_encoding
-        response, operation, encoding_label, status = run_soap_http_exchange(
-            request, self._dispatcher, self._red, resolve, self._security
+    def exchange(self, request: HttpRequest, policies: NegotiatedPolicies | None) -> HttpResponse:
+        """One SOAP exchange, RED-counted; ``policies`` is the pool worker's
+        warm cache, or ``None`` when the exchange runs inline."""
+        if policies is None:
+            # inline, connection threads run exchanges side by side and
+            # share only the host's own policy, as they always have: a
+            # foreign content type gets a policy of its own per message
+            policies = NegotiatedPolicies(self._encoding)
+        content_type = request.headers.get("Content-Type") or "text/xml"
+        served = serve_exchange(
+            request.body,
+            content_type,
+            self._dispatcher.dispatch,
+            policies,
+            security=self._security,
+            label=self._red.operation_label,
         )
         # from the pipeline taking the request, so the RED latency includes
         # any queue wait: it is what the client saw
-        elapsed = time.perf_counter() - request.received_at
-        self._red.record(operation, encoding_label, status, elapsed)
+        self._red.record(served, time.perf_counter() - request.received_at)
+        if served.status == "unsupported_media":
+            # HTTP has a refusal of its own for this, before SOAP is involved
+            return HttpResponse(400, body=f"unsupported content type {content_type}".encode())
+        body = served.body
+        # SOAP 1.1 over HTTP: faults ride a 500
+        response = HttpResponse(
+            200 if served.status == "ok" else 500,
+            body=BodyPieces(body) if isinstance(body, list) else body,
+        )
+        response.headers.set("Content-Type", served.content_type)
         return response
 
     def shed(self, _request: HttpRequest, seconds: float) -> None:
         """RED-count a request the pipeline turned away with a 503."""
-        self._red.record("?", "?", "shed", seconds)
-
-    def _resolve_encoding(self, content_type: str) -> EncodingPolicy:
-        if content_type == self._encoding.content_type:
-            return self._encoding
-        return encoding_for_content_type(content_type)
+        self._red.record(Served(b"", "?", "?", "shed", None), seconds)

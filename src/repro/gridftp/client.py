@@ -212,7 +212,9 @@ class GridFTPClient:
                         channel.close()
 
             threads = [
-                threading.Thread(target=pull, args=(i, addr), daemon=True)
+                threading.Thread(
+                    target=pull, args=(i, addr), name=f"gridftp-stripe-{i}", daemon=True
+                )
                 for i, addr in enumerate(addresses)
             ]
             for thread in threads:

@@ -18,6 +18,14 @@ block (MODE E's EOF semantics).  Blocks are cut every ``block_size`` bytes
 and dealt round-robin over the streams, each stream sent by its own
 thread — so a multi-stream client genuinely observes interleaved,
 out-of-order arrivals.
+
+The control channel is a :class:`~repro.transport.host.ConnectionHost`
+(threads, ``start``/``stop``/``with`` and the drain are its).  A data
+channel is not a connection it accepts but a one-shot rendezvous opened for
+one stream of one transfer, so the sender threads and their single
+``accept()`` stay here — and ``stop()`` closes the rendezvous of transfers
+in flight first, so a sender parked on one nobody dials cannot hold its
+control connection through the drain.
 """
 
 from __future__ import annotations
@@ -27,7 +35,8 @@ import threading
 from typing import Callable
 
 from repro.gridftp.auth import AuthenticationError, HostCredential, server_handshake
-from repro.transport.base import BufferedChannel, Channel, Listener, TransportError
+from repro.transport.base import BufferedChannel, Listener, TransportError
+from repro.transport.host import ConnectionHost
 
 BLOCK_HEADER = struct.Struct(">QIB")
 EOF_FLAG = 0x01
@@ -37,7 +46,7 @@ EOF_FLAG = 0x01
 DEFAULT_BLOCK_SIZE = 262144
 
 
-class GridFTPServer:
+class GridFTPServer(ConnectionHost):
     """Serve published byte blobs over the striped protocol.
 
     Parameters
@@ -67,15 +76,16 @@ class GridFTPServer:
         name: str = "gridftp",
         metrics=None,
     ) -> None:
-        self._control_listener = control_listener
+        super().__init__(control_listener, self._serve_control, name=name)
         self._data_listener_factory = data_listener_factory
         self._credential = credential
         self._block_size = block_size
-        self._name = name
         self.metrics = metrics
         self._store: dict[str, bytes] = {}
-        self._running = False
-        self._thread: threading.Thread | None = None
+        # data rendezvous of transfers in flight, so stop() can close them;
+        # ``None`` once stopping: no transfer starts after that
+        self._transfer_lock = threading.Lock()
+        self._rendezvous: set[Listener] | None = set()
 
     def _count_transfer(self, status: str, n_bytes: int = 0) -> None:
         if self.metrics is None:
@@ -95,51 +105,23 @@ class GridFTPServer:
     def unpublish(self, path: str) -> None:
         self._store.pop(path, None)
 
-    def start(self) -> "GridFTPServer":
-        self._running = True
-        self._thread = threading.Thread(target=self._accept_loop, name=self._name, daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._running = False
-        self._control_listener.close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-
-    def __enter__(self) -> "GridFTPServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+    def stop(self, drain_timeout: float | None = None) -> None:
+        """Fail the rendezvous nobody has dialled, then the host's stop rule:
+        a transfer already streaming finishes within the drain budget."""
+        with self._transfer_lock:
+            rendezvous, self._rendezvous = self._rendezvous, None
+        for listener in rendezvous or ():  # None: stopped before
+            listener.close()  # wakes the sender parked in accept()
+        super().stop(drain_timeout)
 
     # ------------------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                channel = self._control_listener.accept()
-            except TransportError:
-                return
-            threading.Thread(
-                target=self._serve_control,
-                args=(channel,),
-                name=f"{self._name}-ctrl",
-                daemon=True,
-            ).start()
-
-    def _serve_control(self, raw_channel: Channel) -> None:
-        channel = BufferedChannel(raw_channel)
+    def _serve_control(self, channel: BufferedChannel) -> None:
         try:
-            try:
-                server_handshake(channel, self._credential)
-            except (AuthenticationError, TransportError):
-                return
+            # a peer that has not authenticated owes nothing either
+            self.receive(channel, lambda ch: server_handshake(ch, self._credential))
             while True:
-                try:
-                    line = channel.recv_until(b"\n", max_bytes=4096)
-                except TransportError:
-                    return
+                line = self.receive(channel, lambda ch: ch.recv_until(b"\n", max_bytes=4096))
                 command = str(line, "utf-8").strip()
                 if not command:
                     continue
@@ -154,8 +136,8 @@ class GridFTPServer:
                     self._cmd_retr(channel, rest)
                 else:
                     channel.send_all(f"500 Unknown command {verb}\n".encode())
-        finally:
-            raw_channel.close()
+        except (AuthenticationError, TransportError):
+            return  # not who it claimed, gone, or the server is draining
 
     # ------------------------------------------------------------------
 
@@ -186,7 +168,12 @@ class GridFTPServer:
             channel.send_all(f"550 No such file {path}\n".encode())
             return
 
-        rendezvous = [self._data_listener_factory() for _ in range(n_streams)]
+        with self._transfer_lock:
+            if self._rendezvous is None:
+                channel.send_all(b"421 Service closing\n")
+                return
+            rendezvous = [self._data_listener_factory() for _ in range(n_streams)]
+            self._rendezvous.update(listener for _addr, listener in rendezvous)
         addresses = " ".join(addr for addr, _listener in rendezvous)
         channel.send_all(f"150 {n_streams} {addresses}\n".encode())
 
@@ -203,6 +190,9 @@ class GridFTPServer:
             senders.append(thread)
         for thread in senders:
             thread.join(timeout=60)
+        with self._transfer_lock:
+            if self._rendezvous is not None:
+                self._rendezvous.difference_update(listener for _addr, listener in rendezvous)
         if failures:
             self._count_transfer("failed")
             channel.send_all(f"426 Transfer failed: {failures[0]}\n".encode())

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.dispatcher import Dispatcher
-from repro.core.policies import EncodingPolicy, encoding_for_content_type
+from repro.core.policies import NegotiatedPolicies
 from repro.core.service import SoapHttpService
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.pool import WorkerPool
@@ -65,28 +65,6 @@ class ServeConfig:
     #: readiness stops routing here *before* shedding starts.  Liveness
     #: (``/healthz``) is unaffected.
     ready_queue_fraction: float = 0.75
-
-
-class _WorkerCodecs:
-    """Per-worker encoding policies, created lazily and held warm.
-
-    One instance lives in exactly one worker thread, so the policies it
-    holds — including session-backed BXSA codecs with compiled encode and
-    decode plans — are reused across that worker's requests with no
-    locking.
-    """
-
-    __slots__ = ("_policies",)
-
-    def __init__(self) -> None:
-        self._policies: dict[str, EncodingPolicy] = {}
-
-    def resolve(self, content_type: str) -> EncodingPolicy:
-        policy = self._policies.get(content_type)
-        if policy is None:
-            policy = encoding_for_content_type(content_type)
-            self._policies[content_type] = policy
-        return policy
 
 
 class SoapServeService(SoapHttpService):
@@ -141,7 +119,9 @@ class SoapServeService(SoapHttpService):
             config.queue_depth,
             metrics=self.metrics,
             name=name,
-            worker_state_factory=_WorkerCodecs,
+            # one warm policy cache per worker: same-shape traffic rides
+            # the compiled plans with no codec state shared across threads
+            worker_state_factory=NegotiatedPolicies,
             retry_after=config.retry_after,
         )
         pipeline = RequestPipeline(

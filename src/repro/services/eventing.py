@@ -30,7 +30,8 @@ from repro.core.engine import SoapEngine
 from repro.core.envelope import SoapEnvelope
 from repro.core.fault import CLIENT_FAULT, SoapFault
 from repro.core.policies import EncodingPolicy, XMLEncoding, encoding_for_content_type
-from repro.transport.base import Channel, Listener, TransportError
+from repro.transport.base import BufferedChannel, Channel, Listener, TransportError
+from repro.transport.host import ConnectionHost
 from repro.transport.tcp_binding import TcpClientBinding, TcpServerBinding
 from repro.xdm.builder import element, leaf
 from repro.xdm.nodes import ElementNode, Node
@@ -173,8 +174,9 @@ class EventSource:
             channel.close()
 
 
-class NotificationSink:
-    """Subscriber half: receives one-way Notify messages on a listener."""
+class NotificationSink(ConnectionHost):
+    """Subscriber half: receives one-way Notify messages on a listener,
+    one per connection (``start``/``stop``/``with`` are the host's)."""
 
     def __init__(
         self,
@@ -184,48 +186,14 @@ class NotificationSink:
         encoding: EncodingPolicy | None = None,
         name: str = "event-sink",
     ) -> None:
-        self._listener = listener
+        super().__init__(listener, self._receive_one, name=name)
         self._on_event = on_event
         self._encoding = encoding if encoding is not None else XMLEncoding()
-        self._name = name
-        self._thread: threading.Thread | None = None
-        self._running = False
 
-    def start(self) -> "NotificationSink":
-        self._running = True
-        self._thread = threading.Thread(target=self._loop, name=self._name, daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._running = False
-        self._listener.close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-
-    def __enter__(self) -> "NotificationSink":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def _loop(self) -> None:
-        while self._running:
-            try:
-                channel = self._listener.accept()
-            except TransportError:
-                return
-            threading.Thread(
-                target=self._receive_one,
-                args=(channel,),
-                name=f"{self._name}-rx",
-                daemon=True,
-            ).start()
-
-    def _receive_one(self, channel) -> None:
+    def _receive_one(self, channel: BufferedChannel) -> None:
+        engine = SoapEngine(self._encoding, TcpServerBinding(channel))
         try:
-            engine = SoapEngine(self._encoding, TcpServerBinding(channel))
-            envelope, _content_type = engine.receive()
+            envelope, _content_type = self.receive(channel, lambda _channel: engine.receive())
             body = envelope.body_root
             if body.name.local != "Notify":
                 return  # not a notification; drop (one-way: nobody to fault)
@@ -238,5 +206,3 @@ class NotificationSink:
             self._on_event(subscription_id, event)
         except (TransportError, SoapFault, StopIteration):
             pass  # a malformed one-way message has no error channel
-        finally:
-            channel.close()

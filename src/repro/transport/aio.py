@@ -206,6 +206,7 @@ class AsyncHttpServer(DriverBase):
     # lifecycle
 
     def _launch(self) -> None:
+        self._pipeline.started_at = time.monotonic()
         self._lsock.setblocking(False)
         self._sel = selectors.DefaultSelector()
         self._sel.register(self._lsock, selectors.EVENT_READ, _ACCEPT)

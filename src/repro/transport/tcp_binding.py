@@ -14,6 +14,11 @@ The content-type tag is how a server engine knows which encoding policy to
 decode with — the wire-level counterpart of HTTP's ``Content-Type`` header,
 kept deliberately minimal (the whole point of this binding is that framing
 overhead is a handful of bytes, not an HTTP transaction).
+
+Server side, :func:`serve_messages` is the per-connection loop a
+:class:`~repro.transport.host.ConnectionHost` runs (the SOAP/TCP service,
+the intermediary), what a message *means* passed in as ``answer``;
+:class:`TcpServerBinding` is for an engine receiving one-way messages.
 """
 
 from __future__ import annotations
@@ -30,15 +35,29 @@ _MAX_CONTENT_TYPE = 255
 MAX_MESSAGE_BYTES = 1 << 31
 
 
-def write_message(channel: Channel, payload: bytes, content_type: str) -> int:
-    """Frame and send one message; returns bytes put on the wire."""
+def write_message(channel: Channel, payload, content_type: str) -> int:
+    """Frame and send one message; returns bytes put on the wire.
+
+    ``payload`` is ``bytes``, or the pieces a gathering encoder made
+    (``encode_pieces``): header, then each piece by reference — no
+    payload-sized join — under that encoder's aliasing contract.
+    """
     ctag = content_type.encode("ascii")
     if not 0 < len(ctag) <= _MAX_CONTENT_TYPE:
         raise TransportError(f"content type {content_type!r} not encodable")
-    header = _MAGIC + bytes((len(ctag),)) + ctag + struct.pack(">I", len(payload))
-    with obs.span("tcp.write", kind="cpu", bytes=len(header) + len(payload)):
-        channel.send_all(header + payload)
-    return len(header) + len(payload)
+    pieces = payload if isinstance(payload, list) else (payload,)
+    length = sum(len(piece) for piece in pieces)
+    header = _MAGIC + bytes((len(ctag),)) + ctag + struct.pack(">I", length)
+    with obs.span("tcp.write", kind="cpu", bytes=len(header) + length):
+        if len(pieces) == 1:
+            # one send: a small message split in two segments costs the
+            # peer a second wake-up
+            channel.send_all(header + pieces[0])
+        else:
+            channel.send_all(header)
+            for piece in pieces:
+                channel.send_all(piece)
+    return len(header) + length
 
 
 def read_message(channel: Channel) -> tuple[bytes, str]:
@@ -58,6 +77,33 @@ def read_message(channel: Channel) -> tuple[bytes, str]:
             return payload, str(ctag, "ascii")
         except UnicodeDecodeError as exc:
             raise TransportError(f"invalid content-type tag: {exc}") from exc
+
+
+def serve_messages(channel: Channel, receive, answer) -> None:
+    """Serve one connection: read a message, write ``answer``'s, repeat
+    until the peer is done or the host is draining.
+
+    ``receive(channel, read)`` is the host's idle gate
+    (``ConnectionHost.receive``); ``answer(payload, content_type)`` returns
+    the reply's ``(payload, content_type)``.
+    """
+    while _serve_message(channel, receive, answer):
+        pass
+
+
+def _serve_message(channel: Channel, receive, answer) -> bool:
+    # its own frame on purpose: the request and the reply die with it, so
+    # nothing payload-sized rides along while the thread parks in the next read
+    try:
+        payload, content_type = receive(channel, read_message)
+    except TransportError:
+        return False  # peer finished, or the host is draining
+    reply = answer(payload, content_type)
+    try:
+        write_message(channel, *reply)
+    except TransportError:
+        return False  # peer went away mid-reply
+    return True
 
 
 class TcpClientBinding:

@@ -491,7 +491,9 @@ class TestDuplicatePostRegression:
 
     def _first_post_then_reset_server(self, net, applied, answer_second=True):
         """Applies the first POST, then resets with zero response bytes.
-        If ``answer_second``, a second connection gets a 200."""
+        If ``answer_second``, a second connection gets a 200.  Returns the
+        listener and the thread: a caller whose client never reconnects
+        closes the one to end (and then joins) the other."""
         listener = net.listen("web")
 
         def serve():
@@ -514,14 +516,14 @@ class TestDuplicatePostRegression:
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
-        return thread
+        return listener, thread
 
     def test_non_idempotent_post_never_replayed(self):
         from repro.transport.http.client import HttpClient
 
         net = MemoryNetwork()
         applied = []
-        self._first_post_then_reset_server(net, applied)
+        listener, server = self._first_post_then_reset_server(net, applied)
         connects = []
 
         def connect():
@@ -532,6 +534,9 @@ class TestDuplicatePostRegression:
         with pytest.raises(TransportError):
             client.request("POST", "/apply", body=b"debit $100")
         client.close()
+        listener.close()  # the second connection the server waits for never comes
+        server.join(5)
+        assert not server.is_alive()
         assert applied == [b"debit $100"]  # applied exactly once
         assert len(connects) == 1  # and never even re-sent
 
@@ -693,6 +698,7 @@ class TestDeadlines:
 
         net = MemoryNetwork()
         listener = net.listen("tarpit")
+        done = threading.Event()
 
         def tarpit():
             import struct
@@ -709,15 +715,20 @@ class TestDeadlines:
                     channel.send_all(b"x")
                 except TransportError:
                     return
-                _time.sleep(0.01)
+                if done.wait(0.01):
+                    return
 
-        threading.Thread(target=tarpit, daemon=True).start()
+        server = threading.Thread(target=tarpit, daemon=True)
+        server.start()
         client = SoapTcpClient(lambda: net.connect("tarpit"), encoding=XMLEncoding())
         start = _time.monotonic()
         with pytest.raises(DeadlineExceeded):
             client.call(SoapEnvelope.wrap(element("Echo")), deadline=0.15)
         assert _time.monotonic() - start < 5.0  # bounded, nowhere near a hang
         client.close()
+        done.set()
+        server.join(5)
+        assert not server.is_alive()
 
     def test_deadline_never_retried(self):
         """DeadlineExceeded is terminal: retrying past a blown budget

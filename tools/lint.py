@@ -21,8 +21,14 @@ lint) — they confine the concurrency machinery to its designated homes:
   selector loop hiding elsewhere would split readiness handling across
   owners and defeat the one-loop invariant the aio module documents.
 * inside ``src/repro/transport`` only ``aio.py`` (its loop thread) and
-  ``http/server.py`` (its accept and connection threads) may reference
-  ``threading.Thread`` — transport code must not grow ad-hoc threads.
+  ``host.py`` (the connection host's accept and connection threads) may
+  reference ``threading.Thread`` — transport code must not grow ad-hoc
+  threads.
+* inside ``src/repro`` only ``transport/host.py`` may call ``.accept()``
+  on a listener, the aio loop, the socket listener's own implementation
+  and GridFTP's one-shot data rendezvous aside — a server is a
+  ``ConnectionHost`` plus a ``serve_connection``, never a private accept
+  loop with its own idea of ``stop()``.
 * inside ``src/repro`` only ``transport/http/pipeline.py`` (and the
   message codec) may name an admin target, open the ``http.serve`` span,
   write the generic 500 body or call ``busy_response`` — serving
@@ -200,8 +206,9 @@ def _repro_relative(path: str) -> str | None:
 #: Modules allowed to import ``selectors`` (relative to src/repro).
 SELECTOR_HOMES = {"transport/aio.py"}
 
-#: Transport modules allowed to reference ``threading.Thread``.
-TRANSPORT_THREAD_HOMES = {"transport/aio.py", "transport/http/server.py"}
+#: Transport modules allowed to reference ``threading.Thread``: the aio
+#: loop thread, and the one threaded connection host.
+TRANSPORT_THREAD_HOMES = {"transport/aio.py", "transport/host.py"}
 
 
 def concurrency_findings(path: str) -> list[tuple[int, str]]:
@@ -229,7 +236,7 @@ def concurrency_findings(path: str) -> list[tuple[int, str]]:
     )
     thread_message = (
         "thread spawning in repro.transport is reserved to aio.py and "
-        "http/server.py (their serving loops are the only transport threads)"
+        "host.py (the loop and the connection host are the only transport threads)"
     )
     for node in ast.walk(tree):
         if not selectors_ok and isinstance(node, ast.Import):
@@ -497,6 +504,37 @@ def frame_emit_findings(path: str) -> list[tuple[int, str]]:
     )  # fmt: skip
 
 
+#: The modules allowed to call ``.accept()`` (relative to src/repro), each
+#: with its reason.
+ACCEPT_HOMES = {
+    "transport/host.py",  # the one accept thread: ConnectionHost._accept_loop
+    "transport/aio.py",  # the selector loop accepts non-blockingly, no thread
+    "transport/sockets.py",  # TcpListener.accept is socket.accept wrapped
+    # one-shot data rendezvous: a listener opened for one stream of one
+    # transfer, accepted once by that stream's sender and closed — not a
+    # server; GridFTPServer.stop() closes the ones nobody has dialled
+    "gridftp/server.py",
+}
+
+
+def accept_loop_findings(path: str) -> list[tuple[int, str]]:
+    """Confine ``.accept()`` calls to the connection host.
+
+    Five hosts once hand-wrote "accept thread + thread per connection +
+    start/stop/with", and only one of them implemented the stop rule
+    (DESIGN.md §10).  A server is now ``ConnectionHost`` plus a
+    ``serve_connection(channel)``; an ``.accept(`` call anywhere else under
+    ``src/repro`` — :data:`ACCEPT_HOMES` aside — is a sixth accept loop
+    with a lifecycle of its own.
+    """
+    return _calls_outside(
+        path, ACCEPT_HOMES, {"accept"},
+        "accepting connections is reserved to transport/host.py; .{name}() here is "
+        "a private accept loop — derive from (or own) a ConnectionHost and supply "
+        "serve_connection(channel)",
+    )  # fmt: skip
+
+
 #: The modules that write responses to sockets (relative to src/repro).
 RESPONSE_WRITERS = {"transport/aio.py", "transport/http/server.py"}
 
@@ -554,6 +592,7 @@ REPO_RULES = (
     replica_policy_findings,
     frame_grammar_findings,
     frame_emit_findings,
+    accept_loop_findings,
     response_join_findings,
 )
 
