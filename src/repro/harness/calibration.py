@@ -17,6 +17,26 @@ wire time at 64 MB — which puts the factor near 10 for this hardware.
 
 Override with the ``REPRO_CPU_SCALE`` environment variable (set it to 1 to
 see raw modern-hardware measurements).
+
+**The scale is coupled to the XML codec's current speed.**  Both anchors
+weigh CPU measured *through the codecs under test* against modelled wire
+time, so the factor that satisfies them is a property of how fast
+``repro.xmlcodec`` happens to be, not of the machine alone — and that codec
+is not as fast as pure Python allows.  ISSUE 20 measured it (alternating
+subprocess runs, lower quartile; a finding recorded, nothing built):
+``parser._try_fast_array``'s per-item regex loop is 92 % of
+``xmlcodec.parse_us`` on the ledger's ``text_xml`` payload, and a
+``str.split``-based scan with every check kept took decode 1800 → 540 µs and
+encode 850 → 640 µs (``text_xml`` 140 → 275 exchanges/s, ``setup_s`` 1.54 →
+0.92 s).  With that codec and ``DEFAULT_CPU_SCALE = 7`` the reproduction
+fails Figure 5's "XML/HTTP loses from the very beginning" (99 K pairs/s
+against SOAP+HTTP's 103 K at n = 1365) and Figure 4's crossover thins from
+17.5 vs 9.2 ms to 12.3 vs 12.7 ms at n = 1000; ``REPRO_CPU_SCALE=10`` buys
+those back at the price of three other Figure 5 failures.  A faster XML
+kernel therefore waits on a calibration that does not anchor on the codec
+it scales (ROADMAP "Parked"); until then ``xmlcodec`` speed is a constant of
+the experiment, and a PR that changes it re-derives this factor against
+every figure.
 """
 
 from __future__ import annotations

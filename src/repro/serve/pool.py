@@ -42,6 +42,7 @@ import time
 from typing import Callable
 
 from repro.obs.metrics import MetricsRegistry
+from repro.transport.base import prime_allocator
 
 
 class ServeError(Exception):
@@ -186,6 +187,9 @@ class WorkerPool:
         self._running = True
         self._stopping = False
         self._abandoned = False
+        # before the first worker exists: a thread keeps the malloc arena
+        # it first allocated from, whatever the policy says afterwards
+        prime_allocator()
         self.metrics.gauge("serve_workers").set(self.workers)
         self.metrics.gauge("serve_queue_capacity").set(self.queue_depth)
         for i in range(self.workers):

@@ -52,8 +52,13 @@ class Listener(Protocol):
 #: length must never size an allocation: ``recv(10**15)`` raises
 #: ``MemoryError`` in whichever thread called it.  The ceiling is *large*
 #: on purpose — a body read in few pieces near its final size reuses the
-#: allocator's chunks, where a 256 KiB cap fragmented the arenas (ISSUE 18
-#: measured 60-75 MiB peak RSS on a 1.2 MB echo against 56 uncapped).
+#: allocator's chunks, where the pieces of a small cap, interleaved across
+#: the connections one loop thread reads, fragment the heap.  How much
+#: depends on the allocator's thresholds more than on its arenas: ISSUE 18
+#: measured a 256 KiB cap at +4 to +19 MiB peak RSS on a 1.2 MB echo before
+#: any policy was set; under :func:`prime_allocator` it is +1 MiB at two
+#: connections and +4.2 MiB at eight on the selector driver, nothing on the
+#: threaded one (``tools/copy_budget.py --cell aio:100000:8:262144``).
 MAX_READ_BYTES = 16 << 20
 
 
@@ -64,34 +69,92 @@ def read_size(owed: int) -> int:
     return min(owed, MAX_READ_BYTES)
 
 
+#: The allocator policy as ``mallopt(parameter, value)`` settings (glibc's
+#: parameter numbers, ``malloc.h``).  Both thresholds sit past anything a
+#: sized read allocates; the pad is what a trim leaves behind.
+_ALLOCATOR_POLICY = (
+    (-8, 1),  # M_ARENA_MAX
+    (-3, MAX_READ_BYTES + 4096),  # M_MMAP_THRESHOLD
+    (-1, 2 * MAX_READ_BYTES),  # M_TRIM_THRESHOLD
+    (-2, 2 * MAX_READ_BYTES),  # M_TOP_PAD
+)
+
 _allocator_primed = False
 
 
+def _find_mallopt():
+    """The C library's ``mallopt``, or ``None`` where there is none to call
+    (no ``ctypes``, no handle on the running process, no such symbol)."""
+    try:
+        import ctypes  # numpy has already paid for this import
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ImportError, OSError, TypeError, AttributeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
 def prime_allocator() -> None:
-    """Tell the allocator, once per process, how large read buffers get.
+    """Set the process's one allocator policy, once, before its threads.
 
-    A serving driver calls this as it starts.  glibc derives its mmap and
-    heap-trim thresholds from the largest mmapped block it has seen freed.
-    Once that is a 1.2 MB body, a heap whose top holds two of them free is
-    trimmed — the end of every 1.2 MB exchange that lets go of its
-    buffers — and the next exchange faults the pages back in (measured:
-    570-590 minor faults and +1 ms per echo, 0 after).  One untouched
-    block of the read ceiling's size, allocated and freed, moves both
-    thresholds past anything a read allocates: an mmap/munmap pair, no
-    page committed, and meaningless to an allocator without the
-    heuristic.  Once only: a second block this size would come from the
-    heap, be zeroed, and stay.
+    Called by whatever is about to give a payload a thread: a server as it
+    starts (``OneShot.start``, ``WorkerPool.start`` — before the first
+    thread either spawns) and a client as it connects (``connect_tcp``).
+    Four ``mallopt`` settings, silently skipped where the C library has no
+    ``mallopt`` or does not know a parameter (every one is a hint to glibc
+    and means nothing to another allocator):
 
-    The price is process-wide and the embedder's to know: from here on
-    glibc serves allocations under 16 MiB from the heap and returns freed
-    heap top to the kernel only past 32 MiB, so an idle server can sit on
-    that much.  Verified for the ledger's traffic (1.2 MB bodies, two
-    connections); other sizes and connection counts are not measured.
+    * **One arena.**  glibc hands every thread an arena of its own, and
+      every arena keeps its own high-water mark: memory a pool worker freed
+      is memory the loop thread cannot reuse.  These threads allocate only
+      while holding the GIL, so separate arenas buy them no parallelism and
+      cost one peak each (measured on a 1.2 MB echo, two connections, two
+      workers: 4.9 MB resident in the loop thread's arena and 2.35 MB in
+      each worker's, against 4.8 MB ever live).  ``M_ARENA_MAX = 1`` keeps
+      every later thread in the main arena.
+    * **No mmap, no trim, for anything a read allocates.**  Left to itself
+      glibc derives both thresholds from the largest mmapped block it has
+      seen freed.  Once that is a 1.2 MB body, a heap whose top holds two
+      of them free is trimmed — the end of every 1.2 MB exchange that lets
+      go of its buffers — and the next exchange faults the pages back in
+      (measured: 570-590 minor faults and +1 ms per echo in a server, ~1100
+      in a client; 0 after).  ``M_MMAP_THRESHOLD`` just above the read
+      ceiling and ``M_TRIM_THRESHOLD`` at twice it are where that heuristic
+      would arrive on its own after one block of the ceiling's size.
+    * **A trim gives back the excess, not everything.**  With one arena the
+      trim threshold is met by what all threads free *together*, and glibc
+      then returns the whole free top, down to ``M_TOP_PAD`` (128 KiB by
+      default) — for the next exchange to fault back in (measured on 8.4 MB
+      bodies, two connections, threaded driver: 2300 faults and +83 % server
+      CPU per exchange against per-thread arenas).  A pad equal to the
+      threshold keeps the 32 MiB the threshold promises and releases only
+      what is beyond it (~45 faults, CPU level with the per-thread reading).
+
+    What it cannot do: ``M_ARENA_MAX`` stops *new* arenas, so a thread an
+    embedder started (and that allocated) earlier keeps the arena it has,
+    and an arena a finished thread left behind is handed to the next one;
+    pymalloc serves objects under 512 B from its own pools and never asks
+    ``malloc`` at all, so small-object churn is untouched either way.
+
+    The price is process-wide and the embedder's to know, in servers and
+    clients alike: native code that releases the GIL to ``malloc`` in
+    parallel now contends for one arena lock, glibc serves allocations
+    under 16 MiB from the heap, grows the heap 32 MiB of address space
+    (not of memory) ahead of need, and returns freed heap top to the
+    kernel only past 32 MiB, so an idle process can sit on that much.
+    DESIGN.md §10 has the body-size × connection-count table
+    (``tools/copy_budget.py --matrix``).
     """
     global _allocator_primed
-    if not _allocator_primed:
-        _allocator_primed = True
-        bytes(MAX_READ_BYTES)
+    if _allocator_primed:
+        return
+    _allocator_primed = True
+    mallopt = _find_mallopt()
+    if mallopt is not None:
+        for parameter, value in _ALLOCATOR_POLICY:
+            mallopt(parameter, value)
 
 
 def take(buf: bytearray, end: int, start: int = 0) -> bytes:

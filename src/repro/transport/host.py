@@ -62,8 +62,9 @@ class OneShot:
                 f"create a new {type(self).__name__} on a fresh listener instead"
             )
         self._running = True
-        # process-wide, once: keeps glibc from trimming the heap after
-        # every bulk message (see prime_allocator for what it costs)
+        # process-wide, once, before _launch spawns a thread: one malloc
+        # arena, and no heap trim after every bulk message (see
+        # prime_allocator for what it costs)
         prime_allocator()
         self._launch()
         return self

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import socket
 
-from repro.transport.base import TransportClosed, TransportError
+from repro.transport.base import TransportClosed, TransportError, prime_allocator
 
 
 class SocketChannel:
@@ -106,6 +106,9 @@ class TcpListener:
 
 def connect_tcp(host: str, port: int, timeout: float | None = 10.0) -> SocketChannel:
     """Connect to a TCP endpoint and wrap it as a channel."""
+    # a process that only ever connects never starts a server: this is
+    # where it gets the allocator policy (one flag check after the first)
+    prime_allocator()
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
         sock.settimeout(None)

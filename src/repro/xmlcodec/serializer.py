@@ -9,8 +9,15 @@ declarations emitted on the element that first needs them.
 Typed nodes follow the convention in :mod:`repro.xmlcodec.typed`.  Note that
 the per-value number→text conversion in :meth:`XMLSerializer.visit_array` is
 *the* cost the paper's evaluation charges to textual XML — it is implemented
-with the fastest pure-Python idiom available (bulk ``tolist()`` + ``repr``)
-so the comparison against BXSA is fair, not a strawman.
+with a bulk idiom (``tolist()`` + ``repr``) so the comparison against BXSA is
+fair, not a strawman.  It is **not** the fastest pure-Python codec available,
+and must not be made so on its own: the speed of this codec is a calibration
+constant.  :mod:`repro.harness.calibration` anchors the measured→2006 CPU
+scale on what this serializer and the parser's ``_try_fast_array`` cost
+today; a ``str.split``-based item scan (ISSUE 20's prototype, every check
+kept) is 3.3x faster at decode and 1.3x at encode and, at the current scale,
+fails the paper's Figure 5 shape and thins Figure 4's crossover to nothing.
+The numbers are in that module's docstring and in ROADMAP "Parked".
 """
 
 from __future__ import annotations

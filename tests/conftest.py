@@ -1,5 +1,6 @@
 """Shared fixtures and helpers: the two I/O drivers behind one handle, the
-two SOAP bindings behind another, and a thread-leak check on every test.
+two SOAP bindings behind another, and a thread and child-process leak check
+on every test.
 
 The serving contract (``tests/test_serving_contract.py``) runs every case
 against both drivers; ``serving_core`` is the one place that knows how to
@@ -8,6 +9,7 @@ host contract (``tests/test_soap_host_contract.py``) runs every case
 against both bindings through ``soap_host``.
 """
 
+import glob
 import threading
 import time
 
@@ -188,7 +190,8 @@ def soap_host(request):
 
 
 # ---------------------------------------------------------------------------
-# the thread half of ROADMAP item 2.3: no thread outlives its test
+# the thread and child-process halves of ROADMAP item 2.3: no thread and no
+# child process outlives its test
 
 #: Threads a test may leave behind, by name.  Both are a *client's* stripe
 #: worker abandoned by design when a striped transfer raises
@@ -204,22 +207,50 @@ ABANDONED_BY_DESIGN = {
 }
 
 
+def child_processes() -> dict[int, str]:
+    """``{pid: command line}`` of this process's children, zombies included
+    (an exited child nobody waited for is still one).  Linux's procfs lists
+    them per thread; elsewhere there is nothing to read and nothing checked.
+    """
+    children = {}
+    for listing in glob.glob("/proc/self/task/*/children"):
+        try:
+            with open(listing, encoding="ascii") as fh:
+                pids = [int(pid) for pid in fh.read().split()]
+        except OSError:
+            continue  # that thread ended between the glob and the read
+        for pid in pids:
+            try:
+                with open(f"/proc/{pid}/cmdline", "rb") as fh:
+                    command = fh.read().replace(b"\0", b" ").decode(errors="replace").strip()
+            except OSError:
+                continue  # reaped in between
+            children[pid] = command or "<exited, never waited for>"
+    return children
+
+
 @pytest.fixture(autouse=True)
 def no_thread_outlives_its_test():
-    """Every thread a test started is gone shortly after its teardown."""
-    before = set(threading.enumerate())
+    """Every thread and every child process a test started is gone shortly
+    after its teardown."""
+    threads_before = set(threading.enumerate())
+    children_before = set(child_processes())
 
     def leaked():
-        return [
-            thread
+        threads = [
+            f"thread {thread.name}"
             for thread in threading.enumerate()
-            if thread not in before and thread.name not in ABANDONED_BY_DESIGN
+            if thread not in threads_before and thread.name not in ABANDONED_BY_DESIGN
         ]
+        children = [
+            f"child {pid}: {command}"
+            for pid, command in child_processes().items()
+            if pid not in children_before
+        ]
+        return sorted(threads) + children
 
     yield
     try:
         wait_until(lambda: not leaked(), timeout=2.0)
     except AssertionError:
-        raise AssertionError(
-            f"threads outlived the test: {sorted(thread.name for thread in leaked())}"
-        ) from None
+        raise AssertionError(f"outlived the test: {leaked()}") from None

@@ -4,6 +4,8 @@
 ::
 
     python tools/copy_budget.py [--core aio|threaded]
+    python tools/copy_budget.py --matrix [--parent CHECKOUT] [--repeats N]
+    python tools/copy_budget.py --cell CORE:MODEL_SIZE:CONNECTIONS[:READ_CAP]
 
 How many copies of a payload does the serving path hold while it answers
 one bulk ``Echo``, and what does it still hold once the exchange is over?
@@ -34,6 +36,34 @@ a fresh process (run this file; do not import it) under glibc:
   fault back in for the next (~570 per 1.2 MB echo on the selector
   driver); the drivers' ``prime_allocator`` step at start keeps it at 0.
 
+``--matrix`` asks what the allocator makes of that budget away from the one
+cell it was cut for: body size x connections x driver (``MATRIX_*``), the
+server in a fresh interpreter per cell and the clients in another, because
+allocator state and ``VmHWM`` are per process (Linux only: it reads
+``/proc/self/status``).  Per cell, the median and range of ``--repeats``
+runs of:
+
+* **RSS above floor** — the server's ``VmHWM`` after the load, above its
+  ``VmRSS`` idle before the first connection, in payloads.  Unlike the
+  ``tracemalloc`` peak this is what the kernel was asked for: every
+  arena's high-water mark, fragmentation and the cold plan compiles
+  included.  Reported for the client process too.
+* **faults** — minor faults per exchange over the timed window, in the
+  server and in the client process (which does nothing but
+  ``connect_tcp`` and ``SoapHttpClient.call``).
+* **us per exchange** — the window's wall time over the exchanges all
+  connections completed in it (closed loop, one thread per connection),
+  and the server's share of it as CPU time (a fault the kernel serves is
+  in it).  Both processes are pinned to one CPU, which is what makes
+  either repeat, so the wall time is the two processes' CPU time.
+
+``--parent CHECKOUT`` measures another checkout's ``src`` with this same
+file, alternating with this one cell by cell, and marks each cell's RSS and
+time ``lower``/``HIGHER`` when the two sides' ranges do not overlap.
+``--cell`` runs one cell once and prints its JSON; a fourth field caps sized
+reads (``repro.transport.base.MAX_READ_BYTES``) in the server, which is how
+that constant's comment is re-checked.
+
 The budget (DESIGN.md §10, "Copy budget") is ``PEAK_BUDGET`` payloads at
 peak, nothing pinned and ``FAULT_BUDGET`` faults per exchange;
 ``tests/test_copy_budget.py`` holds both drivers to the first two
@@ -45,25 +75,37 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import os
 import resource
 import socket
+import statistics
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+#: ``--src DIR`` (the matrix's children measuring another checkout with this
+#: file) wins over this checkout's own tree.
+SRC = (
+    sys.argv[sys.argv.index("--src") + 1]
+    if "--src" in sys.argv[1:-1]
+    else os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+)
+sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402 - after the path bootstrap
 
+import repro.transport.base as transport_base  # noqa: E402
 from repro.bxsa.session import CodecSession  # noqa: E402
+from repro.core.client import SoapHttpClient  # noqa: E402
 from repro.core.envelope import SoapEnvelope  # noqa: E402
 from repro.core.policies import BXSAEncoding  # noqa: E402
 from repro.serve import ServeConfig, SoapServeService  # noqa: E402
 from repro.services.echo import echo_dispatcher  # noqa: E402
 from repro.transport.http.messages import HEADER_END, HttpRequest  # noqa: E402
-from repro.transport.sockets import TcpListener  # noqa: E402
+from repro.transport.sockets import TcpListener, connect_tcp  # noqa: E402
 from repro.workloads.lead import lead_dataset  # noqa: E402
 from repro.xdm import element  # noqa: E402
 
@@ -272,10 +314,319 @@ def within_budget(result: dict) -> bool:
     )
 
 
+# ---------------------------------------------------------------------------
+# --matrix: the same question per body size x connections x driver, asked of
+# the kernel (VmHWM, minor faults) in a fresh interpreter per process
+
+#: ``lead_dataset`` model sizes: 64 KiB, 1.2 MB (the ledger's) and 8.4 MB bodies.
+MATRIX_MODEL_SIZES = (5_461, FLOATS, 700_000)
+MATRIX_CONNECTIONS = (1, 2, 8, 32)
+#: Warm-up exchanges of a cell, spread over its connections (at least 2
+#: each): enough for both workers' sessions to have compiled and replayed.
+CELL_WARMUP = 16
+#: Timed window of one cell, seconds.
+CELL_SECONDS = 3.0
+#: Budget of the tier-1 RSS pin, in payloads of server ``VmHWM`` above the
+#: idle floor after warm 1.2 MB echoes on two concurrent connections: an
+#: arena per thread read 8.5-9.5, one arena reads 4.2-4.7.
+RSS_BUDGET = 6.5
+
+
+def _process_stats() -> dict:
+    """This process's minor faults and CPU seconds so far, ``VmRSS`` and
+    ``VmHWM`` (KiB)."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    stats = {"minflt": usage.ru_minflt, "cpu_s": usage.ru_utime + usage.ru_stime}
+    with open("/proc/self/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith(("VmRSS:", "VmHWM:")):
+                stats[line[2:5].lower() + "_kb"] = int(line.split()[1])
+    return stats
+
+
+def _say(**fields) -> None:
+    print(json.dumps(fields), flush=True)
+
+
+def serve_cell(core: str, connections: int, read_cap: int | None) -> None:
+    """The server process of one cell: serve until stdin closes, answering
+    every line read from it with :func:`_process_stats`."""
+    listener = TcpListener("127.0.0.1", 0, backlog=max(16, connections))
+    service = SoapServeService(
+        listener,
+        echo_dispatcher(),
+        # every connection may wait for a worker: a cell measures memory
+        # under its connection count, not the shed path
+        config=ServeConfig(workers=WORKERS, queue_depth=max(4, connections), core=core),
+        name=f"cell-{core}",
+    ).start()
+    try:
+        if read_cap is not None:
+            # after start(): the allocator's thresholds keep the ceiling
+            # they were set for, only the sized reads shrink
+            transport_base.MAX_READ_BYTES = read_cap
+        _say(port=listener.port, **_process_stats())
+        for _line in sys.stdin:
+            _say(**_process_stats())
+    finally:
+        service.stop()
+
+
+def load_cell(port: int, model_size: int, connections: int, seconds: float) -> None:
+    """The client process of one cell: nothing but ``connect_tcp`` and
+    ``SoapHttpClient.call``, one closed-loop thread per connection.
+
+    Warms up, says so, waits for a line on stdin, runs the timed window on
+    every connection at once, reports it."""
+    floor = _process_stats()
+    requests = [
+        SoapEnvelope.wrap(element("Echo", lead_dataset(model_size, seed=k).to_bxdm()))
+        for k in range(4)
+    ]
+    payload = len(BXSAEncoding(session=False).encode(requests[0].to_document()))
+    clients = [
+        SoapHttpClient(lambda: connect_tcp("127.0.0.1", port), encoding=BXSAEncoding())
+        for _ in range(connections)
+    ]
+    done = [0] * connections
+    failed = [0] * connections
+
+    def call(index: int, k: int) -> None:
+        try:
+            reply = clients[index].call(requests[(index + k) % len(requests)])
+            ok = reply.body_root.name.local == "EchoResponse"
+        except Exception:  # noqa: BLE001 - any failure is a failed exchange
+            ok = False
+        if not ok:
+            failed[index] += 1
+
+    def loop(index: int) -> None:
+        while time.perf_counter() < started + seconds:
+            call(index, done[index])
+            done[index] += 1
+
+    try:
+        # one connection after the other, as the ledger's generator warms
+        # up: cold plan compiles do not overlap, the window is steady state
+        for index in range(connections):
+            for k in range(max(2, CELL_WARMUP // connections)):
+                call(index, k)
+        _say(warm=True)
+        sys.stdin.readline()
+        before = _process_stats()
+        started = time.perf_counter()
+        # connection 0 stays on the main thread, as in a process that never
+        # starts one: the main arena is the one glibc trims with ``brk``
+        threads = [
+            threading.Thread(target=loop, args=(index,), daemon=True)
+            for index in range(1, connections)
+        ]
+        for thread in threads:
+            thread.start()
+        loop(0)
+        for thread in threads:
+            thread.join()
+        elapsed = time.perf_counter() - started
+        after = _process_stats()
+    finally:
+        for client in clients:
+            client.close()
+    _say(
+        payload_bytes=payload,
+        exchanges=sum(done),
+        failed=sum(failed),
+        seconds=elapsed,
+        faults=after["minflt"] - before["minflt"],
+        rss_above_floor_kb=after["hwm_kb"] - floor["rss_kb"],
+    )
+
+
+def _child(src: str, *role: object) -> subprocess.Popen:
+    return subprocess.Popen(
+        [sys.executable, os.path.abspath(__file__), "--role", *map(str, role), "--src", src],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _ask(child: subprocess.Popen, line: str | None = None) -> dict:
+    if line is not None:
+        child.stdin.write(line + "\n")
+        child.stdin.flush()
+    answer = child.stdout.readline()
+    if not answer:
+        raise RuntimeError(f"cell child exited with status {child.wait()}")
+    return json.loads(answer)
+
+
+def _finish(child: subprocess.Popen) -> None:
+    """End a cell child — closing its stdin is its stop signal — and reap it."""
+    try:
+        child.stdin.close()
+        child.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        child.kill()
+        child.wait()
+    finally:
+        child.stdout.close()
+
+
+def run_cell(
+    core: str,
+    model_size: int,
+    connections: int,
+    read_cap: int | None = None,
+    src: str = SRC,
+    seconds: float = CELL_SECONDS,
+) -> dict:
+    """One cell, once: a server process, a client process, four readings."""
+    server = _child(src, "serve", core, connections, read_cap or 0)
+    try:
+        idle = _ask(server)
+        client = _child(src, "load", idle["port"], model_size, connections, seconds)
+        try:
+            _ask(client)  # warm
+            warm = _ask(server, "stat")
+            load = _ask(client, "go")
+            peak = _ask(server, "stat")
+        finally:
+            _finish(client)
+    finally:
+        _finish(server)
+    exchanges = max(1, load["exchanges"])
+    payload = load["payload_bytes"]
+    return {
+        "core": core,
+        "payload_bytes": payload,
+        "connections": connections,
+        "read_cap": read_cap,
+        "exchanges": load["exchanges"],
+        "failed": load["failed"],
+        "server_floor_mb": round(idle["rss_kb"] / 1024, 2),
+        "server_peak_mb": round(peak["hwm_kb"] / 1024, 2),
+        "server_rss_payloads": round((peak["hwm_kb"] - idle["rss_kb"]) * 1024 / payload, 2),
+        "client_rss_payloads": round(load["rss_above_floor_kb"] * 1024 / payload, 2),
+        "server_faults": round((peak["minflt"] - warm["minflt"]) / exchanges, 1),
+        "client_faults": round(load["faults"] / exchanges, 1),
+        "us_per_exchange": round(load["seconds"] * 1e6 / exchanges, 1),
+        "server_cpu_us": round((peak["cpu_s"] - warm["cpu_s"]) * 1e6 / exchanges, 1),
+    }
+
+
+#: The matrix's columns: ``(heading, cell key, judged against the parent)``.
+MATRIX_COLUMNS = (
+    ("server RSS above floor, payloads", "server_rss_payloads", True),
+    ("client RSS above floor, payloads", "client_rss_payloads", False),
+    ("server faults/exchange", "server_faults", False),
+    ("client faults/exchange", "client_faults", False),
+    ("us/exchange", "us_per_exchange", True),
+    ("server CPU us/exchange", "server_cpu_us", True),
+)
+
+
+def _spread(runs: list[dict], key: str) -> tuple[float, float, float]:
+    values = [run[key] for run in runs]
+    return statistics.median(values), min(values), max(values)
+
+
+def _verdict(parent: tuple, change: tuple) -> str:
+    """``lower``/``HIGHER`` when the sides' ranges do not overlap."""
+    if change[1] > parent[2]:
+        return " HIGHER"
+    if change[2] < parent[1]:
+        return " lower"
+    return ""
+
+
+def parse_cell(spec: str) -> tuple:
+    """``CORE:MODEL_SIZE:CONNECTIONS[:READ_CAP]`` as :func:`run_cell` arguments."""
+    core, *numbers = spec.split(":")
+    if core not in CORES or len(numbers) not in (2, 3):
+        raise argparse.ArgumentTypeError(f"not CORE:MODEL_SIZE:CONNECTIONS[:READ_CAP]: {spec!r}")
+    return (core, *map(int, numbers))
+
+
+def matrix(cells: list[tuple], parent: str | None, repeats: int, seconds: float) -> bool:
+    """Print the table, one row per cell; false when a cell reads HIGHER."""
+    sides = ([("parent", os.path.join(parent, "src"))] if parent else []) + [("change", SRC)]
+    print("| driver | body | connections | " + " | ".join(c[0] for c in MATRIX_COLUMNS) + " |")
+    print("|---|---|---|" + "---|" * len(MATRIX_COLUMNS))
+    ok = True
+    for cell in cells:
+        runs: dict[str, list[dict]] = {label: [] for label, _ in sides}
+        for repeat in range(repeats):
+            # alternate which side goes first
+            for label, src in sides if repeat % 2 == 0 else sides[::-1]:
+                runs[label].append(run_cell(*cell, src=src, seconds=seconds))
+        columns = []
+        for _heading, key, judged in MATRIX_COLUMNS:
+            spreads = [_spread(runs[label], key) for label, _ in sides]
+            text = " → ".join(f"{m:g} [{lo:g}–{hi:g}]" for m, lo, hi in spreads)
+            if judged and len(spreads) == 2:
+                verdict = _verdict(*spreads)
+                ok = ok and verdict != " HIGHER"
+                text += verdict
+            columns.append(text)
+        failed = sum(run["failed"] for label, _ in sides for run in runs[label])
+        one = runs["change"][0]
+        body = one["payload_bytes"]
+        print(
+            f"| {one['core']} | " + (f"{body / 1e6:.2f} MB" if body >= 10_000 else f"{body} B")
+            + (f", reads ≤ {one['read_cap'] >> 10} KiB" if one["read_cap"] else "")
+            + f" | {one['connections']} | "
+            + " | ".join(columns)
+            + " |"
+            + (f" {failed} failed" if failed else ""),
+            flush=True,
+        )
+    return ok
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--core", choices=CORES, help="one driver (default: both)")
+    parser.add_argument("--matrix", action="store_true", help="body size x connections x driver")
+    parser.add_argument(
+        "--cell",
+        type=parse_cell,
+        action="append",
+        metavar="CORE:MODEL_SIZE:CONNECTIONS[:READ_CAP]",
+        help="one cell, once, as JSON; with --matrix, the rows to print (repeatable)",
+    )
+    parser.add_argument("--parent", metavar="CHECKOUT", help="--matrix: measure this checkout too")
+    parser.add_argument("--repeats", type=int, default=3, help="--matrix: runs per cell and side")
+    parser.add_argument("--seconds", type=float, default=CELL_SECONDS, help="a cell's timed window")
+    parser.add_argument("--src", help="import repro from this directory")
+    parser.add_argument("--role", nargs="+", help=argparse.SUPPRESS)  # a cell's child process
     args = parser.parse_args(argv)
+    if args.role:
+        if hasattr(os, "sched_setaffinity"):
+            # both processes of a cell on one CPU: a closed loop against a
+            # GIL-bound server is serial work, and on a VM waking an idle
+            # vCPU costs more than the exchange (the same 64 KiB cell read
+            # 1.2-4.5 ms per exchange run to run unpinned, 0.9-1.1 pinned)
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        role, *rest = args.role
+        if role == "serve":
+            core, connections, read_cap = rest
+            serve_cell(core, int(connections), int(read_cap) or None)
+        else:
+            port, model_size, connections, seconds = rest
+            load_cell(int(port), int(model_size), int(connections), float(seconds))
+        return 0
+    if args.matrix:
+        cells = args.cell or [
+            (core, model_size, connections)
+            for core in CORES
+            for model_size in MATRIX_MODEL_SIZES
+            for connections in MATRIX_CONNECTIONS
+        ]
+        return 0 if matrix(cells, args.parent, args.repeats, args.seconds) else 1
+    if args.cell:
+        for cell in args.cell:
+            _say(**run_cell(*cell, seconds=args.seconds))
+        return 0
     ok = True
     for core in [args.core] if args.core else CORES:
         result = measure(core)

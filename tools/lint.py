@@ -51,6 +51,10 @@ lint) — they confine the concurrency machinery to its designated homes:
   ``iter_wire()``, piece by piece: joining head and body first is a
   payload-sized copy the bulk path's copy budget (DESIGN.md §10) has no
   room for.
+* inside ``src/repro`` only ``transport/base.py`` may import ``ctypes``
+  or name ``mallopt`` — a process has one allocator, so it gets one
+  policy, set in one place (``prime_allocator``, DESIGN.md §10); a second
+  module tuning ``malloc`` would be tuning the first one's numbers away.
 * inside ``src/repro`` only ``fed/balancer.py`` may define
   ``choose_replica`` — replica-selection policy is one pluggable
   surface; a routing brain elsewhere would bypass the balancer's
@@ -535,6 +539,49 @@ def accept_loop_findings(path: str) -> list[tuple[int, str]]:
     )  # fmt: skip
 
 
+#: The one module allowed to tune the C allocator (relative to src/repro).
+ALLOCATOR_HOME = "transport/base.py"
+
+
+def allocator_findings(path: str) -> list[tuple[int, str]]:
+    """Confine allocator tuning to ``transport/base.py``.
+
+    ``prime_allocator`` there is the process's one allocator policy: one
+    arena, two thresholds and a pad, measured as a set (DESIGN.md §10,
+    ``tools/copy_budget.py --matrix``).  ``mallopt`` is process-wide, so a second
+    caller does not add a policy, it overwrites this one; and ``ctypes`` is
+    the only way to reach it, so an import of it anywhere else under
+    ``src/repro`` is where that second caller would start.
+    """
+    rel = _repro_relative(path)
+    if rel is None or rel == ALLOCATOR_HOME:
+        return []
+    with open(path, "rb") as fh:
+        source = fh.read()
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError:
+        return []  # dead_imports already reports the syntax error
+    message = (
+        "allocator tuning is reserved to transport/base.py; {what} here is a "
+        "second allocator policy — change prime_allocator() instead"
+    )
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name == "mallopt":
+                findings.append((node.lineno, message.format(what="mallopt")))
+            continue
+        if any(module.split(".")[0] == "ctypes" for module in modules):
+            findings.append((node.lineno, message.format(what="importing ctypes")))
+    return findings
+
+
 #: The modules that write responses to sockets (relative to src/repro).
 RESPONSE_WRITERS = {"transport/aio.py", "transport/http/server.py"}
 
@@ -593,6 +640,7 @@ REPO_RULES = (
     frame_grammar_findings,
     frame_emit_findings,
     accept_loop_findings,
+    allocator_findings,
     response_join_findings,
 )
 
