@@ -14,68 +14,41 @@ transport.
 
 __version__ = "0.1.0"
 
-from repro.xdm import (
-    ArrayElement,
-    DocumentNode,
-    ElementNode,
-    LeafElement,
-    QName,
-    TreeBuilder,
-    array,
-    deep_equal,
-    doc,
-    element,
-    leaf,
-    text,
-)
-from repro.bxsa import decode as bxsa_decode
-from repro.bxsa import encode as bxsa_encode
-from repro.xmlcodec import parse_document, serialize
-from repro.core import (
-    BXSAEncoding,
-    Dispatcher,
-    ServiceProxy,
-    SoapEngine,
-    SoapEnvelope,
-    SoapFault,
-    SoapHttpClient,
-    SoapHttpService,
-    SoapTcpClient,
-    SoapTcpService,
-    XMLEncoding,
-)
-from repro.transport import MemoryNetwork, TcpListener, connect_tcp
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ArrayElement",
-    "BXSAEncoding",
-    "Dispatcher",
-    "DocumentNode",
-    "ElementNode",
-    "LeafElement",
-    "MemoryNetwork",
-    "QName",
-    "ServiceProxy",
-    "SoapEngine",
-    "SoapEnvelope",
-    "SoapFault",
-    "SoapHttpClient",
-    "SoapHttpService",
-    "SoapTcpClient",
-    "SoapTcpService",
-    "TcpListener",
-    "TreeBuilder",
-    "XMLEncoding",
-    "__version__",
-    "array",
-    "bxsa_decode",
-    "bxsa_encode",
-    "connect_tcp",
-    "deep_equal",
-    "doc",
-    "element",
-    "leaf",
-    "parse_document",
-    "serialize",
-    "text",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "ArrayElement": "xdm",
+        "DocumentNode": "xdm",
+        "ElementNode": "xdm",
+        "LeafElement": "xdm",
+        "QName": "xdm",
+        "TreeBuilder": "xdm",
+        "array": "xdm",
+        "deep_equal": "xdm",
+        "doc": "xdm",
+        "element": "xdm",
+        "leaf": "xdm",
+        "text": "xdm",
+        "bxsa_decode": "bxsa:decode",
+        "bxsa_encode": "bxsa:encode",
+        "parse_document": "xmlcodec",
+        "serialize": "xmlcodec",
+        "BXSAEncoding": "core",
+        "Dispatcher": "core",
+        "ServiceProxy": "core",
+        "SoapEngine": "core",
+        "SoapEnvelope": "core",
+        "SoapFault": "core",
+        "SoapHttpClient": "core",
+        "SoapHttpService": "core",
+        "SoapTcpClient": "core",
+        "SoapTcpService": "core",
+        "XMLEncoding": "core",
+        "MemoryNetwork": "transport",
+        "TcpListener": "transport",
+        "connect_tcp": "transport",
+    },
+)
+__all__.append("__version__")

@@ -24,7 +24,14 @@ Example::
     reading = from_element(Reading, element)
 """
 
-from repro.binding.fields import Array
-from repro.binding.mapper import BindingError, from_element, to_element
+from repro._exports import lazy_exports
 
-__all__ = ["Array", "BindingError", "from_element", "to_element"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "Array": "fields",
+        "BindingError": "mapper",
+        "from_element": "mapper",
+        "to_element": "mapper",
+    },
+)

@@ -21,45 +21,34 @@ Highlights reproduced from the paper:
 See :mod:`repro.bxsa.constants` for the exact wire layout.
 """
 
-from repro.bxsa.constants import FrameType, pack_prefix_byte, unpack_prefix_byte
-from repro.bxsa.decoder import BXSADecoder, decode, decode_document
-from repro.bxsa.encoder import BXSAEncoder, encode, encode_document
-from repro.bxsa.errors import BXSADecodeError, BXSAEncodeError, BXSAError
-from repro.bxsa.scanner import FrameInfo, FrameScanner
-from repro.bxsa.session import CodecSession, SessionStats
-from repro.bxsa.stream import (
-    BXSAStreamReader,
-    BXSAStreamWriter,
-    EventKind,
-    StreamDecoder,
-    StreamEvent,
-    write_document,
-)
-from repro.bxsa.transcode import bxsa_to_xml, xml_to_bxsa
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BXSADecodeError",
-    "BXSAStreamReader",
-    "BXSAStreamWriter",
-    "EventKind",
-    "StreamEvent",
-    "BXSADecoder",
-    "BXSAEncodeError",
-    "BXSAEncoder",
-    "BXSAError",
-    "CodecSession",
-    "FrameInfo",
-    "FrameScanner",
-    "FrameType",
-    "SessionStats",
-    "StreamDecoder",
-    "bxsa_to_xml",
-    "decode",
-    "decode_document",
-    "encode",
-    "encode_document",
-    "pack_prefix_byte",
-    "unpack_prefix_byte",
-    "write_document",
-    "xml_to_bxsa",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "FrameType": "constants",
+        "pack_prefix_byte": "constants",
+        "unpack_prefix_byte": "constants",
+        "BXSADecoder": "decoder",
+        "decode": "decoder",
+        "decode_document": "decoder",
+        "BXSAEncoder": "encoder",
+        "encode": "encoder",
+        "encode_document": "encoder",
+        "BXSADecodeError": "errors",
+        "BXSAEncodeError": "errors",
+        "BXSAError": "errors",
+        "FrameInfo": "scanner",
+        "FrameScanner": "scanner",
+        "CodecSession": "session",
+        "SessionStats": "session",
+        "BXSAStreamReader": "stream",
+        "BXSAStreamWriter": "stream",
+        "EventKind": "stream",
+        "StreamDecoder": "stream",
+        "StreamEvent": "stream",
+        "write_document": "stream",
+        "bxsa_to_xml": "transcode",
+        "xml_to_bxsa": "transcode",
+    },
+)

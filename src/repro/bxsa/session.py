@@ -52,7 +52,7 @@ of same-shape envelopes allocates each name once.
 from __future__ import annotations
 
 import struct
-from itertools import islice
+import threading
 
 import numpy as np
 
@@ -205,6 +205,9 @@ class CodecSession:
         # pooled replay scratch; taken atomically (dict.pop) so two threads
         # racing on one session degrade to a fresh list, never share one
         self._scratch: list | None = []
+        # every mutation of the two plan tables (and of a decode bucket)
+        # holds this; a plan *hit* only reads them and never takes it
+        self._mutating = threading.RLock()
 
     # ------------------------------------------------------------------
     # public API
@@ -292,8 +295,9 @@ class CodecSession:
 
     def reset(self) -> None:
         """Drop all cached plans and intern tables (cold-start state)."""
-        self._plans.clear()
-        self._decode_plans.clear()
+        with self._mutating:
+            self._plans.clear()
+            self._decode_plans.clear()
         self._string_bytes.clear()
         self._decode_strings.clear()
         self._decode_qnames.clear()
@@ -341,7 +345,7 @@ class CodecSession:
             ):
                 # a compiler blind spot must never reach the caller: poison
                 # the fingerprint and serve the stateless tree
-                self._decode_plans[key] = None
+                self._remember(self._decode_plans, key, None)
                 self.stats.decode_poisoned += 1
                 self.stats.stateless_decodes += 1
                 return self._decode_stateless(view, offset, copy, whole)
@@ -351,7 +355,9 @@ class CodecSession:
                     f"{len(view) - end} trailing bytes after frame"
                 )
             if i:
-                bucket.insert(0, bucket.pop(i))  # keep the bucket MRU-first
+                with self._mutating:  # keep the bucket MRU-first
+                    if i < len(bucket) and bucket[i] is plan:
+                        bucket.insert(0, bucket.pop(i))
             self.stats.decode_plan_hits += 1
             return node
         return None
@@ -379,27 +385,35 @@ class CodecSession:
         try:
             plan = compile_decode_plan(view, offset, qname_cache=self._decode_qnames)
         except Exception:
-            self._decode_plans[key] = None
+            self._remember(self._decode_plans, key, None)
             self.stats.decode_poisoned += 1
             return
-        bucket = self._decode_plans.get(key)
-        if bucket is None:  # the caller guarantees the key is not poisoned
-            if len(self._decode_plans) >= self.max_plans:
-                self._decode_plans.pop(next(iter(self._decode_plans)))
-            bucket = self._decode_plans[key] = []
-        bucket.insert(0, plan)
-        del bucket[_MAX_BUCKET_PLANS:]
+        with self._mutating:
+            bucket = self._decode_plans.get(key)
+            if bucket is None:  # the caller guarantees the key is not poisoned
+                bucket = []
+                self._remember(self._decode_plans, key, bucket)
+            bucket.insert(0, plan)
+            del bucket[_MAX_BUCKET_PLANS:]
         self.stats.decode_plans_compiled += 1
 
+    def _remember(self, table: dict, key, entry) -> None:
+        """``table[key] = entry``, the oldest entry evicted first when the
+        table is at ``max_plans`` — as one step.  Unlocked, two threads of a
+        shared session pick the same oldest key (the second ``KeyError``s),
+        or one resizes the table under the other's ``next(iter(...))``, or
+        both pass the bound check and the table outgrows it."""
+        with self._mutating:
+            if key not in table and len(table) >= self.max_plans:
+                del table[next(iter(table))]
+            table[key] = entry
+
     def _evict_interned(self) -> None:
-        """Bounded intern-table eviction: drop the oldest half (insertion
-        order) past ``max_cached_strings`` — never a wholesale clear, so a
-        warm stream keeps its recent names across the boundary."""
+        """Bounded intern-table eviction past ``max_cached_strings``."""
         bound = self.max_cached_strings
         for cache in (self._decode_strings, self._decode_qnames):
             if len(cache) > bound:
-                for stale in list(islice(iter(cache), len(cache) // 2)):
-                    del cache[stale]
+                _drop_oldest_half(cache)
 
     # ------------------------------------------------------------------
     # compilation
@@ -421,13 +435,11 @@ class CodecSession:
         if replayed != reference:
             # a compiler blind spot must never reach the wire: remember the
             # shape as uncacheable and serve the stateless bytes
-            self._plans[shape] = None
+            self._remember(self._plans, shape, None)
             self.stats.poisoned_shapes += 1
             self.stats.stateless_encodes += 1
             return reference
-        if len(self._plans) >= self.max_plans:
-            self._plans.pop(next(iter(self._plans)))
-        self._plans[shape] = plan
+        self._remember(self._plans, shape, plan)
         self.stats.plans_compiled += 1
         return reference
 
@@ -564,12 +576,21 @@ class CodecSession:
         rendered = encode_vls(len(raw)) + raw
         if len(text) <= 128:
             if len(cache) > self.max_cached_strings:
-                # drop the oldest half (insertion order), never the lot:
-                # hot shapes keep their recently-rendered names warm
-                for stale in list(islice(iter(cache), len(cache) // 2)):
-                    del cache[stale]
+                _drop_oldest_half(cache)
             cache[text] = rendered
         return rendered
+
+
+def _drop_oldest_half(cache: dict) -> None:
+    """Evict the oldest half (insertion order) of an intern table — never the
+    lot, so a warm stream keeps its recently used names across the boundary.
+
+    The tables are written on every decode and replay, so this takes no
+    lock: ``list(cache)`` snapshots the keys in one step (an iterator held
+    across bytecodes dies of another thread's insert), and ``pop`` shrugs at
+    a key a concurrent eviction already took."""
+    for stale in list(cache)[: len(cache) // 2]:
+        cache.pop(stale, None)
 
 
 def _gather(chunks: list) -> list:

@@ -24,71 +24,42 @@ up-link/down-link scenario, including BXSA as the intermediate protocol
 between textual-XML endpoints).
 """
 
-from repro.core.concepts import (
-    PolicyConceptError,
-    check_binding_client,
-    check_binding_server,
-    check_encoding_policy,
-)
-from repro.core.envelope import SOAP_ENV_URI, SoapEnvelope
-from repro.core.fault import SoapFault
-from repro.core.policies import (
-    BXSAEncoding,
-    XMLEncoding,
-    encoding_for_content_type,
-    register_content_type,
-)
-from repro.core.compression import DeflateEncoding
-from repro.core.wsdl import ServiceDescription, WsdlError
-from repro.core.engine import SoapEngine
-from repro.core.dispatcher import Dispatcher
-from repro.core.service import SoapHttpService, SoapTcpService
-from repro.core.client import ServiceProxy, SoapHttpClient, SoapTcpClient
-from repro.core.intermediary import TcpIntermediary
-from repro.core.security import (
-    ChunkSignatureError,
-    ChunkSigner,
-    ChunkVerifier,
-    HmacSigningPolicy,
-    NullSecurity,
-    SecretKey,
-    SECURITY_FAULT,
-    check_security_policy,
-    sign_stream,
-    verify_stream,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BXSAEncoding",
-    "DeflateEncoding",
-    "ServiceDescription",
-    "WsdlError",
-    "register_content_type",
-    "ChunkSignatureError",
-    "ChunkSigner",
-    "ChunkVerifier",
-    "HmacSigningPolicy",
-    "NullSecurity",
-    "SECURITY_FAULT",
-    "SecretKey",
-    "check_security_policy",
-    "sign_stream",
-    "verify_stream",
-    "Dispatcher",
-    "PolicyConceptError",
-    "SOAP_ENV_URI",
-    "ServiceProxy",
-    "SoapEngine",
-    "SoapEnvelope",
-    "SoapFault",
-    "SoapHttpClient",
-    "SoapHttpService",
-    "SoapTcpClient",
-    "SoapTcpService",
-    "TcpIntermediary",
-    "XMLEncoding",
-    "check_binding_client",
-    "check_binding_server",
-    "check_encoding_policy",
-    "encoding_for_content_type",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "PolicyConceptError": "concepts",
+        "check_binding_client": "concepts",
+        "check_binding_server": "concepts",
+        "check_encoding_policy": "concepts",
+        "check_security_policy": "concepts",
+        "SOAP_ENV_URI": "envelope",
+        "SoapEnvelope": "envelope",
+        "SoapFault": "fault",
+        "BXSAEncoding": "policies",
+        "XMLEncoding": "policies",
+        "encoding_for_content_type": "policies",
+        "register_content_type": "policies",
+        "DeflateEncoding": "compression",
+        "ServiceDescription": "wsdl",
+        "WsdlError": "wsdl",
+        "SoapEngine": "engine",
+        "Dispatcher": "dispatcher",
+        "SoapHttpService": "service",
+        "SoapTcpService": "service",
+        "ServiceProxy": "client",
+        "SoapHttpClient": "client",
+        "SoapTcpClient": "client",
+        "TcpIntermediary": "intermediary",
+        "ChunkSignatureError": "security",
+        "ChunkSigner": "security",
+        "ChunkVerifier": "security",
+        "HmacSigningPolicy": "security",
+        "NullSecurity": "security",
+        "SecretKey": "security",
+        "SECURITY_FAULT": "security",
+        "sign_stream": "security",
+        "verify_stream": "security",
+    },
+)

@@ -49,3 +49,9 @@ def check_binding_server(binding) -> None:
     """Valid expressions (server side): ``receive_request``, ``send_response``."""
     _require(binding, "receive_request", "BindingPolicy(server)")
     _require(binding, "send_response", "BindingPolicy(server)")
+
+
+def check_security_policy(policy) -> None:
+    """Valid expressions: ``sign(envelope)``, ``verify(envelope)``."""
+    _require(policy, "sign", "SecurityPolicy")
+    _require(policy, "verify", "SecurityPolicy")

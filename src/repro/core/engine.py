@@ -36,11 +36,11 @@ from repro.core.concepts import (
     check_binding_client,
     check_binding_server,
     check_encoding_policy,
+    check_security_policy,
 )
 from repro.core.envelope import SoapEnvelope
 from repro.core.fault import CLIENT_FAULT, SERVER_FAULT, SoapFault
 from repro.core.policies import EncodingPolicy, NegotiatedPolicies
-from repro.core.security import check_security_policy
 from repro.transport.base import TransportError
 from repro.transport.resilience import (
     DeadlineExceeded,

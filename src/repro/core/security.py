@@ -5,6 +5,9 @@ policy) into the generic engine by just adding more template parameters."
 This module is that policy, Python-style: an optional third argument to
 :class:`~repro.core.engine.SoapEngine` satisfying the three valid
 expressions ``header_name`` / ``sign(envelope)`` / ``verify(envelope)``.
+The *concept* (``check_security_policy``) lives with the other concept
+checks in :mod:`repro.core.concepts`, which is all the engine imports; this
+module holds the *models*, and is loaded by whoever constructs one.
 
 :class:`HmacSigningPolicy` signs the *data model*, not the wire bytes: the
 MAC is computed over the canonical signature of the body children
@@ -28,6 +31,7 @@ import pickle
 import struct
 from typing import Iterable, Iterator, Protocol, runtime_checkable
 
+from repro.core.concepts import check_security_policy  # noqa: F401 - re-exported
 from repro.core.envelope import SoapEnvelope
 from repro.core.fault import SoapFault
 from repro.xbs.errors import XBSDecodeError
@@ -157,14 +161,6 @@ class HmacSigningPolicy:
         expected = self.key.mac(_body_digest_input(envelope))
         if not hmac.compare_digest(claimed, expected):
             raise SoapFault(SECURITY_FAULT, "body does not match its signature")
-
-
-def check_security_policy(policy) -> None:
-    """Concept check for the security policy's valid expressions."""
-    from repro.core.concepts import _require
-
-    _require(policy, "sign", "SecurityPolicy")
-    _require(policy, "verify", "SecurityPolicy")
 
 
 # ----------------------------------------------------------------------

@@ -14,13 +14,14 @@ A :class:`UrlResolver` dispatches on URL scheme so one service can accept
 references to either channel.
 """
 
-from repro.datachannel.base import DataChannelError, UrlResolver
-from repro.datachannel.httpchannel import HttpDataChannel
-from repro.datachannel.gridftpchannel import GridFTPDataChannel
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DataChannelError",
-    "GridFTPDataChannel",
-    "HttpDataChannel",
-    "UrlResolver",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "DataChannelError": "base",
+        "UrlResolver": "base",
+        "HttpDataChannel": "httpchannel",
+        "GridFTPDataChannel": "gridftpchannel",
+    },
+)

@@ -23,31 +23,24 @@ concurrency × cache-hit-ratio matrix, aggregate goodput vs a saturated
 single node, and node-kill failover with exact accounting.
 """
 
-from repro.fed.balancer import (
-    Balancer,
-    EwmaLatencyPolicy,
-    FederatedClient,
-    LeastOutstandingPolicy,
-    NoReplicaAvailable,
-    Replica,
-    RoundRobinPolicy,
-)
-from repro.fed.cache import CachingClient, ResponseCache, envelope_key, request_key
-from repro.fed.striping import StripeStats, StripeVerificationError, striped_fetch
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Balancer",
-    "CachingClient",
-    "EwmaLatencyPolicy",
-    "FederatedClient",
-    "LeastOutstandingPolicy",
-    "NoReplicaAvailable",
-    "Replica",
-    "ResponseCache",
-    "RoundRobinPolicy",
-    "StripeStats",
-    "StripeVerificationError",
-    "envelope_key",
-    "request_key",
-    "striped_fetch",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "Balancer": "balancer",
+        "EwmaLatencyPolicy": "balancer",
+        "FederatedClient": "balancer",
+        "LeastOutstandingPolicy": "balancer",
+        "NoReplicaAvailable": "balancer",
+        "Replica": "balancer",
+        "RoundRobinPolicy": "balancer",
+        "CachingClient": "cache",
+        "ResponseCache": "cache",
+        "envelope_key": "cache",
+        "request_key": "cache",
+        "StripeStats": "striping",
+        "StripeVerificationError": "striping",
+        "striped_fetch": "striping",
+    },
+)

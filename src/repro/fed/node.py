@@ -218,7 +218,8 @@ def spawn_nodes(
             line = process.stdout.readline().strip()
             parts = line.split()
             if len(parts) != 3 or parts[0] != "ADDR":
-                process.kill()
+                with process:  # closes both pipes, then reaps
+                    process.kill()
                 raise RuntimeError(f"node {index} failed to start: got {line!r}")
             nodes.append(
                 NodeProcess(process, parts[1], int(parts[2]), f"fed-node-{index}")

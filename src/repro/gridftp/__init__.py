@@ -20,26 +20,20 @@ counts — exactly the quantities the experiment harness feeds into the
 netsim cost model.
 """
 
-from repro.gridftp.auth import (
-    GSI_CRYPTO_TIME,
-    AuthenticationError,
-    HostCredential,
-    client_handshake,
-    server_handshake,
-)
-from repro.gridftp.client import GridFTPClient, TransferStats
-from repro.gridftp.errors import GridFTPError, StripeTimeout
-from repro.gridftp.server import GridFTPServer
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AuthenticationError",
-    "GSI_CRYPTO_TIME",
-    "GridFTPClient",
-    "GridFTPError",
-    "GridFTPServer",
-    "HostCredential",
-    "StripeTimeout",
-    "TransferStats",
-    "client_handshake",
-    "server_handshake",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "GSI_CRYPTO_TIME": "auth",
+        "AuthenticationError": "auth",
+        "HostCredential": "auth",
+        "client_handshake": "auth",
+        "server_handshake": "auth",
+        "GridFTPClient": "client",
+        "TransferStats": "client",
+        "GridFTPError": "errors",
+        "StripeTimeout": "errors",
+        "GridFTPServer": "server",
+    },
+)

@@ -27,24 +27,19 @@ directly (``python -m repro.harness.figure4``) to print the regenerated
 rows/series next to the paper's qualitative expectations.
 """
 
-from repro.harness.runners import (
-    SCHEME_BXSA_TCP,
-    SCHEME_SOAP_GRIDFTP,
-    SCHEME_SOAP_HTTP_CHANNEL,
-    SCHEME_XML_HTTP,
-    SchemeResult,
-    run_scheme,
-)
-from repro.harness.report import ExperimentResult, render_series_table, render_table
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ExperimentResult",
-    "SCHEME_BXSA_TCP",
-    "SCHEME_SOAP_GRIDFTP",
-    "SCHEME_SOAP_HTTP_CHANNEL",
-    "SCHEME_XML_HTTP",
-    "SchemeResult",
-    "render_series_table",
-    "render_table",
-    "run_scheme",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "SCHEME_BXSA_TCP": "runners",
+        "SCHEME_SOAP_GRIDFTP": "runners",
+        "SCHEME_SOAP_HTTP_CHANNEL": "runners",
+        "SCHEME_XML_HTTP": "runners",
+        "SchemeResult": "runners",
+        "run_scheme": "runners",
+        "ExperimentResult": "report",
+        "render_series_table": "report",
+        "render_table": "report",
+    },
+)

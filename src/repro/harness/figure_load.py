@@ -49,7 +49,7 @@ from repro.core.policies import (
 )
 from repro.harness.measure import add_observability_args, observability_from_args
 from repro.harness.report import ExperimentResult, ShapeCheck
-from repro.loadgen import closed_loop, open_loop
+from repro.loadgen import closed_loop, drive_connections, open_loop
 from repro.serve import ServeConfig, SoapServeService
 from repro.transport.memory import MemoryNetwork
 from repro.workloads.lead import lead_dataset
@@ -226,13 +226,12 @@ def connection_ladder(
     Both cores run the identical :class:`SoapServeService` stack (same
     dispatcher, same worker pool discipline, same BXSA payload) over real
     loopback TCP, driven closed-loop by the selector-based
-    :func:`~repro.transport.aio.drive_connections` client.  The threaded
+    :func:`~repro.loadgen.ladder.drive_connections` client.  The threaded
     core is probed at the modest connection counts where it is at its
     best; the event-driven core climbs the ladder to thousands of
     keep-alive connections.  Returns the JSON-ready document with one
     point per rung (goodput, p50/p99, exact accounting).
     """
-    from repro.transport.aio import drive_connections
     from repro.transport.sockets import TcpListener
 
     dispatcher = _make_dispatcher()

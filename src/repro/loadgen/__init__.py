@@ -6,18 +6,17 @@ an arrival-rate ladder to draw throughput–latency curves per
 encoding×binding scheme.
 """
 
-from repro.loadgen.generator import (
-    LATENCY_BOUNDS,
-    LoadResult,
-    arrival_schedule,
-    closed_loop,
-    open_loop,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "LATENCY_BOUNDS",
-    "LoadResult",
-    "arrival_schedule",
-    "closed_loop",
-    "open_loop",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "LATENCY_BOUNDS": "generator",
+        "LoadResult": "generator",
+        "arrival_schedule": "generator",
+        "closed_loop": "generator",
+        "open_loop": "generator",
+        "LadderResult": "ladder",
+        "drive_connections": "ladder",
+    },
+)

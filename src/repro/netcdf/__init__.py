@@ -16,18 +16,18 @@ values) followed by each variable's data at its recorded ``begin`` offset,
 padded to 4-byte boundaries.
 """
 
-from repro.netcdf.errors import NetCDFError, NetCDFFormatError
-from repro.netcdf.model import Dataset, Variable
-from repro.netcdf.reader import read_dataset, read_dataset_bytes
-from repro.netcdf.writer import write_dataset, write_dataset_bytes
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Dataset",
-    "NetCDFError",
-    "NetCDFFormatError",
-    "Variable",
-    "read_dataset",
-    "read_dataset_bytes",
-    "write_dataset",
-    "write_dataset_bytes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "NetCDFError": "errors",
+        "NetCDFFormatError": "errors",
+        "Dataset": "model",
+        "Variable": "model",
+        "read_dataset": "reader",
+        "read_dataset_bytes": "reader",
+        "write_dataset": "writer",
+        "write_dataset_bytes": "writer",
+    },
+)

@@ -19,45 +19,29 @@ a wider backbone that only parallel streams can fill.  Parameters are plain
 dataclass fields — every number is visible, documented and ablatable.
 """
 
-from repro.netsim.faults import (
-    FLAKY_LAN,
-    LOSSLESS,
-    LOSSY_WAN,
-    FaultProfile,
-    FaultSchedule,
-    FaultingChannel,
-    InjectedFault,
-    InjectedReset,
-    faulty_connect,
-)
-from repro.netsim.profiles import LAN, WAN, DiskModel, LinkProfile
-from repro.netsim.tcpmodel import (
-    connection_setup_time,
-    request_response_time,
-    steady_bandwidth,
-    striped_transfer_time,
-    transfer_time,
-)
-from repro.netsim.clock import TimeBreakdown
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DiskModel",
-    "FLAKY_LAN",
-    "FaultProfile",
-    "FaultSchedule",
-    "FaultingChannel",
-    "InjectedFault",
-    "InjectedReset",
-    "LAN",
-    "LOSSLESS",
-    "LOSSY_WAN",
-    "LinkProfile",
-    "TimeBreakdown",
-    "WAN",
-    "faulty_connect",
-    "connection_setup_time",
-    "request_response_time",
-    "steady_bandwidth",
-    "striped_transfer_time",
-    "transfer_time",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "FLAKY_LAN": "faults",
+        "LOSSLESS": "faults",
+        "LOSSY_WAN": "faults",
+        "FaultProfile": "faults",
+        "FaultSchedule": "faults",
+        "FaultingChannel": "faults",
+        "InjectedFault": "faults",
+        "InjectedReset": "faults",
+        "faulty_connect": "faults",
+        "LAN": "profiles",
+        "WAN": "profiles",
+        "DiskModel": "profiles",
+        "LinkProfile": "profiles",
+        "connection_setup_time": "tcpmodel",
+        "request_response_time": "tcpmodel",
+        "steady_bandwidth": "tcpmodel",
+        "striped_transfer_time": "tcpmodel",
+        "transfer_time": "tcpmodel",
+        "TimeBreakdown": "clock",
+    },
+)

@@ -41,73 +41,45 @@ run — including from worker threads.
 
 from __future__ import annotations
 
-from repro.obs.export import append_trace, folded_stacks, read_trace_lines, trace_dict, write_trace
-from repro.obs.exposition import render_prometheus, render_varz
-from repro.obs.metrics import (
-    Counter,
-    CounterFamily,
-    Gauge,
-    GaugeFamily,
-    Histogram,
-    HistogramFamily,
-    LabelCardinalityError,
-    MetricsRegistry,
-)
-from repro.obs.sampling import ALWAYS_SAMPLE, HeadSampler
-from repro.obs.trace import (
-    NULL_RECORDER,
-    NullRecorder,
-    Span,
-    SpanEvent,
-    TraceContext,
-    TraceRecorder,
-    current_context,
-    current_trace_id,
-    get_recorder,
-    recording,
-    set_recorder,
-    thread_recorder,
-    use_context,
-)
+from repro._exports import lazy_exports
+from repro.obs.trace import get_recorder  # eager: the helpers below call it on every span
 
-__all__ = [
-    "ALWAYS_SAMPLE",
-    "NULL_RECORDER",
-    "Counter",
-    "CounterFamily",
-    "Gauge",
-    "GaugeFamily",
-    "HeadSampler",
-    "Histogram",
-    "HistogramFamily",
-    "LabelCardinalityError",
-    "MetricsRegistry",
-    "NullRecorder",
-    "Span",
-    "SpanEvent",
-    "TraceContext",
-    "TraceRecorder",
-    "append_trace",
-    "charge",
-    "counter",
-    "current_context",
-    "current_trace_id",
-    "event",
-    "folded_stacks",
-    "gauge",
-    "get_recorder",
-    "histogram",
-    "read_trace_lines",
-    "recording",
-    "render_prometheus",
-    "render_varz",
-    "set_recorder",
-    "span",
-    "thread_recorder",
-    "trace_dict",
-    "use_context",
-    "write_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "append_trace": "export",
+        "folded_stacks": "export",
+        "read_trace_lines": "export",
+        "trace_dict": "export",
+        "write_trace": "export",
+        "render_prometheus": "exposition",
+        "render_varz": "exposition",
+        "Counter": "metrics",
+        "CounterFamily": "metrics",
+        "Gauge": "metrics",
+        "GaugeFamily": "metrics",
+        "Histogram": "metrics",
+        "HistogramFamily": "metrics",
+        "LabelCardinalityError": "metrics",
+        "MetricsRegistry": "metrics",
+        "ALWAYS_SAMPLE": "sampling",
+        "HeadSampler": "sampling",
+        "NULL_RECORDER": "trace",
+        "NullRecorder": "trace",
+        "Span": "trace",
+        "SpanEvent": "trace",
+        "TraceContext": "trace",
+        "TraceRecorder": "trace",
+        "current_context": "trace",
+        "current_trace_id": "trace",
+        "get_recorder": "trace",
+        "recording": "trace",
+        "set_recorder": "trace",
+        "thread_recorder": "trace",
+        "use_context": "trace",
+    },
+)
+__all__ += ["charge", "counter", "event", "gauge", "histogram", "span"]
 
 
 def span(name: str, kind: str = "cpu", parent=None, context=None, **attributes):

@@ -22,7 +22,6 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 import time
@@ -91,6 +90,11 @@ def _derive_trace_id(origin: str, span_id: int) -> int:
     origin (tests, golden files) mints reproducible ids, while the
     random per-process origin makes ids unique across real processes.
     """
+    # imported here: the one digest in this module, never reached under
+    # NullRecorder, and ``hashlib`` maps OpenSSL (3.6 MiB) into a process
+    # that otherwise serves without it (DESIGN.md §10 "process floor")
+    import hashlib
+
     digest = hashlib.md5(f"{origin}:{span_id}".encode("utf-8")).digest()
     return int.from_bytes(digest, "big")
 

@@ -18,31 +18,16 @@ rather than an accident of thread scheduling:
 companion result to Figures 4–6.
 """
 
-from repro.serve.pool import (
-    AdmissionQueueFull,
-    PoolStopped,
-    ServeError,
-    WorkerPool,
+from repro._exports import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "AdmissionQueueFull": "pool",
+        "PoolStopped": "pool",
+        "ServeError": "pool",
+        "WorkerPool": "pool",
+        "ServeConfig": "service",
+        "SoapServeService": "service",
+    },
 )
-
-
-def __getattr__(name: str):
-    # The hosts are resolved on first use, not at package import: the
-    # HTTP request pipeline imports ``repro.serve.pool`` (this package),
-    # and ``repro.serve.service`` imports the pipeline — an eager import
-    # here would close that loop while the pipeline is half-initialised.
-    if name in ("ServeConfig", "SoapServeService"):
-        from repro.serve import service
-
-        return getattr(service, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "AdmissionQueueFull",
-    "PoolStopped",
-    "ServeConfig",
-    "ServeError",
-    "SoapServeService",
-    "WorkerPool",
-]

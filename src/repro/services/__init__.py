@@ -9,24 +9,19 @@
   with XPath-lite filters over one-way SOAP messages (Figure 3's layer).
 """
 
-from repro.services.echo import echo_dispatcher
-from repro.services.eventing import EventSource, NotificationSink, Subscription
-from repro.services.verification import (
-    VerificationResult,
-    build_verification_dispatcher,
-    make_reference_request,
-    make_unified_request,
-    parse_verification_response,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EventSource",
-    "NotificationSink",
-    "Subscription",
-    "VerificationResult",
-    "build_verification_dispatcher",
-    "echo_dispatcher",
-    "make_reference_request",
-    "make_unified_request",
-    "parse_verification_response",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "echo_dispatcher": "echo",
+        "EventSource": "eventing",
+        "NotificationSink": "eventing",
+        "Subscription": "eventing",
+        "VerificationResult": "verification",
+        "build_verification_dispatcher": "verification",
+        "make_reference_request": "verification",
+        "make_unified_request": "verification",
+        "parse_verification_response": "verification",
+    },
+)

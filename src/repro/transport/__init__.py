@@ -20,51 +20,34 @@ byte level, carrying a content-type tag so either encoding can ride either
 binding.
 """
 
-from repro.transport.base import Channel, Listener, TransportClosed, TransportError
-from repro.transport.instrument import ChannelStats, InstrumentedChannel
-from repro.transport.memory import MemoryNetwork, memory_pipe
-from repro.transport.resilience import (
-    NO_RETRY,
-    Deadline,
-    DeadlineChannel,
-    DeadlineExceeded,
-    ResiliencePolicy,
-    RetryBudgetExhausted,
-    RetryPolicy,
-    as_deadline,
-    retry_call,
-)
-from repro.transport.sockets import SocketChannel, TcpListener, connect_tcp
-from repro.transport.tcp_binding import (
-    TcpClientBinding,
-    TcpServerBinding,
-    read_message,
-    write_message,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Channel",
-    "ChannelStats",
-    "Deadline",
-    "DeadlineChannel",
-    "DeadlineExceeded",
-    "InstrumentedChannel",
-    "Listener",
-    "MemoryNetwork",
-    "NO_RETRY",
-    "ResiliencePolicy",
-    "RetryBudgetExhausted",
-    "RetryPolicy",
-    "as_deadline",
-    "retry_call",
-    "SocketChannel",
-    "TcpClientBinding",
-    "TcpListener",
-    "TcpServerBinding",
-    "TransportClosed",
-    "TransportError",
-    "connect_tcp",
-    "memory_pipe",
-    "read_message",
-    "write_message",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "Channel": "base",
+        "Listener": "base",
+        "TransportClosed": "base",
+        "TransportError": "base",
+        "ChannelStats": "instrument",
+        "InstrumentedChannel": "instrument",
+        "MemoryNetwork": "memory",
+        "memory_pipe": "memory",
+        "NO_RETRY": "resilience",
+        "Deadline": "resilience",
+        "DeadlineChannel": "resilience",
+        "DeadlineExceeded": "resilience",
+        "ResiliencePolicy": "resilience",
+        "RetryBudgetExhausted": "resilience",
+        "RetryPolicy": "resilience",
+        "as_deadline": "resilience",
+        "retry_call": "resilience",
+        "SocketChannel": "sockets",
+        "TcpListener": "sockets",
+        "connect_tcp": "sockets",
+        "TcpClientBinding": "tcp_binding",
+        "TcpServerBinding": "tcp_binding",
+        "read_message": "tcp_binding",
+        "write_message": "tcp_binding",
+    },
+)

@@ -9,34 +9,24 @@ producer — the large-message pipeline), persistent connections
 reproduced experiments exercise.
 """
 
-from repro.transport.http.messages import (
-    ChunkedDecoder,
-    HttpError,
-    HttpRequest,
-    HttpResponse,
-    HttpUnsupportedTransferEncoding,
-    body_framing,
-    drain_stream,
-    read_request,
-    read_response,
-)
-from repro.transport.http.client import HttpClient
-from repro.transport.http.server import HttpServer
-from repro.transport.http.binding import HttpClientBinding, SOAP_XML_TYPE, SOAP_BXSA_TYPE
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ChunkedDecoder",
-    "HttpClient",
-    "HttpClientBinding",
-    "HttpError",
-    "HttpRequest",
-    "HttpResponse",
-    "HttpServer",
-    "HttpUnsupportedTransferEncoding",
-    "SOAP_BXSA_TYPE",
-    "SOAP_XML_TYPE",
-    "body_framing",
-    "drain_stream",
-    "read_request",
-    "read_response",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "ChunkedDecoder": "messages",
+        "HttpError": "messages",
+        "HttpRequest": "messages",
+        "HttpResponse": "messages",
+        "HttpUnsupportedTransferEncoding": "messages",
+        "body_framing": "messages",
+        "drain_stream": "messages",
+        "read_request": "messages",
+        "read_response": "messages",
+        "HttpClient": "client",
+        "HttpServer": "server",
+        "HttpClientBinding": "binding",
+        "SOAP_XML_TYPE": "binding",
+        "SOAP_BXSA_TYPE": "binding",
+    },
+)

@@ -9,14 +9,15 @@
   motivated with distributed data mining.
 """
 
-from repro.workloads.lead import LeadDataset, lead_dataset
-from repro.workloads.sensors import SensorReading, sensor_stream
-from repro.workloads.datamining import feature_block
+from repro._exports import lazy_exports
 
-__all__ = [
-    "LeadDataset",
-    "SensorReading",
-    "feature_block",
-    "lead_dataset",
-    "sensor_stream",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "LeadDataset": "lead",
+        "lead_dataset": "lead",
+        "SensorReading": "sensors",
+        "sensor_stream": "sensors",
+        "feature_block": "datamining",
+    },
+)

@@ -18,32 +18,24 @@ The public surface is :class:`XBSWriter`, :class:`XBSReader`, the
 registry.
 """
 
-from repro.xbs.constants import (
-    BIG_ENDIAN,
-    LITTLE_ENDIAN,
-    NATIVE_ENDIAN,
-    TypeCode,
-    dtype_for,
-    type_code_for_dtype,
-)
-from repro.xbs.errors import XBSError, XBSDecodeError, XBSEncodeError
-from repro.xbs.reader import XBSReader
-from repro.xbs.varint import decode_vls, encode_vls, vls_length
-from repro.xbs.writer import XBSWriter
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BIG_ENDIAN",
-    "LITTLE_ENDIAN",
-    "NATIVE_ENDIAN",
-    "TypeCode",
-    "XBSDecodeError",
-    "XBSEncodeError",
-    "XBSError",
-    "XBSReader",
-    "XBSWriter",
-    "decode_vls",
-    "dtype_for",
-    "encode_vls",
-    "type_code_for_dtype",
-    "vls_length",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "BIG_ENDIAN": "constants",
+        "LITTLE_ENDIAN": "constants",
+        "NATIVE_ENDIAN": "constants",
+        "TypeCode": "constants",
+        "dtype_for": "constants",
+        "type_code_for_dtype": "constants",
+        "XBSError": "errors",
+        "XBSDecodeError": "errors",
+        "XBSEncodeError": "errors",
+        "XBSReader": "reader",
+        "decode_vls": "varint",
+        "encode_vls": "varint",
+        "vls_length": "varint",
+        "XBSWriter": "writer",
+    },
+)

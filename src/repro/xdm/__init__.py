@@ -18,71 +18,49 @@ therefore ignorant of whether a message was, or will be, serialized as
 textual XML 1.0 or as BXSA frames.
 """
 
-from repro.xdm.errors import XDMError, XDMTypeError
-from repro.xdm.qname import QName, XMLNS_URI, XSD_URI, XSI_URI
-from repro.xdm.types import (
-    AtomicType,
-    atomic_type_for_code,
-    atomic_type_for_dtype,
-    atomic_type_for_xsd,
-    format_lexical,
-    parse_lexical,
-)
-from repro.xdm.nodes import (
-    ArrayElement,
-    AttributeNode,
-    CommentNode,
-    DocumentNode,
-    ElementNode,
-    LeafElement,
-    NamespaceNode,
-    NodeKind,
-    PINode,
-    TextNode,
-)
-from repro.xdm.builder import TreeBuilder, array, comment, doc, element, leaf, pi, text
-from repro.xdm.compare import canonical_signature, deep_equal, explain_difference
-from repro.xdm.path import children_named, find_all, find_first, select
-from repro.xdm.visitor import Visitor, walk
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ArrayElement",
-    "AtomicType",
-    "AttributeNode",
-    "CommentNode",
-    "DocumentNode",
-    "ElementNode",
-    "LeafElement",
-    "NamespaceNode",
-    "NodeKind",
-    "PINode",
-    "QName",
-    "TextNode",
-    "TreeBuilder",
-    "Visitor",
-    "XDMError",
-    "XDMTypeError",
-    "XMLNS_URI",
-    "XSD_URI",
-    "XSI_URI",
-    "array",
-    "atomic_type_for_code",
-    "atomic_type_for_dtype",
-    "atomic_type_for_xsd",
-    "canonical_signature",
-    "children_named",
-    "comment",
-    "deep_equal",
-    "doc",
-    "element",
-    "explain_difference",
-    "find_all",
-    "find_first",
-    "format_lexical",
-    "leaf",
-    "parse_lexical",
-    "pi",
-    "select",
-    "text",
-    "walk",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "XDMError": "errors",
+        "XDMTypeError": "errors",
+        "QName": "qname",
+        "XMLNS_URI": "qname",
+        "XSD_URI": "qname",
+        "XSI_URI": "qname",
+        "AtomicType": "types",
+        "atomic_type_for_code": "types",
+        "atomic_type_for_dtype": "types",
+        "atomic_type_for_xsd": "types",
+        "format_lexical": "types",
+        "parse_lexical": "types",
+        "ArrayElement": "nodes",
+        "AttributeNode": "nodes",
+        "CommentNode": "nodes",
+        "DocumentNode": "nodes",
+        "ElementNode": "nodes",
+        "LeafElement": "nodes",
+        "NamespaceNode": "nodes",
+        "NodeKind": "nodes",
+        "PINode": "nodes",
+        "TextNode": "nodes",
+        "TreeBuilder": "builder",
+        "array": "builder",
+        "comment": "builder",
+        "doc": "builder",
+        "element": "builder",
+        "leaf": "builder",
+        "pi": "builder",
+        "text": "builder",
+        "canonical_signature": "compare",
+        "deep_equal": "compare",
+        "explain_difference": "compare",
+        "children_named": "path",
+        "find_all": "path",
+        "find_first": "path",
+        "select": "path",
+        "Visitor": "visitor",
+        "walk": "visitor",
+    },
+)

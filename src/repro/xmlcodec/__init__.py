@@ -14,24 +14,23 @@ typed bXDM tree.  With ``emit_types=False`` the output is plain XML — the
 tag names).
 """
 
-from repro.xmlcodec.errors import XMLError, XMLParseError, XMLSerializeError
-from repro.xmlcodec.escape import escape_attribute, escape_text, unescape
-from repro.xmlcodec.parser import XMLParser, parse_document, parse_fragment
-from repro.xmlcodec.serializer import XMLSerializer, serialize
-from repro.xmlcodec.typed import BX_URI, DEFAULT_ITEM_NAME
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BX_URI",
-    "DEFAULT_ITEM_NAME",
-    "XMLError",
-    "XMLParseError",
-    "XMLParser",
-    "XMLSerializeError",
-    "XMLSerializer",
-    "escape_attribute",
-    "escape_text",
-    "parse_document",
-    "parse_fragment",
-    "serialize",
-    "unescape",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "XMLError": "errors",
+        "XMLParseError": "errors",
+        "XMLSerializeError": "errors",
+        "escape_attribute": "escape",
+        "escape_text": "escape",
+        "unescape": "escape",
+        "XMLParser": "parser",
+        "parse_document": "parser",
+        "parse_fragment": "parser",
+        "XMLSerializer": "serializer",
+        "serialize": "serializer",
+        "BX_URI": "typed",
+        "DEFAULT_ITEM_NAME": "typed",
+    },
+)

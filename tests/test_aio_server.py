@@ -13,10 +13,11 @@ import time
 
 import pytest
 
+from repro.loadgen import drive_connections
 from repro.obs import render_prometheus
 from repro.serve.pool import WorkerPool
 from repro.transport import MemoryNetwork, TcpListener, connect_tcp
-from repro.transport.aio import AsyncHttpServer, drive_connections
+from repro.transport.aio import AsyncHttpServer
 from repro.transport.base import TransportError
 from repro.transport.http import HttpClient, HttpRequest, HttpResponse
 from repro.transport.http.pipeline import RequestPipeline

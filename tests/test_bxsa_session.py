@@ -37,6 +37,7 @@ from repro.xdm import (
     PINode,
     TextNode,
     array,
+    deep_equal,
     doc,
     element,
     explain_difference,
@@ -801,3 +802,46 @@ class TestReentrancy:
             sys.setswitchinterval(interval)
         assert not wrong, wrong[:5]
         assert session.stats.poisoned_shapes == 0
+
+    @pytest.mark.parametrize("side", ["encode", "decode"])
+    def test_shared_session_churn_evicts_in_one_step(self, side):
+        """Five shapes through ``max_plans=2`` (and eight interned strings)
+        on four threads: every call compiles and evicts.  Evicting used to be
+        ``plans.pop(next(iter(plans)))`` — two threads picked the same oldest
+        key (``KeyError``), or one resized the table under the other's
+        iterator (``RuntimeError``), or both passed the bound check."""
+        documents = _churn_documents()
+        blobs = [encode(d) for d in documents]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _round in range(6):
+                session = CodecSession(max_plans=2, max_cached_strings=8)
+                wrong: list = []
+                together = threading.Barrier(4)
+
+                def work(offset: int) -> None:
+                    try:
+                        together.wait(timeout=10)
+                        for i in range(100):
+                            k = (i + offset) % len(documents)
+                            if side == "encode":
+                                same = session.encode(documents[k]) == blobs[k]
+                            else:
+                                same = deep_equal(session.decode(blobs[k]), documents[k])
+                            if not same:
+                                wrong.append(k)
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        wrong.append(exc)
+
+                threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not wrong, wrong[:5]
+                assert session.stats.poisoned_shapes == session.stats.decode_poisoned == 0
+                assert len(session._plans) <= 2 and len(session._decode_plans) <= 2
+        finally:
+            sys.setswitchinterval(interval)

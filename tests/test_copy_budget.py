@@ -253,3 +253,55 @@ def test_lint_keeps_allocator_tuning_in_one_place(tmp_path):
     tool.parent.mkdir()
     tool.write_text("import ctypes\n", encoding="utf-8")
     assert lint.allocator_findings(str(tool)) == []
+
+
+def test_lint_keeps_package_imports_lazy_and_openssl_out_of_the_closure(tmp_path):
+    """The seeded violations: an eager re-export in a package ``__init__``,
+    a module-level ``hashlib`` in a module every host loads."""
+    lint = load_tool("lint")
+    src = os.path.join(TOOLS, "..", "src", "repro")
+    for clean in ("__init__.py", "obs/__init__.py", "obs/trace.py", "core/security.py"):
+        assert lint.package_surface_findings(os.path.join(src, clean)) == []
+    package = tmp_path / "repro" / "core" / "__init__.py"
+    package.parent.mkdir(parents=True)
+    package.write_text(
+        "from repro._exports import lazy_exports\n"
+        "from repro.core.engine import SoapEngine\n"
+        "import repro.core.wsdl\n"
+        "from .fault import SoapFault\n"
+        "import json\n"
+        "def late():\n"
+        "    from repro.core import client\n",
+        encoding="utf-8",
+    )
+    findings = lint.package_surface_findings(str(package))
+    assert [line for line, _ in findings] == [2, 3, 4]
+    assert all("re-exports lazily" in message for _, message in findings)
+    # the one eager edge is repro.obs -> repro.obs.trace, and only there
+    obs = tmp_path / "repro" / "obs" / "__init__.py"
+    obs.parent.mkdir()
+    obs.write_text(
+        "from repro.obs.trace import get_recorder\nfrom repro.obs.metrics import Counter\n",
+        encoding="utf-8",
+    )
+    assert [line for line, _ in lint.package_surface_findings(str(obs))] == [2]
+    engine = tmp_path / "repro" / "core" / "engine.py"
+    engine.write_text(
+        "import hashlib\n"
+        "from hmac import compare_digest\n"
+        "from repro.core.concepts import check_security_policy\n"
+        "def digest():\n"
+        "    import hashlib\n",
+        encoding="utf-8",
+    )
+    findings = lint.package_surface_findings(str(engine))
+    assert [line for line, _ in findings] == [1, 2]
+    assert all("maps OpenSSL" in message for _, message in findings)
+    # a model that signs may; code outside src/repro is not the rule's business
+    model = tmp_path / "repro" / "core" / "security.py"
+    model.write_text("import hashlib\nimport hmac\n", encoding="utf-8")
+    assert lint.package_surface_findings(str(model)) == []
+    tool = tmp_path / "tools" / "probe.py"
+    tool.parent.mkdir()
+    tool.write_text("import hashlib\n", encoding="utf-8")
+    assert lint.package_surface_findings(str(tool)) == []

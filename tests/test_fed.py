@@ -731,3 +731,16 @@ class TestNodeProcesses:
             for node in nodes:
                 node.stop()
         assert all(not node.alive for node in nodes)
+
+    def test_a_child_that_never_announces_is_reaped(self, tmp_path):
+        """A child whose first line is not ``ADDR ...`` (and which would run
+        on) is killed, waited for and its pipes closed: the autouse leak
+        fixture counts child processes, zombies included."""
+        stand_in = tmp_path / "node"
+        stand_in.write_text("#!/bin/sh\necho not an address line\nexec sleep 30\n")
+        stand_in.chmod(0o755)
+        with pytest.raises(RuntimeError, match="got 'not an address line'") as raised:
+            spawn_nodes(1, python=str(stand_in))
+        process = raised.traceback[-1].frame.f_locals["process"]
+        assert process.returncode is not None
+        assert process.stdin.closed and process.stdout.closed

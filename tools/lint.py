@@ -16,10 +16,11 @@ lint) — they confine the concurrency machinery to its designated homes:
   through the bounded :class:`WorkerPool`; a stray ``threading.Thread``
   anywhere else in the package would reintroduce exactly the unbounded
   concurrency the subsystem exists to prevent.
-* inside ``src/repro`` only ``transport/aio.py`` may import
-  ``selectors``.  The event loop is a singleton discipline: a second
-  selector loop hiding elsewhere would split readiness handling across
-  owners and defeat the one-loop invariant the aio module documents.
+* inside ``src/repro`` only ``transport/aio.py`` and the client that
+  measures it (``loadgen/ladder.py``) may import ``selectors``.  The
+  event loop is a singleton discipline: a second selector loop hiding
+  elsewhere would split readiness handling across owners and defeat the
+  one-loop invariant the aio module documents.
 * inside ``src/repro/transport`` only ``aio.py`` (its loop thread) and
   ``host.py`` (the connection host's accept and connection threads) may
   reference ``threading.Thread`` — transport code must not grow ad-hoc
@@ -59,6 +60,14 @@ lint) — they confine the concurrency machinery to its designated homes:
   ``choose_replica`` — replica-selection policy is one pluggable
   surface; a routing brain elsewhere would bypass the balancer's
   failover, circuit breaking and metrics.
+* a package ``__init__.py`` under ``src/repro`` imports nothing of
+  ``repro`` at module level except the export helper
+  (``repro._exports``) and ``repro.obs``'s one eager edge to
+  ``obs.trace``, and ``hashlib`` / ``hmac`` are imported at module level
+  only by the modules outside the serving closure that digest for a
+  living — ``import repro.<x>`` costs the closure of ``<x>``, and a
+  process maps OpenSSL when it first signs (DESIGN.md §10 "process
+  floor"; ``tests/test_import_budget.py`` holds the resulting closure).
 
 Exit status 0 = clean, 1 = findings, matching ruff's convention so the
 verify flow can chain it after the tier-1 pytest run.
@@ -208,7 +217,7 @@ def _repro_relative(path: str) -> str | None:
 
 
 #: Modules allowed to import ``selectors`` (relative to src/repro).
-SELECTOR_HOMES = {"transport/aio.py"}
+SELECTOR_HOMES = {"transport/aio.py", "loadgen/ladder.py"}
 
 #: Transport modules allowed to reference ``threading.Thread``: the aio
 #: loop thread, and the one threaded connection host.
@@ -235,8 +244,8 @@ def concurrency_findings(path: str) -> list[tuple[int, str]]:
     selectors_ok = rel in SELECTOR_HOMES
     thread_rule_applies = rel.startswith("transport/") and rel not in TRANSPORT_THREAD_HOMES
     selector_message = (
-        "selectors usage in repro is reserved to transport/aio.py "
-        "(the one event loop; register with it instead of starting another)"
+        "selectors usage in repro is reserved to transport/aio.py and its ladder "
+        "client (the one event loop; register with it instead of starting another)"
     )
     thread_message = (
         "thread spawning in repro.transport is reserved to aio.py and "
@@ -582,6 +591,73 @@ def allocator_findings(path: str) -> list[tuple[int, str]]:
     return findings
 
 
+#: ``repro`` modules a package ``__init__`` may import at module level
+#: (relative to src/repro): the export helper anywhere, and the one eager
+#: edge — ``repro.obs``'s ``span``/``counter`` helpers call ``get_recorder``
+#: on every instrumented call.
+EXPORT_HELPER = "repro._exports"
+EAGER_PACKAGE_EDGES = {"obs/__init__.py": {"repro.obs.trace"}}
+
+#: The modules allowed to import OpenSSL's front ends at module level: the
+#: signing and digesting models, none of them in an echo host's closure.
+DIGEST_MODULES = {"hashlib", "hmac"}
+DIGEST_HOMES = {
+    "core/security.py",
+    "gridftp/auth.py",
+    "fed/cache.py",
+    "fed/node.py",
+    "fed/striping.py",
+    "obs/sampling.py",
+}
+
+
+def package_surface_findings(path: str) -> list[tuple[int, str]]:
+    """Keep package imports lazy and OpenSSL out of the serving closure.
+
+    Every package re-exports through ``repro._exports.lazy_exports``; one
+    eager ``from repro.x import y`` in an ``__init__`` puts ``x`` (and what
+    it imports) back into every process that touches the package.  And
+    ``import hashlib`` maps libcrypto — 3.6 MiB resident — so outside
+    :data:`DIGEST_HOMES` it is imported where it is called.  Only
+    module-level statements count: a function-level import is the remedy.
+    """
+    rel = _repro_relative(path)
+    if rel is None:
+        return []
+    with open(path, "rb") as fh:
+        source = fh.read()
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError:
+        return []  # dead_imports already reports the syntax error
+    is_package = os.path.basename(path) == "__init__.py"
+    eager_ok = {EXPORT_HELPER} | EAGER_PACKAGE_EDGES.get(rel, set())
+    findings = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import is an import of this package
+            modules = [("repro." if node.level else "") + (node.module or "")]
+        else:
+            continue
+        for module in modules:
+            top = module.split(".")[0]
+            if is_package and top == "repro" and module not in eager_ok:
+                findings.append((
+                    node.lineno,
+                    f"a package __init__ re-exports lazily: add {module} to the "
+                    "lazy_exports table instead of importing it here",
+                ))  # fmt: skip
+            elif top in DIGEST_MODULES and rel not in DIGEST_HOMES:
+                findings.append((
+                    node.lineno,
+                    f"module-level import of {top} maps OpenSSL into every process "
+                    "that loads this module; import it in the function that digests",
+                ))  # fmt: skip
+    return findings
+
+
 #: The modules that write responses to sockets (relative to src/repro).
 RESPONSE_WRITERS = {"transport/aio.py", "transport/http/server.py"}
 
@@ -642,6 +718,7 @@ REPO_RULES = (
     accept_loop_findings,
     allocator_findings,
     response_join_findings,
+    package_surface_findings,
 )
 
 

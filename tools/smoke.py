@@ -71,7 +71,8 @@ def recv_response(sock: socket.socket) -> bytes:
 
 def smoke_aio() -> str:
     from repro.serve.pool import WorkerPool
-    from repro.transport.aio import AsyncHttpServer, drive_connections
+    from repro.loadgen import drive_connections
+    from repro.transport.aio import AsyncHttpServer
     from repro.transport.http import HttpServer
     from repro.transport.http.messages import HttpRequest, HttpResponse
     from repro.transport.http.pipeline import RequestPipeline
