@@ -7,15 +7,14 @@ Figure 5 payload (a SOAP-wrapped doubles array from the LEAD workload):
 * ``decode``   — session decode-plan replay vs stateless decode
 * ``roundtrip``— encode + decode, warm vs cold
 
-Ratios (cold/warm, >1 means the session wins) are written to
-``benchmarks/results/hotpath.json`` for ``tools/bench_guard.py`` to compare
-across runs, plus a rendered ``hotpath.txt``.  The acceptance bar — warm
-encode at least 2x the cold encoder on the smallest Figure 5 size, where
-per-message interpreter overhead (not array memcpy) dominates — is asserted
-here directly.  Byte compatibility is asserted on every measured message.
+Ratios are cold/warm (>1 means the session wins); a full-mode run keeps the
+rendered table as ``benchmarks/results/hotpath.txt``.  The acceptance bars —
+at the smallest Figure 5 size, where per-message interpreter overhead (not
+array memcpy) dominates — are asserted here and stated nowhere else; the
+absolute warm times are the ledger's ``bxsa.encode_warm_us`` /
+``bxsa.decode_warm_us``.  Byte compatibility is asserted on every measured
+message.
 """
-
-import json
 
 import pytest
 
@@ -23,7 +22,7 @@ from repro.bxsa import CodecSession, decode, encode
 from repro.harness.measure import median_seconds, timed_median
 from repro.workloads.lead import lead_dataset
 
-from benchmarks.conftest import quick_mode
+from benchmarks.conftest import quick_mode, spool_result
 
 pytestmark = pytest.mark.bench
 
@@ -36,14 +35,8 @@ SIZES = [1365] if quick_mode() else [1365, 5460, 21840, 87360]
 MIN_ENCODE_SPEEDUP = 2.0
 MIN_DECODE_SPEEDUP = 1.8
 MIN_ROUNDTRIP_SPEEDUP = 1.9
-#: Absolute ceiling on the warm per-message decode at SIZES[0], enforced by
-#: tools/bench_guard.py as a fixed bound (complexity-regression tripwire,
-#: not a noise-sensitive rolling pin).  Keep in sync with bench_guard's
-#: HOTPATH_CEILINGS.
-WARM_DECODE_US_CEILING = 60.0
-#: Same sample counts in quick and full mode: the guarded ratios come from
-#: SIZES[0] (microseconds per run), so quick mode only trims the sweep —
-#: pinned numbers stay comparable across modes for tools/bench_guard.py.
+#: Same sample counts in quick and full mode: the asserted ratios come from
+#: SIZES[0] (microseconds per run), so quick mode only trims the sweep.
 REPEATS = 30
 ROUNDS = 5
 
@@ -129,24 +122,7 @@ class TestHotPath:
         rows = [_ratios_for(size) for size in SIZES]
         rendered = _render(rows)
         print("\n" + rendered)
-        (results_dir / "hotpath.txt").write_text(rendered + "\n")
-        pinned = {
-            "quick": quick_mode(),
-            "sizes": SIZES,
-            "rows": rows,
-            # the guarded ratios: measured at the smallest size, where the
-            # session's win is structural rather than noise
-            "pinned": {
-                "encode_speedup": rows[0]["encode_speedup"],
-                "decode_speedup": rows[0]["decode_speedup"],
-                "roundtrip_speedup": rows[0]["roundtrip_speedup"],
-            },
-            # absolute values bench_guard checks against fixed ceilings
-            "measured": {
-                "warm_decode_us": rows[0]["warm_decode_us"],
-            },
-        }
-        (results_dir / "hotpath.json").write_text(json.dumps(pinned, indent=2) + "\n")
+        spool_result(results_dir, "hotpath", rendered)
         assert rows[0]["encode_speedup"] >= MIN_ENCODE_SPEEDUP, (
             f"warm encode speedup {rows[0]['encode_speedup']:.2f}x at "
             f"n={SIZES[0]} below the {MIN_ENCODE_SPEEDUP:.1f}x acceptance bar"
@@ -159,4 +135,3 @@ class TestHotPath:
             f"warm roundtrip speedup {rows[0]['roundtrip_speedup']:.2f}x at "
             f"n={SIZES[0]} below the {MIN_ROUNDTRIP_SPEEDUP:.1f}x acceptance bar"
         )
-        assert rows[0]["warm_decode_us"] <= WARM_DECODE_US_CEILING

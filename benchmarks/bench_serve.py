@@ -1,206 +1,29 @@
-"""Serving-runtime benchmarks: admission overhead and goodput floors.
+"""Figure L's connection ladder at bench size: the event-driven core holds
+thousands of keep-alive connections and keeps up with the threaded core.
 
-The worker-pool runtime exists so overload costs microseconds, not
-collapse.  This module pins that claim with three numbers, written to
-``benchmarks/results/serve.json`` for ``tools/bench_guard.py``:
-
-* ``shed_decision_us`` — a :meth:`WorkerPool.submit` against a full
-  admission queue must stay a constant-time decision: no lock convoy,
-  no allocation proportional to queue depth.  The ceiling is a loose
-  absolute bound only a complexity regression would blow.
-* ``pool_roundtrip_ms`` — submit + ``result()`` through an idle
-  single-worker pool: the fixed tax every pooled exchange pays on top
-  of its handler.  Pinned in milliseconds because it includes a real
-  thread handoff.
-* ``serve_goodput_rps`` — closed-loop goodput through the *full*
-  serving stack (memory transport, HTTP framing, BXSA decode, worker
-  pool) must stay above a deliberately conservative floor; this is the
-  number ``repro.harness.figure_load`` sweeps, so a collapse here means
-  the figure is measuring a broken runtime.
-* ``aio_ladder_connections`` / ``aio_vs_threaded_goodput`` — the
-  event-driven core must hold thousands of keep-alive connections (the
-  top rung of Figure L's connection ladder, >= 4096) while completing at
-  least as much work as the threaded core manages at its own best point
-  (a 10% noise allowance on the ratio floor).  These are the numbers the
-  selector-loop rebuild exists for.
-
-The floors/ceilings are duplicated in ``tools/bench_guard.py``
-(``SERVE_CEILINGS`` / ``SERVE_FLOORS``) so a stale ``serve.json`` from a
-regressed run fails CI even if this module is skipped.
+Runs :func:`repro.harness.figure_load.run_ladder` with fewer rungs and
+asserts the figure's own shape checks.  Both bounds (the connection floor,
+the goodput ratio floor) are constants of the figure module and are stated
+nowhere else; the pool's shed-decision and roundtrip costs and the
+full-stack exchange are the ledger's ``serve.pool.*`` and
+``serve.service.memory_exchange_us`` probes.
 """
-
-import json
-import threading
-import time
 
 import pytest
 
-from repro.core.envelope import SoapEnvelope
-from repro.core.policies import BXSA_CONTENT_TYPE
-from repro.harness.measure import median_seconds
-from repro.harness.figure_load import _call_factory, _make_dispatcher, connection_ladder
-from repro.loadgen import closed_loop
-from repro.serve import AdmissionQueueFull, ServeConfig, SoapServeService, WorkerPool
-from repro.transport.memory import MemoryNetwork
-from repro.workloads.lead import lead_dataset
-from repro.xdm import element
+from repro.harness import figure_load
 
 from benchmarks.conftest import quick_mode
 
 pytestmark = pytest.mark.bench
 
-OPS = 2_000 if quick_mode() else 20_000
-ROUNDTRIPS = 200 if quick_mode() else 1_000
-GOODPUT_REQUESTS = 60 if quick_mode() else 400
 LADDER_RUNGS = (256, 4096) if quick_mode() else (256, 1024, 4096)
 LADDER_REQUESTS_PER_CONN = 2 if quick_mode() else 4
 
-#: Ceilings/floors — keep in sync with tools/bench_guard.py.
-MAX_SHED_DECISION_US = 50.0
-MAX_POOL_ROUNDTRIP_MS = 10.0
-MIN_SERVE_GOODPUT_RPS = 25.0
-MIN_AIO_LADDER_CONNECTIONS = 4096
-MIN_AIO_VS_THREADED_GOODPUT = 0.9
 
-
-def _per_op_seconds(fn, ops: int, rounds: int = 5) -> float:
-    """Median over rounds of (wall time of ``fn()`` / ops)."""
-    samples = []
-    fn()  # warmup
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        samples.append((time.perf_counter() - start) / ops)
-    return median_seconds(samples)
-
-
-def _measure_shed_decision_us() -> float:
-    """Per-op cost of submit() raising AdmissionQueueFull on a full queue."""
-    release = threading.Event()
-    pool = WorkerPool(workers=1, queue_depth=1)
-    with pool:
-        pool.submit(lambda _state: release.wait())  # wedges the worker
-        # the queue slot fills on the first loop iteration; every
-        # subsequent submit exercises the pure shed path
-        def shed_storm():
-            submit = pool.submit
-            for _ in range(OPS):
-                try:
-                    submit(lambda _state: None)
-                except AdmissionQueueFull:
-                    pass
-
-        per_op = _per_op_seconds(shed_storm, OPS)
-        release.set()
-    return per_op * 1e6
-
-
-def _measure_pool_roundtrip_ms() -> float:
-    """Median submit -> result() latency through an idle one-worker pool."""
-    with WorkerPool(workers=1, queue_depth=4) as pool:
-        def roundtrips():
-            submit = pool.submit
-            for _ in range(ROUNDTRIPS):
-                submit(lambda _state: None).result(timeout=5.0)
-
-        per_op = _per_op_seconds(roundtrips, ROUNDTRIPS, rounds=3)
-    return per_op * 1e3
-
-
-def _measure_serve_goodput_rps() -> float:
-    """Closed-loop BXSA/HTTP goodput through the full serving stack."""
-    dispatcher = _make_dispatcher()
-    payload = SoapEnvelope.wrap(
-        element("PutModel", lead_dataset(50, seed=0).to_bxdm())
+def test_figure_load_ladder_checks():
+    result = figure_load.run_ladder(
+        rungs=LADDER_RUNGS, requests_per_connection=LADDER_REQUESTS_PER_CONN
     )
-    config = ServeConfig(workers=2, queue_depth=4)
-    network = MemoryNetwork()
-    service = SoapServeService(
-        network.listen("bench-serve"), dispatcher, config=config
-    )
-    with service:
-        result = closed_loop(
-            _call_factory(network, "bench-serve", BXSA_CONTENT_TYPE, payload),
-            clients=config.workers,
-            requests_per_client=GOODPUT_REQUESTS // config.workers,
-            seed=0,
-        )
-    # at concurrency == workers nothing queues, so nothing may shed or fail
-    assert result.failed == 0 and result.shed == 0, result.as_dict()
-    return result.goodput
-
-
-def _measure_connection_ladder() -> dict:
-    """Figure L's connection ladder (threaded best vs event-driven rungs)
-    over real loopback TCP, trimmed for bench cadence."""
-    return connection_ladder(
-        workers=2,
-        queue_depth=64,
-        rungs=LADDER_RUNGS,
-        threaded_probe=(16, 64),
-        requests_per_connection=LADDER_REQUESTS_PER_CONN,
-        model_size=20,
-        seed=0,
-    )
-
-
-class TestServePins:
-    def test_serve_pins(self, results_dir):
-        shed_us = _measure_shed_decision_us()
-        roundtrip_ms = _measure_pool_roundtrip_ms()
-        goodput_rps = _measure_serve_goodput_rps()
-        ladder = _measure_connection_ladder()
-
-        aio_top = ladder["aio"][-1]
-        threaded_best = ladder["threaded_best_goodput_rps"]
-        ratio = aio_top["goodput_rps"] / max(threaded_best, 1e-9)
-        print(
-            f"\nshed decision {shed_us:.2f}us, pool roundtrip "
-            f"{roundtrip_ms:.3f}ms, serve goodput {goodput_rps:.0f} rps, "
-            f"ladder top {aio_top['connections']} conns at "
-            f"{aio_top['goodput_rps']:.0f} rps ({ratio:.2f}x threaded best)"
-        )
-
-        measured = {
-            "shed_decision_us": shed_us,
-            "pool_roundtrip_ms": roundtrip_ms,
-            "serve_goodput_rps": goodput_rps,
-            "aio_ladder_connections": aio_top["connections"],
-            "aio_ladder_goodput_rps": aio_top["goodput_rps"],
-            "threaded_best_goodput_rps": threaded_best,
-            "aio_vs_threaded_goodput": ratio,
-        }
-        document = {
-            "quick": quick_mode(),
-            "measured": measured,
-            "ladder": {"threaded": ladder["threaded"], "aio": ladder["aio"]},
-        }
-        (results_dir / "serve.json").write_text(
-            json.dumps(document, indent=2) + "\n"
-        )
-
-        assert shed_us <= MAX_SHED_DECISION_US, (
-            f"shed decision costs {shed_us:.2f}us "
-            f"(ceiling {MAX_SHED_DECISION_US:.0f}us) — admission control "
-            "must stay constant-time"
-        )
-        assert roundtrip_ms <= MAX_POOL_ROUNDTRIP_MS, (
-            f"pool roundtrip {roundtrip_ms:.3f}ms exceeds "
-            f"{MAX_POOL_ROUNDTRIP_MS:.0f}ms"
-        )
-        assert goodput_rps >= MIN_SERVE_GOODPUT_RPS, (
-            f"serve goodput {goodput_rps:.0f} rps fell below the "
-            f"{MIN_SERVE_GOODPUT_RPS:.0f} rps floor"
-        )
-        assert aio_top["connections"] >= MIN_AIO_LADDER_CONNECTIONS, (
-            f"ladder topped out at {aio_top['connections']} connections "
-            f"(floor {MIN_AIO_LADDER_CONNECTIONS})"
-        )
-        assert ratio >= MIN_AIO_VS_THREADED_GOODPUT, (
-            f"event-driven goodput at the top rung is {ratio:.2f}x the "
-            f"threaded best (floor {MIN_AIO_VS_THREADED_GOODPUT:.1f}x)"
-        )
-        assert all(
-            point["failed"] == 0 and point["established"] == point["connections"]
-            for point in ladder["threaded"] + ladder["aio"]
-        ), "ladder rungs must establish every connection and fail nothing"
+    print("\n" + result.render())
+    assert result.all_checks_pass, result.render()

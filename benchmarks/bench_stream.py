@@ -1,117 +1,24 @@
-"""Streaming-pipeline benchmarks: TTFB and peak-memory pins for Figure S.
+"""Figure S at bench size: the streaming pipeline's TTFB, peak-memory and
+signing-cost claims.
 
-The streaming data plane (sink-driven BXSA writer -> chunked HTTP ->
-incremental decoder, optional per-chunk signing) exists for two numbers,
-and this module pins both, written to ``benchmarks/results/stream.json``
-for ``tools/bench_guard.py``:
-
-* ``streamed_peak_over_chunk`` — peak Python-heap allocation of a whole
-  streamed exchange (client + server + producer share the process),
-  divided by the transfer chunk size, worst case over the unsigned and
-  signed modes at the largest size.  The pipeline's memory must be
-  O(chunk), not O(message): the ceiling is 4 chunks (measured ~3.3).
-* ``ttfb_ratio_64mib`` — buffered time-to-first-byte over streamed at
-  64 MiB.  Buffered must materialize and encode everything before byte
-  one; streamed answers as soon as the first chunk exists (measured
-  ~50-200x; the floor of 5x only catches the pipeline losing its
-  early-first-byte property entirely).
-* ``buffered_peak_over_payload`` — the baseline's peak over the payload
-  size at 64 MiB; a floor of 1.0 keeps the comparison honest (if the
-  "buffered" path ever stops materializing, the ratio above is
-  measuring nothing).
-* ``signed_total_over_unsigned`` — per-chunk HMAC signing must cost
-  bounded throughput (measured ~3x; the generous ceiling catches a
-  complexity regression like per-byte rehashing, not machine noise).
-
-The floors/ceilings are duplicated in ``tools/bench_guard.py``
-(``STREAM_CEILINGS`` / ``STREAM_FLOORS``) so a stale ``stream.json``
-from a regressed run fails CI even if this module is skipped.
+Runs :func:`repro.harness.figure_stream.run` over a short sweep and asserts
+the figure's own shape checks.  The bounds (peak <= 4 transfer chunks,
+buffered TTFB >= 5x streamed, signing <= 6x the unsigned total) are
+constants of the figure module and are stated nowhere else.
 """
-
-import json
 
 import pytest
 
-from repro.harness.figure_stream import (
-    DEFAULT_CHUNK_BYTES,
-    MIB,
-    sweep,
-)
+from repro.harness import figure_stream
 
 from benchmarks.conftest import quick_mode
 
 pytestmark = pytest.mark.bench
 
 SIZES_MIB = (1, 64) if quick_mode() else (1, 8, 64)
-PIN_MIB = 64
-
-#: Ceilings/floors — keep in sync with tools/bench_guard.py.
-MAX_STREAMED_PEAK_CHUNKS = 4.0
-MIN_TTFB_RATIO = 5.0
-MIN_BUFFERED_PEAK_OVER_PAYLOAD = 1.0
-MAX_SIGNED_OVER_UNSIGNED = 6.0
 
 
-def _point(document: dict, mib: int, mode: str) -> dict:
-    for point in document["points"]:
-        if point["mib"] == mib and point["mode"] == mode:
-            return point
-    raise AssertionError(f"no ({mib} MiB, {mode}) point in the sweep")
-
-
-class TestStreamPins:
-    def test_stream_pins(self, results_dir):
-        document = sweep(sizes_mib=SIZES_MIB, buffered_cap_mib=PIN_MIB)
-        assert all(p["verified"] for p in document["points"]), document["points"]
-
-        chunk = document["config"]["chunk_bytes"]
-        assert chunk == DEFAULT_CHUNK_BYTES
-        buffered = _point(document, PIN_MIB, "buffered")
-        streamed = _point(document, PIN_MIB, "streamed")
-        signed = _point(document, PIN_MIB, "signed")
-
-        peak_chunks = max(streamed["peak_bytes"], signed["peak_bytes"]) / chunk
-        ttfb_ratio = buffered["ttfb_s"] / max(streamed["ttfb_s"], 1e-9)
-        buffered_ratio = buffered["peak_bytes"] / (PIN_MIB * MIB)
-        signed_ratio = signed["total_s"] / max(streamed["total_s"], 1e-9)
-        print(
-            f"\nstreamed peak {peak_chunks:.2f} chunks, TTFB ratio "
-            f"{ttfb_ratio:.0f}x at {PIN_MIB} MiB, buffered peak "
-            f"{buffered_ratio:.2f}x payload, signing {signed_ratio:.2f}x "
-            f"unsigned total"
-        )
-
-        measured = {
-            "streamed_peak_over_chunk": peak_chunks,
-            "ttfb_ratio_64mib": ttfb_ratio,
-            "buffered_peak_over_payload": buffered_ratio,
-            "signed_total_over_unsigned": signed_ratio,
-            "streamed_throughput_mib_s": streamed["throughput_mib_s"],
-        }
-        document_out = {
-            "quick": quick_mode(),
-            "measured": measured,
-            "points": document["points"],
-            "config": document["config"],
-        }
-        (results_dir / "stream.json").write_text(
-            json.dumps(document_out, indent=2) + "\n"
-        )
-
-        assert peak_chunks <= MAX_STREAMED_PEAK_CHUNKS, (
-            f"streamed exchange peaked at {peak_chunks:.2f} transfer chunks "
-            f"(ceiling {MAX_STREAMED_PEAK_CHUNKS:g}) — the pipeline must stay "
-            "O(chunk), not O(message)"
-        )
-        assert ttfb_ratio >= MIN_TTFB_RATIO, (
-            f"buffered TTFB is only {ttfb_ratio:.1f}x streamed at {PIN_MIB} MiB "
-            f"(floor {MIN_TTFB_RATIO:g}x) — streaming lost its early first byte"
-        )
-        assert buffered_ratio >= MIN_BUFFERED_PEAK_OVER_PAYLOAD, (
-            f"buffered peak is {buffered_ratio:.2f}x the payload — the "
-            "baseline stopped materializing; the comparison is broken"
-        )
-        assert signed_ratio <= MAX_SIGNED_OVER_UNSIGNED, (
-            f"signing costs {signed_ratio:.2f}x the unsigned streamed total "
-            f"(ceiling {MAX_SIGNED_OVER_UNSIGNED:g}x)"
-        )
+def test_figure_stream_checks():
+    result = figure_stream.run(sizes_mib=SIZES_MIB, buffered_cap_mib=SIZES_MIB[-1])
+    print("\n" + result.render())
+    assert result.all_checks_pass, result.render()

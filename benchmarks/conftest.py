@@ -3,7 +3,8 @@
 Every ``bench_table*/bench_figure*`` benchmark regenerates its experiment
 and writes the rendered table (with shape-check verdicts) to
 ``benchmarks/results/<experiment>.txt`` so the artifacts survive pytest's
-output capture.  ``REPRO_BENCH_QUICK=1`` shrinks the sweeps for smoke runs.
+output capture.  ``REPRO_BENCH_QUICK=1`` shrinks the sweeps for smoke runs
+and writes nothing: a tracked table is always a full-mode one.
 """
 
 from __future__ import annotations
@@ -27,4 +28,6 @@ def results_dir() -> pathlib.Path:
 
 
 def spool_result(results_dir: pathlib.Path, name: str, rendered: str) -> None:
-    (results_dir / f"{name}.txt").write_text(rendered + "\n")
+    """Keep a full-mode table; a quick run never replaces one."""
+    if not quick_mode():
+        (results_dir / f"{name}.txt").write_text(rendered + "\n")

@@ -181,7 +181,10 @@ class SoapEngine:
     Parameters
     ----------
     encoding:
-        Any model of the encoding policy concept.
+        Any model of the encoding policy concept; it encodes what this
+        engine sends.  A received message whose content type differs is
+        decoded with the matching shipped policy — the paper's engines
+        negotiate per message hop.
     binding:
         Any model of the client- or server-side binding concept (which side
         is needed depends on which methods are called; both are accepted).
@@ -189,11 +192,6 @@ class SoapEngine:
         Optional model of the security policy concept (§5's "just add more
         policies"): its ``sign`` runs on every outgoing envelope and its
         ``verify`` on every incoming one (see :mod:`repro.core.security`).
-    strict_content_type:
-        When True (default), a received message whose content type differs
-        from this engine's encoding is decoded with the matching shipped
-        policy — the paper's engines negotiate per message hop.  Set False
-        to force the configured encoding regardless of the tag.
     resilience:
         Optional :class:`~repro.transport.resilience.ResiliencePolicy`.
         When set, :meth:`call` runs under its retry budget and default
@@ -216,7 +214,6 @@ class SoapEngine:
         binding,
         security=None,
         *,
-        strict_content_type: bool = True,
         resilience: ResiliencePolicy | None = None,
         metrics=None,
     ) -> None:
@@ -234,7 +231,6 @@ class SoapEngine:
         self.encoding = encoding
         self.binding = binding
         self.security = security
-        self.strict_content_type = strict_content_type
         self.resilience = resilience
         self.metrics = metrics
         self._retry_rng = random.Random()
@@ -376,12 +372,10 @@ class SoapEngine:
     # ------------------------------------------------------------------
 
     def _decode(self, payload: bytes, content_type: str) -> SoapEnvelope:
-        encoding = self.encoding
-        if self.strict_content_type:
-            try:
-                encoding = self._policies.resolve(content_type)
-            except ValueError as exc:
-                raise SoapFault(CLIENT_FAULT, str(exc)) from exc
+        try:
+            encoding = self._policies.resolve(content_type)
+        except ValueError as exc:
+            raise SoapFault(CLIENT_FAULT, str(exc)) from exc
         return decode_envelope(encoding, payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

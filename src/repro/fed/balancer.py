@@ -97,6 +97,11 @@ class LeastOutstandingPolicy:
         return min(ordered, key=lambda state: state.outstanding)
 
 
+#: Weight of the newest completed exchange in a replica's latency EWMA
+#: (``ewma_seconds``, the number :class:`EwmaLatencyPolicy` reads).
+EWMA_ALPHA = 0.2
+
+
 class EwmaLatencyPolicy:
     """Weight candidates by EWMA latency scaled by queue depth.
 
@@ -185,7 +190,6 @@ class Balancer:
         policy=None,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 1.0,
-        ewma_alpha: float = 0.2,
         metrics: MetricsRegistry | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -198,7 +202,6 @@ class Balancer:
         self.policy = policy if policy is not None else RoundRobinPolicy()
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
-        self.ewma_alpha = ewma_alpha
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.clock = clock
         self._lock = threading.Lock()
@@ -309,8 +312,9 @@ class Balancer:
                     if state.ewma_seconds is None:
                         state.ewma_seconds = seconds
                     else:
-                        alpha = self.ewma_alpha
-                        state.ewma_seconds = alpha * seconds + (1 - alpha) * state.ewma_seconds
+                        state.ewma_seconds = (
+                            EWMA_ALPHA * seconds + (1 - EWMA_ALPHA) * state.ewma_seconds
+                        )
             else:
                 state.failures += 1
                 state.consecutive_failures += 1

@@ -162,7 +162,7 @@ class GridFTPClient:
 
             buffer = bytearray(size)
             cursor_lock = threading.Lock()
-            state = {"cursor": 0}
+            state = {"cursor": 0, "landed": 0}
             self.stats.n_streams = n_streams
             errors: list[Exception] = []
 
@@ -186,11 +186,12 @@ class GridFTPClient:
                         while True:
                             header = recv_exactly(channel, BLOCK_HEADER.size)
                             offset, length, flags = BLOCK_HEADER.unpack(header)
-                            payload = recv_exactly(channel, length) if length else b""
+                            # the peer's length sizes the read: refuse it first
                             if offset + length > size:
                                 raise GridFTPError(
                                     f"block [{offset}, {offset + length}) beyond file of {size}"
                                 )
+                            payload = recv_exactly(channel, length) if length else b""
                             with cursor_lock:
                                 if length:
                                     if offset != state["cursor"]:
@@ -200,6 +201,7 @@ class GridFTPClient:
                                     state["cursor"] = offset + length
                                     self.stats.blocks_received += 1
                                     self.stats.data_bytes += length
+                                    state["landed"] += length
                                     blocks += 1
                                     bytes_landed += length
                                 self.stats.block_header_bytes += BLOCK_HEADER.size
@@ -243,6 +245,11 @@ class GridFTPClient:
                 raise GridFTPError(f"data stream failed: {errors[0]}")
             if not final.startswith("226"):
                 raise GridFTPError(f"transfer did not complete: {final}")
+            if state["landed"] != size:
+                # every stream said EOF, yet the buffer still has holes
+                raise GridFTPError(
+                    f"short transfer: {state['landed']} of {size} bytes landed"
+                )
             retrieve_span.set("bytes", size).set(
                 "out_of_order_blocks", self.stats.out_of_order_blocks
             )

@@ -14,7 +14,7 @@ like FTP::
 
 Data block framing on each stream: ``offset:u64be  length:u32be  flags:u8``
 then ``length`` payload bytes; ``flags & 1`` marks the stream's final
-block (MODE E's EOF semantics).  Blocks are cut every ``block_size`` bytes
+block (MODE E's EOF semantics).  Blocks are cut every ``DEFAULT_BLOCK_SIZE`` bytes
 and dealt round-robin over the streams, each stream sent by its own
 thread — so a multi-stream client genuinely observes interleaved,
 out-of-order arrivals.
@@ -41,7 +41,7 @@ from repro.transport.host import ConnectionHost
 BLOCK_HEADER = struct.Struct(">QIB")
 EOF_FLAG = 0x01
 
-#: Default stripe block size (bytes); GridFTP deployments of the era used
+#: Stripe block size (bytes); GridFTP deployments of the era used
 #: 64 KiB-1 MiB blocks — 256 KiB matches the netsim profile.
 DEFAULT_BLOCK_SIZE = 262144
 
@@ -72,14 +72,12 @@ class GridFTPServer(ConnectionHost):
         data_listener_factory: Callable[[], tuple[str, Listener]],
         credential: HostCredential,
         *,
-        block_size: int = DEFAULT_BLOCK_SIZE,
         name: str = "gridftp",
         metrics=None,
     ) -> None:
         super().__init__(control_listener, self._serve_control, name=name)
         self._data_listener_factory = data_listener_factory
         self._credential = credential
-        self._block_size = block_size
         self.metrics = metrics
         self._store: dict[str, bytes] = {}
         # data rendezvous of transfers in flight, so stop() can close them;
@@ -215,7 +213,7 @@ class GridFTPServer(ConnectionHost):
             listener.close()
             return
         try:
-            block_size = self._block_size
+            block_size = DEFAULT_BLOCK_SIZE
             n_blocks = max(1, -(-len(data) // block_size))
             # round-robin deal: stream k sends blocks k, k+n, k+2n, ...
             my_blocks = range(stream_index, n_blocks, n_streams)

@@ -72,6 +72,10 @@ DEFAULT_CONCURRENCY = (4, 16)
 DEFAULT_HIT_RATIOS = (0.0, 0.5, 0.9)
 #: Distinct hot payloads shared across clients at a given hit ratio.
 HOT_KEYS = 8
+#: What a 3-node federation must sustain over one saturated node at the
+#: same offered rate (measured ~2.3x, ~2.0x at bench size; the floor leaves
+#: noise room).  Stated here only: the bench asserts :func:`goodput_check`.
+FED_GOODPUT_FLOOR = 1.5
 
 
 def _work_envelope(key: int, *, size: int = 2048, rounds: int = 1, io_ms: int = 5):
@@ -197,6 +201,15 @@ def warm_hit_upstream_check() -> dict:
             service.stop()
 
 
+def warm_hit_check(warm: dict) -> ShapeCheck:
+    return ShapeCheck(
+        "warm cache hit served without any upstream exchange",
+        warm["hit_served_without_upstream"],
+        f"upstream requests {warm['upstream_after_miss']} -> "
+        f"{warm['upstream_after_hit']} across the hit",
+    )
+
+
 # ---------------------------------------------------------------------------
 # aggregate goodput a single node sheds (separate processes)
 
@@ -264,6 +277,22 @@ def federation_goodput(
         "federation": federation,
         "fed_vs_single_goodput": ratio,
     }
+
+
+def goodput_check(goodput: dict) -> ShapeCheck:
+    """The scaling claim over one :func:`federation_goodput` document; it
+    holds only if the single node saturated and both runs account exactly."""
+    single, federation = goodput["single"], goodput["federation"]
+    return ShapeCheck(
+        f"3-node federation sustains >= {FED_GOODPUT_FLOOR:g}x saturated single-node goodput",
+        goodput["fed_vs_single_goodput"] >= FED_GOODPUT_FLOOR
+        and single["shed"] > 0
+        and federation["failed"] == 0
+        and single["accounting_exact"]
+        and federation["accounting_exact"],
+        f"ratio {goodput['fed_vs_single_goodput']:.2f} "
+        f"(single sheds {single['shed']}, federation sheds {federation['shed']})",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -588,12 +617,7 @@ def run(
             ),
             f"{len(matrix)} cells",
         ),
-        ShapeCheck(
-            "warm cache hit served without any upstream exchange",
-            warm["hit_served_without_upstream"],
-            f"upstream requests {warm['upstream_after_miss']} -> "
-            f"{warm['upstream_after_hit']} across the hit",
-        ),
+        warm_hit_check(warm),
         ShapeCheck(
             "higher hit ratio means fewer upstream exchanges",
             all(
@@ -606,6 +630,7 @@ def run(
                 for clients in sorted({cell["clients"] for cell in matrix})
             ),
         ),
+        *([] if goodput is None else [goodput_check(goodput)]),
         ShapeCheck(
             "node-kill loses zero exchanges (exact accounting, none failed)",
             killed["accounting_exact"]
@@ -631,20 +656,6 @@ def run(
             f"sources {striped['stats']['stripes_by_source']}",
         ),
     ]
-    if goodput is not None:
-        checks.insert(
-            3,
-            ShapeCheck(
-                "3-node federation sustains >= 1.5x saturated single-node goodput",
-                goodput["fed_vs_single_goodput"] >= 1.5
-                and goodput["single"]["shed"] > 0
-                and goodput["federation"]["failed"] == 0,
-                f"ratio {goodput['fed_vs_single_goodput']:.2f} "
-                f"(single sheds {goodput['single']['shed']}, federation sheds "
-                f"{goodput['federation']['shed']})",
-            ),
-        )
-
     notes = [
         "matrix/failover/striping run 3 in-process replicas over the memory "
         "transport; the goodput section runs real node processes "

@@ -34,7 +34,11 @@ Expected shapes, encoded as checks below:
   size — signed or not — while buffered peak exceeds the payload itself;
 * at the largest common size, buffered TTFB is >= 5x streamed TTFB;
 * signing costs bounded throughput, not memory: the signed stream holds
-  the same peak bound.
+  the same peak bound and, at the largest size, takes <= 6x the unsigned
+  streamed total.
+
+Each bound is a constant below, written nowhere else: the bench and
+``tools/smoke.py stream`` run this sweep at their own sizes.
 
 Determinism: the payload is ``arange(n)`` as 32-bit ints, so the
 expected checksum is ``n*(n-1)/2`` — computable without ever holding
@@ -80,9 +84,12 @@ DEFAULT_SIZES_MIB = (1, 8, 64, 256)
 DEFAULT_BUFFERED_CAP_MIB = 64
 
 #: Streamed-vs-buffered TTFB advantage required at the largest common
-#: size, and the streamed peak bound in transfer chunks.
+#: size (measured ~50-200x), the streamed peak bound in transfer chunks
+#: (~3.3), and what per-chunk signing may cost in total time (~3x; the
+#: ceiling catches per-byte rehashing, not machine noise).
 TTFB_RATIO_FLOOR = 5.0
 STREAM_PEAK_CHUNKS = 4.0
+SIGNED_TOTAL_CEILING = 6.0
 
 #: Fixed demo key — the figure measures cost, not key management.
 _KEY = SecretKey(b"figure-stream-demo-key-0123456789", "figure-s")
@@ -355,6 +362,9 @@ def run(
     buffered_top = _point(document, top_common, "buffered")
     streamed_top = _point(document, top_common, "streamed")
     ttfb_ratio = buffered_top["ttfb_s"] / max(streamed_top["ttfb_s"], 1e-9)
+    top = max(sizes_mib)
+    signed_s = _point(document, top, "signed")["total_s"]
+    unsigned_s = _point(document, top, "streamed")["total_s"]
     checks = [
         ShapeCheck(
             "every transfer decodes to the expected checksum (all sizes, all modes)",
@@ -377,6 +387,12 @@ def run(
             ttfb_ratio >= TTFB_RATIO_FLOOR,
             f"{1e3 * buffered_top['ttfb_s']:.1f} ms vs "
             f"{1e3 * streamed_top['ttfb_s']:.1f} ms ({ttfb_ratio:.1f}x)",
+        ),
+        ShapeCheck(
+            f"per-chunk signing costs <= {SIGNED_TOTAL_CEILING:g}x the unsigned "
+            f"streamed total at {top} MiB",
+            signed_s <= SIGNED_TOTAL_CEILING * unsigned_s,
+            f"{signed_s:.2f} s vs {unsigned_s:.2f} s ({signed_s / max(unsigned_s, 1e-9):.1f}x)",
         ),
     ]
     notes = [

@@ -160,10 +160,10 @@ def to_markdown(results: list[ExperimentResult]) -> str:
         "`--json-out`.  Read the table as: streamed TTFB and peak memory",
         "stay flat as the message grows (peak ≤ 4 transfer chunks, signed",
         "or not) while the buffered column's TTFB and peak grow linearly",
-        "with the payload.  `benchmarks/bench_stream.py` pins the peak and",
-        "TTFB ratios in `benchmarks/results/stream.json`, enforced by",
-        "`tools/bench_guard.py`, and `tools/smoke.py stream` runs the",
-        "64 MiB exchange (plus a tamper check) as a verify-flow step.",
+        "with the payload.  The bounds are constants of `figure_stream.py`",
+        "and stated nowhere else: `benchmarks/bench_stream.py` runs this",
+        "figure at bench size and asserts these checks, `tools/smoke.py",
+        "stream` runs its 64 MiB streamed points (plus a tamper check).",
         "",
         "Federated data plane: `python -m repro.harness.figure_fed` runs a",
         "3-replica federation behind `repro.fed` — the client-side load",
@@ -182,8 +182,8 @@ def to_markdown(results: list[ExperimentResult]) -> str:
         "completes; the node-kill row shows exact accounting with nothing",
         "failed while a replica dies mid-load.  `tools/smoke.py fed` runs",
         "the 3-process cluster (one killed) as a verify-flow step and",
-        "`benchmarks/bench_fed.py` pins the federation/single goodput ratio",
-        "and the warm-hit latency in `benchmarks/results/fed.json`.",
+        "`benchmarks/bench_fed.py` runs the goodput and warm-hit sections at",
+        "bench size, asserting this figure's checks (the floor is its constant).",
         "",
         "Hot-path codec sessions: the figures above time the *cold*",
         "per-message codec cost (`session=False`), matching the paper's",
@@ -196,10 +196,10 @@ def to_markdown(results: list[ExperimentResult]) -> str:
         "structure-checked against the stateless decoder, and divergent",
         "shapes poisoned to the slow path.  `benchmarks/bench_hotpath.py`",
         "prints cold/warm microseconds per direction (cold/warm encode and",
-        "decode columns plus enc/dec/roundtrip ratios) and pins the ratios",
-        "and a `warm_decode_us` ceiling in",
-        "`benchmarks/results/hotpath.json`, enforced by",
-        "`tools/bench_guard.py`.",
+        "decode columns plus enc/dec/roundtrip ratios) and asserts the",
+        "ratios; absolute warm times are the exchange ledger's",
+        "`bxsa.encode_warm_us` / `bxsa.decode_warm_us`",
+        "(`python3 -m benchmarks.ledger`).",
         "",
     ]
     for result in results:

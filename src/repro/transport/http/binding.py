@@ -36,17 +36,15 @@ class HttpClientBinding:
         client: HttpClient,
         target: str = "/soap",
         *,
-        soap_action: str = "",
         idempotent: bool = False,
     ) -> None:
         self._client = client
         self._target = target
-        self._soap_action = soap_action
         self._idempotent = idempotent
         self._pending: HttpResponse | None = None
 
     def send_request(self, payload: bytes, content_type: str, *, deadline=None) -> int:
-        headers = {"Content-Type": content_type, "SOAPAction": f'"{self._soap_action}"'}
+        headers = {"Content-Type": content_type, "SOAPAction": '""'}
         self._pending = self._client.post(
             self._target,
             payload,

@@ -59,12 +59,11 @@ class HttpClient:
         host: str = "localhost",
         *,
         retry: RetryPolicy | None = None,
-        retry_rng: random.Random | None = None,
     ) -> None:
         self._connect = connect
         self._host = host
         self._retry = retry if retry is not None else DEFAULT_HTTP_RETRY
-        self._rng = retry_rng if retry_rng is not None else random.Random()
+        self._rng = random.Random()
         self._channel: BufferedChannel | None = None
         self._shim: DeadlineChannel | None = None
         self._stats: ChannelStats | None = None

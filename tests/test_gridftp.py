@@ -18,18 +18,23 @@ from repro.gridftp import (
 from repro.transport import MemoryNetwork, memory_pipe
 
 
-@pytest.fixture()
-def grid():
-    """A running server + client factory over a memory network."""
-    net = MemoryNetwork()
-    credential = HostCredential.generate()
+def data_listeners(net):
+    """A ``data_listener_factory`` allocating fresh names on ``net``."""
     counter = itertools.count()
 
     def data_listener_factory():
         name = f"gftp-data-{next(counter)}"
         return name, net.listen(name)
 
-    server = GridFTPServer(net.listen("gftp"), data_listener_factory, credential)
+    return data_listener_factory
+
+
+@pytest.fixture()
+def grid():
+    """A running server + client factory over a memory network."""
+    net = MemoryNetwork()
+    credential = HostCredential.generate()
+    server = GridFTPServer(net.listen("gftp"), data_listeners(net), credential)
     server.start()
 
     def make_client(cred=credential):
@@ -175,4 +180,86 @@ class TestTransfer:
         fetched = client.retrieve("/run1.nc", 4)
         out = read_dataset_bytes(fetched)
         np.testing.assert_allclose(out.variables["values"].data, np.linspace(0, 1, 50000))
+        client.quit()
+
+
+class _RecordingChannel:
+    """A data channel that notes the size of every read asked of it."""
+
+    def __init__(self, channel, asked: list) -> None:
+        self._channel = channel
+        self._asked = asked
+
+    def recv(self, nbytes: int) -> bytes:
+        self._asked.append(nbytes)
+        return self._channel.recv(nbytes)
+
+    def send_all(self, data: bytes) -> None:
+        self._channel.send_all(data)
+
+    def close(self) -> None:
+        self._channel.close()
+
+
+class TestUntrustedDataStream:
+    """A data stream is a peer like any other: its header is checked before
+    it sizes a read, and what landed is checked against the file."""
+
+    @pytest.fixture()
+    def lying_grid(self):
+        """``serve(blocks_for_stream)`` -> (client, read sizes asked of the
+        data channels); each stream sends the raw blocks it is given."""
+        net = MemoryNetwork()
+        credential = HostCredential.generate()
+        servers = []
+
+        def serve(blocks_for_stream):
+            class LyingServer(GridFTPServer):
+                def _send_stream(self, listener, data, stream_index, n_streams, failures):
+                    channel = listener.accept()
+                    try:
+                        channel.send_all(blocks_for_stream(stream_index))
+                    finally:
+                        channel.close()
+                        listener.close()
+
+            server = LyingServer(net.listen("gftp"), data_listeners(net), credential)
+            servers.append(server.start())
+            server.publish("/f", b"\xab" * 4096)
+            asked: list[int] = []
+            client = GridFTPClient(
+                lambda: net.connect("gftp"),
+                lambda address: _RecordingChannel(net.connect(address), asked),
+                credential,
+            )
+            return client, asked
+
+        yield serve
+        for server in servers:
+            server.stop()
+
+    def test_block_past_the_file_is_refused_before_it_is_read(self, lying_grid):
+        """A header claiming 2 GiB past a 4 KiB file sizes no read at all."""
+        from repro.gridftp.server import BLOCK_HEADER
+
+        client, asked = lying_grid(lambda _stream: BLOCK_HEADER.pack(0, 2**31, 0))
+        with pytest.raises(GridFTPError, match="beyond file of 4096"):
+            client.retrieve("/f", 1)
+        assert asked and max(asked) <= BLOCK_HEADER.size
+        client.quit()
+
+    def test_short_transfer_is_an_error_not_zero_filled_holes(self, lying_grid):
+        """One of two streams says EOF after 1000 of 4096 bytes and the
+        server still reports 226: the holes must not come back as data."""
+        from repro.gridftp.server import BLOCK_HEADER, EOF_FLAG
+
+        def blocks(stream_index):
+            if stream_index == 0:
+                return BLOCK_HEADER.pack(0, 1000, EOF_FLAG) + b"\xab" * 1000
+            return BLOCK_HEADER.pack(0, 0, EOF_FLAG)
+
+        client, _asked = lying_grid(blocks)
+        with pytest.raises(GridFTPError, match="1000 of 4096"):
+            client.retrieve("/f", 2)
+        assert client.stats.data_bytes == 1000
         client.quit()

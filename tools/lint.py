@@ -117,12 +117,11 @@ def _bound_names(node: ast.Import | ast.ImportFrom):
 
 def dead_imports(path: str) -> list[tuple[int, str]]:
     """``(line, message)`` findings for one python file."""
-    with open(path, "rb") as fh:
-        source = fh.read()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
+    parsed = _parsed(path)
+    if parsed is None:
+        exc = _PARSED[path]
         return [(exc.lineno or 0, f"syntax error: {exc.msg}")]
+    tree = parsed[1]
 
     exported: set[str] = set()
     used: set[str] = set()
@@ -169,11 +168,6 @@ def dead_imports(path: str) -> list[tuple[int, str]]:
     return findings
 
 
-def _is_serve_module(path: str) -> bool:
-    parts = os.path.normpath(path).split(os.sep)
-    return any(a == "repro" and b == "serve" for a, b in zip(parts, parts[1:]))
-
-
 def serve_thread_findings(path: str) -> list[tuple[int, str]]:
     """Flag thread spawning in ``repro.serve`` outside the pool module.
 
@@ -181,14 +175,9 @@ def serve_thread_findings(path: str) -> list[tuple[int, str]]:
     ``from threading import Thread`` — at any position (call, alias,
     attribute), since holding a reference is as suspect as calling it.
     """
-    if not _is_serve_module(path) or os.path.basename(path) == "pool.py":
+    rel, tree = _parsed(path) or (None, None)
+    if rel is None or not rel.startswith("serve/") or rel == "serve/pool.py":
         return []
-    with open(path, "rb") as fh:
-        source = fh.read()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return []  # dead_imports already reports the syntax error
     findings = []
     message = (
         "thread spawning in repro.serve is reserved to pool.py "
@@ -216,6 +205,24 @@ def _repro_relative(path: str) -> str | None:
     return "/".join(parts[parts.index("repro") + 1 :])
 
 
+#: path -> ``(rel, tree)``, or the SyntaxError that ``dead_imports`` reports.
+_PARSED: dict = {}
+
+
+def _parsed(path: str) -> tuple[str | None, ast.AST] | None:
+    """``(path relative to src/repro or None, tree)`` of one file, read and
+    parsed once for every rule; None for a file that does not parse."""
+    if path not in _PARSED:
+        with open(path, "rb") as fh:
+            source = fh.read()
+        try:
+            _PARSED[path] = (_repro_relative(path), ast.parse(source, filename=path))
+        except SyntaxError as exc:
+            _PARSED[path] = exc
+    entry = _PARSED[path]
+    return None if isinstance(entry, SyntaxError) else entry
+
+
 #: Modules allowed to import ``selectors`` (relative to src/repro).
 SELECTOR_HOMES = {"transport/aio.py", "loadgen/ladder.py"}
 
@@ -231,15 +238,9 @@ def concurrency_findings(path: str) -> list[tuple[int, str]]:
     per-connection threads are deliberate, documented singletons; this
     rule keeps future code from quietly growing parallel ones.
     """
-    rel = _repro_relative(path)
+    rel, tree = _parsed(path) or (None, None)
     if rel is None:
         return []
-    with open(path, "rb") as fh:
-        source = fh.read()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return []  # dead_imports already reports the syntax error
     findings = []
     selectors_ok = rel in SELECTOR_HOMES
     thread_rule_applies = rel.startswith("transport/") and rel not in TRANSPORT_THREAD_HOMES
@@ -286,15 +287,9 @@ def chunked_framing_findings(path: str) -> list[tuple[int, str]]:
     size line is parsed, is growing a second framing implementation —
     route it through ``body_framing``/``ChunkedDecoder`` instead.
     """
-    rel = _repro_relative(path)
+    rel, tree = _parsed(path) or (None, None)
     if rel is None or rel == CHUNKED_FRAMING_HOME:
         return []
-    with open(path, "rb") as fh:
-        source = fh.read()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return []  # dead_imports already reports the syntax error
     findings = []
     header_message = (
         "chunked transfer framing is reserved to transport/http/messages.py; "
@@ -338,15 +333,9 @@ def trace_header_findings(path: str) -> list[tuple[int, str]]:
     elsewhere naming the header is growing a second inject/extract path;
     route it through ``propagation.inject_headers``/``extract_headers``.
     """
-    rel = _repro_relative(path)
+    rel, tree = _parsed(path) or (None, None)
     if rel is None or rel == TRACE_HEADER_HOME:
         return []
-    with open(path, "rb") as fh:
-        source = fh.read()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return []  # dead_imports already reports the syntax error
     message = (
         "the trace-propagation header is reserved to obs/propagation.py; "
         "use propagation.inject_headers()/extract_headers() instead of "
@@ -383,15 +372,9 @@ def serving_semantics_findings(path: str) -> list[tuple[int, str]]:
     name (``ADMIN_TARGETS``, ``READINESS_TARGET``,
     ``connection_limit_response``) instead.
     """
-    rel = _repro_relative(path)
+    rel, tree = _parsed(path) or (None, None)
     if rel is None or rel in SERVING_SEMANTICS_HOMES:
         return []
-    with open(path, "rb") as fh:
-        source = fh.read()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return []  # dead_imports already reports the syntax error
     message = (
         "serving semantics are reserved to transport/http/pipeline.py; "
         "{what} here is a second copy of a pipeline stage"
@@ -424,15 +407,9 @@ def replica_policy_findings(path: str) -> list[tuple[int, str]]:
     balancer cannot see; implement it as a policy class in
     ``fed/balancer.py`` instead.
     """
-    rel = _repro_relative(path)
+    rel, tree = _parsed(path) or (None, None)
     if rel is None or rel == POLICY_HOME:
         return []
-    with open(path, "rb") as fh:
-        source = fh.read()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return []  # dead_imports already reports the syntax error
     message = (
         "replica-selection policy logic is reserved to fed/balancer.py; "
         "implement choose_replica as a policy class there and pass it to "
@@ -455,15 +432,9 @@ FRAME_GRAMMAR_READERS = {"read_name_ref", "read_type_code", "read_scalar_value"}
 
 def _calls_outside(path: str, homes: set, names: set, message: str) -> list[tuple[int, str]]:
     """Calls to any of ``names`` in a ``src/repro`` module not in ``homes``."""
-    rel = _repro_relative(path)
+    rel, tree = _parsed(path) or (None, None)
     if rel is None or rel in homes:
         return []
-    with open(path, "rb") as fh:
-        source = fh.read()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return []  # dead_imports already reports the syntax error
     findings = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -562,15 +533,9 @@ def allocator_findings(path: str) -> list[tuple[int, str]]:
     the only way to reach it, so an import of it anywhere else under
     ``src/repro`` is where that second caller would start.
     """
-    rel = _repro_relative(path)
+    rel, tree = _parsed(path) or (None, None)
     if rel is None or rel == ALLOCATOR_HOME:
         return []
-    with open(path, "rb") as fh:
-        source = fh.read()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return []  # dead_imports already reports the syntax error
     message = (
         "allocator tuning is reserved to transport/base.py; {what} here is a "
         "second allocator policy — change prime_allocator() instead"
@@ -621,15 +586,9 @@ def package_surface_findings(path: str) -> list[tuple[int, str]]:
     :data:`DIGEST_HOMES` it is imported where it is called.  Only
     module-level statements count: a function-level import is the remedy.
     """
-    rel = _repro_relative(path)
+    rel, tree = _parsed(path) or (None, None)
     if rel is None:
         return []
-    with open(path, "rb") as fh:
-        source = fh.read()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return []  # dead_imports already reports the syntax error
     is_package = os.path.basename(path) == "__init__.py"
     eager_ok = {EXPORT_HELPER} | EAGER_PACKAGE_EDGES.get(rel, set())
     findings = []
@@ -676,14 +635,9 @@ def response_join_findings(path: str) -> list[tuple[int, str]]:
     built (``connection_limit_response().to_bytes()``,
     ``error_response(...).to_bytes()``) — a few dozen bytes, no request.
     """
-    if _repro_relative(path) not in RESPONSE_WRITERS:
+    rel, tree = _parsed(path) or (None, None)
+    if rel not in RESPONSE_WRITERS:
         return []
-    with open(path, "rb") as fh:
-        source = fh.read()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return []  # dead_imports already reports the syntax error
     message = (
         "a driver must not join a message: .to_bytes() here copies the whole "
         "payload once more — queue or send the pieces of iter_wire() (only a "

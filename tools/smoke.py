@@ -153,58 +153,26 @@ def smoke_stream() -> str:
         _KEY,
         DEFAULT_CHUNK_BYTES,
         MIB,
-        _consume,
+        STREAM_PEAK_CHUNKS,
         _streamed_pieces,
-        expected_checksum,
-        make_handler,
+        sweep,
     )
-    from repro.harness.measure import traced_peak_bytes
-    from repro.transport.http import HttpClient, HttpServer
-    from repro.transport.sockets import TcpListener, connect_tcp
 
     size_mib = 64
-    #: Peak-heap budget for one streamed exchange, in transfer chunks — the
-    #: same bound Figure S checks (measured ~3.3; the message is 64 chunks).
-    peak_budget_chunks = 4.0
-
-    listener = TcpListener()
-    host, port = listener.address
-    server = HttpServer(
-        listener,
-        make_handler(DEFAULT_CHUNK_BYTES, 1),
-        name="stream-smoke",
-        admin=False,
-        stream_bodies=True,
-    )
-    expected = expected_checksum(size_mib * MIB // 4)
+    # Figure S's own sweep and bound, streamed modes only (nothing buffered)
+    document = sweep(sizes_mib=(size_mib,), buffered_cap_mib=0)
+    budget = STREAM_PEAK_CHUNKS * DEFAULT_CHUNK_BYTES
     peaks = []
-    with server:
-        client = HttpClient(lambda: connect_tcp(host, port), host=host)
-        try:
-            for mode in ("streamed", "signed"):
-                def exchange(mode=mode):
-                    response = client.request(
-                        "GET", f"/pull/{size_mib}/{mode}", stream_response=True
-                    )
-                    check(response.status == 200, f"{mode}: status {response.status}")
-                    return _consume(
-                        response.stream,
-                        signed=(mode == "signed"),
-                        chunk_bytes=DEFAULT_CHUNK_BYTES,
-                    )
-
-                peak, checksum = traced_peak_bytes(exchange)
-                check(checksum == expected, f"{mode}: checksum {checksum} != expected {expected}")
-                budget = peak_budget_chunks * DEFAULT_CHUNK_BYTES
-                check(
-                    peak <= budget,
-                    f"{mode}: {size_mib} MiB exchange peaked at {peak / MIB:.1f} MiB heap "
-                    f"(budget {budget / MIB:.1f} MiB) — the pipeline is buffering the "
-                    "message somewhere",
-                )
-                peaks.append(f"{mode} peak {peak / DEFAULT_CHUNK_BYTES:.1f} chunks")
-        finally:
-            client.close()
+    for point in document["points"]:
+        mode, peak = point["mode"], point["peak_bytes"]
+        check(point["verified"], f"{mode}: checksum differs from the expected one")
+        check(
+            peak <= budget,
+            f"{mode}: {size_mib} MiB exchange peaked at {peak / MIB:.1f} MiB heap "
+            f"(budget {budget / MIB:.1f} MiB) — the pipeline is buffering the "
+            "message somewhere",
+        )
+        peaks.append(f"{mode} peak {peak / DEFAULT_CHUNK_BYTES:.1f} chunks")
 
     # tamper check without the network: flip one byte of the *signed*
     # wire mid-flow and the verifier must refuse — otherwise the signed

@@ -1,12 +1,12 @@
 #!/bin/sh
-# One-command verification: lint, tier-1 tests, benchmark regression guard.
+# One-command verification: lint, tier-1 tests, smokes, benches, the ledger.
 #
 #   sh tools/verify.sh          # the full gate
-#   sh tools/verify.sh --fast   # skip the bench guard (lint + tests only)
+#   sh tools/verify.sh --fast   # lint + tests + smokes only
 #
-# Exits non-zero on the first failing step.  The bench guard runs in
-# --check mode: it never reseeds or rolls the baseline, so this script is
-# safe to run on any checkout.
+# Exits non-zero on the first failing step and leaves the tree as it found
+# it: quick-mode benches write nothing under benchmarks/results/, the
+# ledger writes under the ignored benchmarks/ledger/out/.
 
 set -e
 cd "$(dirname "$0")/.."
@@ -21,24 +21,14 @@ echo "== smokes: serving (both drivers), stream pipeline, distributed trace, fed
 python tools/smoke.py all
 
 if [ "$1" != "--fast" ]; then
-    echo "== hot-path bench smoke =="
-    PYTHONPATH=src:. REPRO_BENCH_QUICK=1 python -m pytest benchmarks/bench_hotpath.py -q
+    echo "== benches: hot path, Figure L ladder, Figure S, Figure F, observability =="
+    PYTHONPATH=src:. REPRO_BENCH_QUICK=1 python -m pytest -q \
+        benchmarks/bench_hotpath.py benchmarks/bench_serve.py \
+        benchmarks/bench_stream.py benchmarks/bench_fed.py benchmarks/bench_obs.py \
+        -k "not bench_obs or TelemetryOverhead or PropagationOverhead"
 
-    echo "== serving-runtime bench smoke =="
-    PYTHONPATH=src:. REPRO_BENCH_QUICK=1 python -m pytest benchmarks/bench_serve.py -q
-
-    echo "== streaming-pipeline bench smoke =="
-    PYTHONPATH=src:. REPRO_BENCH_QUICK=1 python -m pytest benchmarks/bench_stream.py -q
-
-    echo "== federated data-plane bench smoke =="
-    PYTHONPATH=src:. REPRO_BENCH_QUICK=1 python -m pytest benchmarks/bench_fed.py -q
-
-    echo "== observability bench smoke =="
-    PYTHONPATH=src:. REPRO_BENCH_QUICK=1 python -m pytest benchmarks/bench_obs.py -q \
-        -k "TelemetryOverhead or PropagationOverhead"
-
-    echo "== bench guard =="
-    python tools/bench_guard.py --check
+    echo "== exchange ledger smoke (four workloads, 2 s windows) =="
+    python3 -m benchmarks.ledger --smoke
 fi
 
 echo "verify: PASS"
