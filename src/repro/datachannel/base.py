@@ -20,8 +20,9 @@ class DataChannel(Protocol):
         message."""
         ...
 
-    def fetch(self, url: str) -> bytes:
-        """Resolve a URL previously returned by :meth:`publish`."""
+    def fetch(self, url: str) -> bytes | memoryview:
+        """Resolve a URL previously returned by :meth:`publish`; the file's
+        bytes as a read-only buffer."""
         ...
 
 
@@ -35,7 +36,7 @@ class UrlResolver:
         self._channels[channel.scheme] = channel
         return self
 
-    def fetch(self, url: str) -> bytes:
+    def fetch(self, url: str) -> bytes | memoryview:
         scheme, sep, _rest = url.partition("://")
         if not sep:
             raise DataChannelError(f"malformed data URL {url!r}")

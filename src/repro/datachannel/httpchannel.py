@@ -98,7 +98,8 @@ class HttpDataChannel:
         if path is not None:
             path.unlink(missing_ok=True)
 
-    def fetch(self, url: str, *, deadline: float | None = None) -> bytes:
+    def fetch(self, url: str, *, deadline: float | None = None) -> memoryview:
+        """The file as the response landed: a read-only view, not a copy."""
         _authority, target = split_url(url, "http")
         client = HttpClient(self._connect, host=self._authority, retry=self._retry)
         try:

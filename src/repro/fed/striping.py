@@ -121,22 +121,30 @@ def striped_fetch(
         stripes=len(stripes),
     ) as fetch_span:
         buffer = bytearray(size)
-        work: "queue.Queue[tuple[int, int, int]]" = queue.Queue()
+        # stripes to pull; ``None`` tells one puller the fetch is over
+        work: "queue.Queue[tuple[int, int, int] | None]" = queue.Queue()
         for stripe in stripes:
             work.put(stripe)
         lock = threading.Lock()
         remaining = [len(stripes)]
         done = threading.Event()
         errors: list[Exception] = []
-        if not stripes:
+
+        def release() -> None:
+            """The fetch is over — complete, failed or timed out: no puller
+            starts another stripe, and one parked on the queue wakes now."""
             done.set()
+            for _ in sources:
+                work.put(None)
+
+        if not stripes:
+            release()
 
         def pull(name: str, fetch: Callable[[int, int], bytes]) -> None:
             while not done.is_set():
-                try:
-                    item = work.get(timeout=0.02)
-                except queue.Empty:
-                    continue
+                item = work.get()
+                if item is None:
+                    return
                 index, offset, length = item
                 with recorder.span(
                     "fed.stripe",
@@ -186,7 +194,7 @@ def striped_fetch(
                         )
                         remaining[0] -= 1
                         if remaining[0] == 0:
-                            done.set()
+                            release()
 
         threads = [
             threading.Thread(
@@ -203,7 +211,9 @@ def striped_fetch(
         stats.duration_seconds = time.perf_counter() - started
         fetch_span.set("bytes", stats.total_bytes)
 
-        if not done.is_set():
+        complete = done.is_set()
+        release()
+        if not complete:
             stalled = [thread.name for thread in threads if thread.is_alive()]
             if stalled:
                 fetch_span.set("outcome", "stripe_timeout")
@@ -218,6 +228,5 @@ def striped_fetch(
                 f"striped fetch failed: all {len(sources)} sources failed with "
                 f"{remaining[0]} stripes missing{detail}"
             )
-        done.set()  # release any puller still polling the queue
         fetch_span.set("outcome", "ok")
     return bytes(buffer), stats

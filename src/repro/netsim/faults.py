@@ -13,7 +13,7 @@ is a seeded decision stream drawn from a :class:`FaultProfile`, and a
 * **stall** — a read blocks for ``stall_seconds`` before proceeding (long
   enough to trip a per-call deadline, finite so nothing hangs forever);
 * **slow_read** — a read dribbles back a single byte (exercises every
-  ``recv_exactly`` loop above).
+  ``recv_exactly`` and landing loop above).
 
 Schedules are deliberately *shared* across reconnections: wrapping a
 channel factory with :func:`faulty_connect` gives every new connection the
@@ -31,7 +31,13 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.transport.base import Channel, TransportClosed, TransportError
+from repro.transport.base import (
+    Channel,
+    TransportClosed,
+    TransportError,
+    recv_into,
+    send_pieces,
+)
 
 
 class InjectedFault(TransportError):
@@ -159,9 +165,19 @@ class FaultingChannel:
 
     def send_all(self, data: bytes) -> None:
         fault = self._schedule.next_send_fault()
-        if fault == "reset":
-            self._channel.close()
-            raise InjectedReset("injected connection reset during send")
+        if fault is not None:
+            self._fail_send(fault, data)
+        self._channel.send_all(data)
+
+    def send_pieces(self, pieces) -> None:
+        """One decision per gathered message, as for the ``send_all`` of
+        its join."""
+        fault = self._schedule.next_send_fault()
+        if fault is not None:
+            self._fail_send(fault, b"".join(pieces))
+        send_pieces(self._channel, pieces)
+
+    def _fail_send(self, fault: str, data: bytes) -> None:
         if fault == "truncate":
             cut = self._schedule.truncate_point(len(data))
             if cut:
@@ -170,18 +186,23 @@ class FaultingChannel:
             raise InjectedReset(
                 f"injected truncation: {cut}/{len(data)} bytes delivered before reset"
             )
-        self._channel.send_all(data)
+        self._channel.close()
+        raise InjectedReset("injected connection reset during send")
 
     def recv(self, max_bytes: int = 65536) -> bytes:
+        return self._channel.recv(1 if self._recv_fault() == "slow_read" else max_bytes)
+
+    def recv_into(self, view: memoryview) -> int:
+        return recv_into(self._channel, view[:1] if self._recv_fault() == "slow_read" else view)
+
+    def _recv_fault(self) -> str | None:
         fault = self._schedule.next_recv_fault()
         if fault == "reset":
             self._channel.close()
             raise InjectedReset("injected connection reset during receive")
         if fault == "stall":
             self._sleep(self._schedule.profile.stall_seconds)
-        if fault == "slow_read":
-            return self._channel.recv(1)
-        return self._channel.recv(max_bytes)
+        return fault
 
     def close(self) -> None:
         self._channel.close()

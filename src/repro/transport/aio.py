@@ -42,7 +42,7 @@ from collections import deque
 from typing import Callable
 
 from repro.obs.metrics import MetricsRegistry
-from repro.transport.base import TransportError, read_size, take
+from repro.transport.base import Landing, TransportError, drop_sent
 from repro.transport.http.messages import (
     HEADER_END,
     ChunkedDecoder,
@@ -59,6 +59,7 @@ from repro.transport.http.messages import (
 )
 from repro.transport.http.pipeline import RequestPipeline, connection_limit_response
 from repro.transport.http.server import DEFAULT_MAX_CONNECTIONS, DriverBase
+from repro.transport.sockets import MAX_SEND_PIECES
 
 #: Ceiling on a request head (start line + headers); matches the 1 MiB
 #: ``recv_until`` cap of the blocking server's BufferedChannel.
@@ -68,10 +69,6 @@ MAX_HEAD_BYTES = 1 << 20
 #: unprocessed pipelined data while a request is already in flight.
 MAX_PIPELINE_BYTES = 1 << 20
 
-#: Buffers handed to one ``sendmsg`` (the kernel refuses more than
-#: ``IOV_MAX``, 1024 on Linux; a response is rarely more than a few).
-_MAX_SEND_PIECES = 64
-
 _ACCEPT = "accept"
 _WAKEUP = "wakeup"
 
@@ -79,28 +76,19 @@ _WAKEUP = "wakeup"
 class _Body:
     """A ``Content-Length`` body in flight: head parsed, bytes still owed.
 
-    Received the way the blocking driver's ``recv_exactly`` does it —
-    reads sized by what is owed, pieces in a list, one join — so a
-    payload byte is copied once between the socket and ``request.body``.
+    Received by the one :class:`~repro.transport.base.Landing`, the way
+    the blocking driver's reads are: in place, at most what is owed.
     """
 
-    __slots__ = ("head", "pieces", "missing")
+    __slots__ = ("head", "landing")
 
-    def __init__(self, head: tuple, first: bytes, missing: int) -> None:
+    def __init__(self, head: tuple, landing: Landing) -> None:
         self.head = head  # (method, target, version, headers)
-        self.pieces = [first]  # what arrived with the head (may be empty)
-        self.missing = missing
+        self.landing = landing
 
-    def feed(self, data: bytes) -> HttpRequest | None:
-        """Take the next piece; the request once nothing is owed."""
-        self.pieces.append(data)
-        self.missing -= len(data)
-        if self.missing:
-            return None
+    def request(self) -> HttpRequest:
         method, target, version, headers = self.head
-        body = b"".join(self.pieces)
-        self.pieces = None  # the join is the copy; the pieces die here
-        return HttpRequest(method, target, headers, body, version)
+        return HttpRequest(method, target, headers, self.landing.body(), version)
 
 
 class _Conn:
@@ -393,9 +381,12 @@ class AsyncHttpServer(DriverBase):
     def _on_readable(self, conn: _Conn) -> None:
         body = conn.body
         try:
-            # a declared body is read by what it still owes, under the one
-            # ceiling: the peer's claim must not size an allocation
-            data = conn.sock.recv(65536 if body is None else read_size(body.missing))
+            # a declared body lands in place, by what it still owes; the
+            # peer's claim sizes neither a read nor resident memory
+            if body is None:
+                data = conn.sock.recv(65536)
+            else:
+                data = body.landing.fill(conn.sock)
         except (BlockingIOError, InterruptedError):
             return
         except OSError:
@@ -410,13 +401,11 @@ class AsyncHttpServer(DriverBase):
             return
         if body is None:
             conn.inbuf += data
+        elif body.landing.missing:
+            return
         else:
-            request = body.feed(data)
-            if request is None:
-                return
-            del data  # the last piece must not outlive the join
             conn.body = None
-            self._dispatch(conn, request)
+            self._dispatch(conn, body.request())
         self._advance(conn)
 
     def _advance(self, conn: _Conn) -> None:
@@ -464,14 +453,14 @@ class AsyncHttpServer(DriverBase):
                 del inbuf[:start]
                 conn.chunked = (head, ChunkedDecoder(), [])
                 continue
-            owed = start + length - len(inbuf)
-            if owed > 0:
-                # what came with the head is the body's first piece
-                conn.body = _Body(head, take(inbuf, len(inbuf), start), owed)
+            # what came with the head is the body's first bytes
+            with memoryview(inbuf) as arrived:
+                body = _Body(head, Landing(length, arrived[start : start + length]))
+            del inbuf[: start + length]
+            if body.landing.missing:
+                conn.body = body
                 break
-            method, target, version, headers = head
-            body = take(inbuf, start + length, start)
-            self._dispatch(conn, HttpRequest(method, target, headers, body, version))
+            self._dispatch(conn, body.request())
         self._update_interest(conn)
 
     def _advance_chunked(self, conn: _Conn) -> bool:
@@ -491,7 +480,8 @@ class AsyncHttpServer(DriverBase):
         if not chunker.done:
             return False
         conn.inbuf += chunker.residue  # pipelined next request
-        request = HttpRequest(method, target, headers, b"".join(parts), version)
+        # no declared length to land into: the body is the view of its join
+        request = HttpRequest(method, target, headers, memoryview(b"".join(parts)), version)
         request.trailers = chunker.trailers
         conn.chunked = None
         self._dispatch(conn, request)
@@ -520,7 +510,7 @@ class AsyncHttpServer(DriverBase):
                 if len(out) == 1:
                     sent = conn.sock.send(out[0])
                 else:
-                    sent = conn.sock.sendmsg(out[:_MAX_SEND_PIECES])
+                    sent = conn.sock.sendmsg(out[:MAX_SEND_PIECES])
             except (BlockingIOError, InterruptedError):
                 break
             except OSError:
@@ -528,15 +518,7 @@ class AsyncHttpServer(DriverBase):
                 return
             if sent <= 0:  # pragma: no cover - defensive
                 break
-            # advance in place: whole pieces leave the queue, a piece the
-            # write stopped inside continues as a view of its remainder
-            while sent:
-                size = len(out[0])
-                if sent < size:
-                    out[0] = memoryview(out[0])[sent:]
-                    break
-                sent -= size
-                del out[0]
+            drop_sent(out, sent)
         if not out and conn.body_iter is None and (
             conn.close_after_flush or (conn.peer_eof and not conn.busy)
         ):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
+import numpy as np
+
 
 class TransportError(Exception):
     """Base class for transport-layer failures."""
@@ -28,8 +30,21 @@ class Channel(Protocol):
         """Send every byte of ``data`` (blocking)."""
         ...
 
+    def send_pieces(self, pieces) -> None:
+        """Send every byte of every buffer in ``pieces`` (a list or tuple),
+        in order, without joining them: what fits leaves in one gathered
+        write, so a small message written as head + body is still one
+        segment."""
+        ...
+
     def recv(self, max_bytes: int = 65536) -> bytes:
         """Receive up to ``max_bytes``; empty bytes means orderly EOF."""
+        ...
+
+    def recv_into(self, view: memoryview) -> int:
+        """Receive up to ``len(view)`` bytes into ``view``; returns how many
+        (0 means orderly EOF).  Called by :class:`Landing` and by the
+        wrappers forwarding to it, nowhere else."""
         ...
 
     def close(self) -> None:
@@ -48,23 +63,24 @@ class Listener(Protocol):
     def close(self) -> None: ...
 
 
-#: Ceiling on one read sized by a length the peer declared.  A declared
-#: length must never size an allocation: ``recv(10**15)`` raises
-#: ``MemoryError`` in whichever thread called it.  The ceiling is *large*
-#: on purpose — a body read in few pieces near its final size reuses the
-#: allocator's chunks, where the pieces of a small cap, interleaved across
-#: the connections one loop thread reads, fragment the heap.  How much
-#: depends on the allocator's thresholds more than on its arenas: ISSUE 18
-#: measured a 256 KiB cap at +4 to +19 MiB peak RSS on a 1.2 MB echo before
-#: any policy was set; under :func:`prime_allocator` it is +1 MiB at two
-#: connections and +4.2 MiB at eight on the selector driver, nothing on the
-#: threaded one (``tools/copy_budget.py --cell aio:100000:8:262144``).
+#: Ceiling on what a length the peer declared may size: one ``recv`` of a
+#: protocol field (``recv(10**15)`` raises ``MemoryError`` in whichever
+#: thread called it) and the buffer a body lands in (:class:`Landing` —
+#: allocated, never touched ahead of the bytes).  The ceiling is *large* on
+#: purpose: a body under it lands in the one buffer allocated for it, where
+#: one over it is copied at every doubling and its outgrown buffers,
+#: interleaved across connections, fragment the heap.  Measured with the
+#: ceiling at 256 KiB on a 1.2 MB echo under :func:`prime_allocator`: +10 %
+#: time per exchange, and at eight connections +3.6 MiB peak RSS on the
+#: selector driver, +1.7 MiB on the threaded one
+#: (``tools/copy_budget.py --cell aio:100000:8:262144``); ISSUE 18 measured
+#: the pieces of such a cap at +4 to +19 MiB before any policy was set.
 MAX_READ_BYTES = 16 << 20
 
 
 def read_size(owed: int) -> int:
-    """How much to ask a socket for while ``owed`` bytes of a declared
-    body are outstanding: all of it (so never into the next message),
+    """How much a peer that declared ``owed`` bytes may have read or
+    allocated for it at once: all of it (so never into the next message),
     under :data:`MAX_READ_BYTES`."""
     return min(owed, MAX_READ_BYTES)
 
@@ -169,13 +185,21 @@ def take(buf: bytearray, end: int, start: int = 0) -> bytes:
     return out
 
 
+def drain_into(buf: bytearray, view: memoryview) -> int:
+    """Move the front of ``buf`` into ``view``; returns how many bytes."""
+    n = min(len(buf), len(view))
+    with memoryview(buf) as front:
+        view[:n] = front[:n]
+    del buf[:n]
+    return n
+
+
 def recv_exactly(channel: Channel, nbytes: int) -> bytes:
     """Receive exactly ``nbytes`` from a channel or raise TransportClosed.
 
-    The workhorse of every framed protocol in this project.  ``nbytes``
-    is usually the peer's claim, so memory held tracks bytes *received*:
-    pieces as they arrive (each read sized by :func:`read_size`), one join
-    at the end.
+    For a protocol's *fields* — a magic, a length word, a nonce, a block
+    header — which a caller unpacks or compares as ``bytes``.  A message
+    body is received by :func:`land`.
     """
     if nbytes == 0:
         return b""
@@ -190,6 +214,115 @@ def recv_exactly(channel: Channel, nbytes: int) -> bytes:
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
+
+
+def recv_into(channel, view: memoryview) -> int:
+    """``channel.recv_into(view)`` for any channel.
+
+    One written against the three-method protocol (``send_all`` / ``recv``
+    / ``close``: the ledger's traced channel, a test double) has no
+    ``recv_into`` and is read with ``recv`` and one copy.
+    """
+    try:
+        into = channel.recv_into
+    except AttributeError:
+        data = channel.recv(len(view))
+        view[: len(data)] = data
+        return len(data)
+    return into(view)
+
+
+def send_pieces(channel, pieces) -> None:
+    """``channel.send_pieces(pieces)`` for any channel; one without a
+    gather-send is sent the join, so the message still leaves in one
+    write."""
+    try:
+        gather = channel.send_pieces
+    except AttributeError:
+        channel.send_all(b"".join(pieces))
+        return
+    gather(pieces)
+
+
+def drop_sent(pieces: list, sent: int) -> None:
+    """Advance a queue of wire pieces past ``sent`` written bytes, in
+    place: whole pieces leave it, a piece the write stopped inside
+    continues as a view of its remainder."""
+    while sent:
+        size = len(pieces[0])
+        if sent < size:
+            pieces[0] = memoryview(pieces[0])[sent:]
+            return
+        sent -= size
+        del pieces[0]
+
+
+class Landing:
+    """A length-declared body on its way in: received once, in place.
+
+    The one receive path for a body whose length the peer declared — both
+    HTTP drivers, the TCP binding and both clients (the blocking callers
+    through :func:`land`, the selector loop by calling :meth:`fill` when
+    its socket is readable).  The buffer is allocated for what is declared,
+    under :data:`MAX_READ_BYTES`, and *not zero-filled*: its pages become
+    resident as ``recv_into`` writes them, so memory held tracks bytes
+    received, never bytes claimed.  A body past the ceiling outgrows the
+    buffer by doubling.  :meth:`body` is a read-only view of the same
+    memory — no join, no freeze — and the buffer lives as long as any view
+    of it (an array decoded ``copy=False`` is one): it is never recycled.
+    """
+
+    __slots__ = ("declared", "filled", "_view")
+
+    def __init__(self, declared: int, first=b"") -> None:
+        """``first`` is what arrived with the head: the body's first bytes."""
+        self.declared = declared
+        self.filled = len(first)
+        self._view = _uninitialised(read_size(declared))
+        if first:
+            self._view[: self.filled] = first
+
+    @property
+    def missing(self) -> int:
+        """Bytes still owed."""
+        return self.declared - self.filled
+
+    def fill(self, source) -> int:
+        """One ``recv_into`` at the write offset, for at most what is owed;
+        returns the bytes landed (0 at end of stream).  ``source`` is a
+        channel or a socket."""
+        view = self._view
+        if self.filled == len(view):
+            view = _uninitialised(min(2 * len(view), self.declared))
+            view[: self.filled] = self._view
+            self._view = view
+        got = recv_into(source, view[self.filled :])
+        self.filled += got
+        return got
+
+    def body(self) -> memoryview:
+        """The received body, read-only (call once nothing is missing)."""
+        return self._view.toreadonly()
+
+
+_BYTE = np.dtype("u1")
+
+
+def _uninitialised(nbytes: int) -> memoryview:
+    """``nbytes`` of writable memory nobody has touched (``bytearray(n)``
+    would write a zero to every page of it)."""
+    return memoryview(np.empty(nbytes, _BYTE))
+
+
+def land(channel: Channel, nbytes: int) -> memoryview:
+    """Receive a body of exactly ``nbytes`` or raise TransportClosed."""
+    landing = Landing(nbytes)
+    while landing.filled < nbytes:
+        if not landing.fill(channel):
+            raise TransportClosed(
+                f"peer closed mid-message ({landing.filled}/{nbytes} bytes received)"
+            )
+    return landing.body()
 
 
 class BufferedChannel:
@@ -209,6 +342,9 @@ class BufferedChannel:
     def send_all(self, data: bytes) -> None:
         self._channel.send_all(data)
 
+    def send_pieces(self, pieces) -> None:
+        send_pieces(self._channel, pieces)
+
     def close(self) -> None:
         self._channel.close()
 
@@ -218,6 +354,11 @@ class BufferedChannel:
         if self._buf:
             return take(self._buf, max_bytes)
         return self._channel.recv(max_bytes)
+
+    def recv_into(self, view: memoryview) -> int:
+        if self._buf:  # what was read past a delimiter comes first
+            return drain_into(self._buf, view)
+        return recv_into(self._channel, view)
 
     def recv_exactly(self, nbytes: int) -> bytes:
         return recv_exactly(self, nbytes)

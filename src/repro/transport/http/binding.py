@@ -63,13 +63,13 @@ class HttpClientBinding:
             # the server shed this request; surface its Retry-After hint
             # so a resilience retry loop can pace itself to the server
             raise ServerBusy(
-                f"HTTP 503: {response.body[:200]!r}",
+                f"HTTP 503: {bytes(response.body[:200])!r}",
                 retry_after=parse_retry_after(response.headers.get("Retry-After")),
             )
         if not response.ok and response.status != 500:
             # 500 carries SOAP faults per the SOAP/HTTP binding; anything
             # else is a transport-level failure.
-            raise TransportError(f"HTTP {response.status}: {response.body[:200]!r}")
+            raise TransportError(f"HTTP {response.status}: {bytes(response.body[:200])!r}")
         return response.body, content_type.split(";")[0].strip()
 
     def close(self) -> None:

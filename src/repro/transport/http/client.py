@@ -133,12 +133,13 @@ class HttpClient:
                 if trailers:
                     req.trailers = _Headers(list(trailers.items()))
                 wire = None
-                wire_bytes = 0
             else:
-                req.body = bytes(body)
-                wire = req.to_bytes()
-                wire_bytes = len(wire)
-            sp.set("bytes", wire_bytes)
+                # head and body by reference, gathered into one send: no
+                # copy of the caller's buffer, and a small request is still
+                # one segment (two would cost the server a second wake-up)
+                req.body = body
+                wire = list(req.iter_wire())
+            sp.set("bytes", sum(map(len, wire or ())))
 
             def attempt(_n: int) -> HttpResponse:
                 channel = self._ensure_channel()
@@ -146,7 +147,7 @@ class HttpClient:
                 self._shim.deadline = dl
                 try:
                     if wire is not None:
-                        channel.send_all(wire)
+                        channel.send_pieces(wire)
                     else:
                         for piece in req.iter_wire():
                             channel.send_all(piece)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.transport.base import BufferedChannel, TransportClosed, TransportError
+from repro.transport.base import BufferedChannel, TransportClosed, TransportError, land
 
 CRLF = b"\r\n"
 HEADER_END = b"\r\n\r\n"
@@ -156,8 +156,11 @@ class _Message:
 
     A message carries its body one of two ways:
 
-    * ``body`` — fully buffered bytes (or :class:`BodyPieces`), framed by
-      ``Content-Length``;
+    * ``body`` — a fully buffered body, framed by ``Content-Length``: to
+      send, any bytes-like object (or :class:`BodyPieces`); as received,
+      always a read-only ``memoryview`` (of the landing buffer its declared
+      length was received into, or of a chunked body's join) — say
+      ``bytes(body)`` / ``str(body, "utf-8")`` where a copy is meant;
     * ``stream`` — an iterable of byte pieces, framed chunked.  Set by a
       producer that cannot (or will not) buffer — the sink-driven BXSA
       writer, a streaming handler — or by the streaming readers, where it
@@ -496,11 +499,13 @@ class ChunkedDecoder:
         return pieces
 
 
-def read_chunked_body(channel: BufferedChannel) -> tuple[bytes, _Headers]:
+def read_chunked_body(channel: BufferedChannel) -> tuple[memoryview, _Headers]:
     """Read one whole chunked body off a channel: (body, trailers).
 
-    Bytes past the body (a pipelined next message) are pushed back into
-    the channel's buffer.
+    A chunked body declares no length to land into: it is the view of its
+    one join, so a received body is one type whatever its framing.  Bytes
+    past the body (a pipelined next message) are pushed back into the
+    channel's buffer.
     """
     decoder = ChunkedDecoder()
     pieces: list[bytes] = []
@@ -511,7 +516,7 @@ def read_chunked_body(channel: BufferedChannel) -> tuple[bytes, _Headers]:
         pieces += decoder.feed(data)
     if decoder.residue:
         channel.unrecv(decoder.residue)
-    return b"".join(pieces), decoder.trailers
+    return memoryview(b"".join(pieces)), decoder.trailers
 
 
 def _iter_body(
@@ -546,11 +551,13 @@ def _iter_body(
         yield data
 
 
-def _read_body(channel: BufferedChannel, headers: _Headers) -> tuple[bytes, _Headers | None]:
+def _read_body(
+    channel: BufferedChannel, headers: _Headers
+) -> tuple[memoryview, _Headers | None]:
     mode, length = body_framing(headers)
     if mode == "chunked":
         return read_chunked_body(channel)
-    return channel.recv_exactly(length), None
+    return land(channel, length), None
 
 
 def parse_request_head(head: bytes) -> tuple[str, str, str, _Headers]:

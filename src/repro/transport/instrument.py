@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.transport.base import recv_into, send_pieces
+
 
 @dataclass
 class ChannelStats:
@@ -52,14 +54,29 @@ class InstrumentedChannel:
         self.stats.bytes_sent += len(data)
         self.stats.sends += 1
 
+    def send_pieces(self, pieces) -> None:
+        """One application burst, however many buffers it is gathered from."""
+        send_pieces(self._channel, pieces)
+        self._in_recv_run = False
+        self.stats.bytes_sent += sum(map(len, pieces))
+        self.stats.sends += 1
+
     def recv(self, max_bytes: int = 65536) -> bytes:
         chunk = self._channel.recv(max_bytes)
-        if chunk:
-            self.stats.bytes_received += len(chunk)
+        self._received(len(chunk))
+        return chunk
+
+    def recv_into(self, view: memoryview) -> int:
+        got = recv_into(self._channel, view)
+        self._received(got)
+        return got
+
+    def _received(self, nbytes: int) -> None:
+        if nbytes:
+            self.stats.bytes_received += nbytes
             if not self._in_recv_run:
                 self.stats.receives += 1
                 self._in_recv_run = True
-        return chunk
 
     def close(self) -> None:
         self._channel.close()

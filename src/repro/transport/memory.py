@@ -12,7 +12,7 @@ from __future__ import annotations
 import queue
 import threading
 
-from repro.transport.base import TransportClosed, TransportError, take
+from repro.transport.base import TransportClosed, TransportError, drain_into, take
 
 _EOF = None  # sentinel on the chunk queue
 
@@ -35,6 +35,10 @@ class _PipeEnd:
         if data:
             self._send_q.put(bytes(data))
 
+    def send_pieces(self, pieces) -> None:
+        for piece in pieces:
+            self.send_all(piece)
+
     def recv(self, max_bytes: int = 65536) -> bytes:
         if self._recv_buf:
             return take(self._recv_buf, max_bytes)
@@ -48,6 +52,20 @@ class _PipeEnd:
             return chunk
         self._recv_buf.extend(chunk[max_bytes:])
         return chunk[:max_bytes]
+
+    def recv_into(self, view: memoryview) -> int:
+        if not self._recv_buf:
+            if self._recv_eof:
+                return 0
+            chunk = self._recv_q.get()
+            if chunk is _EOF:
+                self._recv_eof = True
+                return 0
+            if len(chunk) <= len(view):
+                view[: len(chunk)] = chunk
+                return len(chunk)
+            self._recv_buf += chunk
+        return drain_into(self._recv_buf, view)
 
     def close(self) -> None:
         with self._lock:

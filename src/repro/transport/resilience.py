@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro import obs
-from repro.transport.base import Channel, TransportError
+from repro.transport.base import Channel, TransportError, recv_into, send_pieces
 
 
 class DeadlineExceeded(TransportError):
@@ -145,6 +145,13 @@ class DeadlineChannel:
         if self.deadline is not None:
             self.deadline.check("send")
 
+    def send_pieces(self, pieces) -> None:
+        if self.deadline is not None:
+            self.deadline.check("send")
+        send_pieces(self._channel, pieces)
+        if self.deadline is not None:
+            self.deadline.check("send")
+
     def recv(self, max_bytes: int = 65536) -> bytes:
         if self.deadline is not None:
             self.deadline.check("receive")
@@ -152,6 +159,14 @@ class DeadlineChannel:
         if self.deadline is not None:
             self.deadline.check("receive")
         return chunk
+
+    def recv_into(self, view: memoryview) -> int:
+        if self.deadline is not None:
+            self.deadline.check("receive")
+        got = recv_into(self._channel, view)
+        if self.deadline is not None:
+            self.deadline.check("receive")
+        return got
 
     def close(self) -> None:
         self._channel.close()

@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import socket
 
-from repro.transport.base import TransportClosed, TransportError, prime_allocator
+from repro.transport.base import TransportClosed, TransportError, drop_sent, prime_allocator
+
+#: Buffers handed to one ``sendmsg`` (the kernel refuses more than
+#: ``IOV_MAX``, 1024 on Linux; a message is rarely more than a few).
+MAX_SEND_PIECES = 64
 
 
 class SocketChannel:
@@ -27,11 +31,33 @@ class SocketChannel:
         except OSError as exc:
             raise TransportClosed(f"send failed: {exc}") from exc
 
+    def send_pieces(self, pieces) -> None:
+        if self._closed:
+            raise TransportClosed("socket channel is closed")
+        try:
+            sent = self._sock.sendmsg(pieces[:MAX_SEND_PIECES])
+            if sent < sum(map(len, pieces)):
+                # a partial send, or more buffers than one call takes
+                out = [piece for piece in pieces if len(piece)]
+                drop_sent(out, sent)
+                while out:
+                    drop_sent(out, self._sock.sendmsg(out[:MAX_SEND_PIECES]))
+        except OSError as exc:
+            raise TransportClosed(f"send failed: {exc}") from exc
+
     def recv(self, max_bytes: int = 65536) -> bytes:
         if self._closed:
             return b""
         try:
             return self._sock.recv(max_bytes)
+        except OSError as exc:
+            raise TransportClosed(f"recv failed: {exc}") from exc
+
+    def recv_into(self, view: memoryview) -> int:
+        if self._closed:
+            return 0
+        try:
+            return self._sock.recv_into(view)
         except OSError as exc:
             raise TransportClosed(f"recv failed: {exc}") from exc
 

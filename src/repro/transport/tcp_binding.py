@@ -26,7 +26,7 @@ from __future__ import annotations
 import struct
 
 from repro import obs
-from repro.transport.base import Channel, TransportError, recv_exactly
+from repro.transport.base import Channel, TransportError, land, recv_exactly, send_pieces
 from repro.transport.resilience import DeadlineChannel, as_deadline
 
 _MAGIC = b"\xb5\x0a"
@@ -38,9 +38,11 @@ MAX_MESSAGE_BYTES = 1 << 31
 def write_message(channel: Channel, payload, content_type: str) -> int:
     """Frame and send one message; returns bytes put on the wire.
 
-    ``payload`` is ``bytes``, or the pieces a gathering encoder made
-    (``encode_pieces``): header, then each piece by reference — no
-    payload-sized join — under that encoder's aliasing contract.
+    ``payload`` is one buffer, or the pieces a gathering encoder made
+    (``encode_pieces``).  Header and pieces leave by reference in one
+    gathered send — no payload-sized join, under that encoder's aliasing
+    contract — so a small message is still one segment (split in two it
+    costs the peer a second wake-up).
     """
     ctag = content_type.encode("ascii")
     if not 0 < len(ctag) <= _MAX_CONTENT_TYPE:
@@ -49,19 +51,14 @@ def write_message(channel: Channel, payload, content_type: str) -> int:
     length = sum(len(piece) for piece in pieces)
     header = _MAGIC + bytes((len(ctag),)) + ctag + struct.pack(">I", length)
     with obs.span("tcp.write", kind="cpu", bytes=len(header) + length):
-        if len(pieces) == 1:
-            # one send: a small message split in two segments costs the
-            # peer a second wake-up
-            channel.send_all(header + pieces[0])
-        else:
-            channel.send_all(header)
-            for piece in pieces:
-                channel.send_all(piece)
+        send_pieces(channel, (header, *pieces))
     return len(header) + length
 
 
-def read_message(channel: Channel) -> tuple[bytes, str]:
-    """Read one framed message; returns (payload, content_type)."""
+def read_message(channel: Channel) -> tuple[memoryview, str]:
+    """Read one framed message; returns (payload, content_type).  The
+    payload is landed (:func:`~repro.transport.base.land`): a read-only
+    view."""
     with obs.span("tcp.read", kind="cpu") as sp:
         magic = recv_exactly(channel, 2)
         if magic != _MAGIC:
@@ -71,7 +68,7 @@ def read_message(channel: Channel) -> tuple[bytes, str]:
         (length,) = struct.unpack(">I", recv_exactly(channel, 4))
         if length > MAX_MESSAGE_BYTES:
             raise TransportError(f"message of {length} bytes exceeds limit")
-        payload = recv_exactly(channel, length)
+        payload = land(channel, length)
         sp.set("bytes", len(payload))
         try:
             return payload, str(ctag, "ascii")

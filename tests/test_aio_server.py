@@ -69,16 +69,37 @@ class TestInlineServing:
         # all five rode one connection
         assert self.server.metrics.counter("http_connections_total").snapshot() == 1
 
+    def test_a_small_request_costs_the_loop_one_wake_up(self, monkeypatch):
+        """Settled (ROADMAP): a client that sends a small request's head and
+        body as two segments costs the server a second wake-up per request.
+        The client gathers both into one ``sendmsg``; each request is one
+        readable event."""
+        wakeups = []
+        on_readable = AsyncHttpServer._on_readable
+
+        def counting(server, conn):
+            wakeups.append(conn.fd)
+            on_readable(server, conn)
+
+        monkeypatch.setattr(AsyncHttpServer, "_on_readable", counting)
+        client = _http_client(self.listener)
+        try:
+            for i in range(5):
+                assert client.post("/x", b"x" * 200).body == b"echo:" + b"x" * 200
+            assert len(wakeups) == 5
+        finally:
+            client.close()
+
     def test_admin_surface_answers_inline(self):
         client = _http_client(self.listener)
         try:
             assert client.post("/x", b"warm").status == 200
             metrics = client.get("/metrics")
             assert metrics.status == 200
-            assert b"http_requests_total" in metrics.body
+            assert b"http_requests_total" in bytes(metrics.body)
             health = client.get("/healthz")
             assert health.status == 200
-            assert b'"status": "ok"' in health.body
+            assert b'"status": "ok"' in bytes(health.body)
             varz = client.get("/varz")
             assert varz.status == 200
         finally:

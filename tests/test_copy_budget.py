@@ -203,29 +203,101 @@ def test_without_mallopt_the_policy_is_a_no_op_and_the_process_serves(unprimed, 
     assert lookups == [1]
 
 
+def seeded_copy(tmp_path, rel: str, anchor: str, replacement: str) -> str:
+    """``src/repro/<rel>`` copied under ``tmp_path`` with ``anchor`` (which
+    must occur exactly once) replaced; the copy's path."""
+    with open(os.path.join(TOOLS, "..", "src", "repro", rel), encoding="utf-8") as fh:
+        source = fh.read()
+    assert source.count(anchor) == 1, anchor
+    seeded = tmp_path / "repro" / rel
+    seeded.parent.mkdir(parents=True, exist_ok=True)
+    seeded.write_text(source.replace(anchor, replacement), encoding="utf-8")
+    return str(seeded)
+
+
 def test_lint_keeps_the_join_off_the_response_path(tmp_path):
     """The seeded violation: a ``response.to_bytes()`` in ``_enqueue_response``."""
     lint = load_tool("lint")
     source_path = os.path.join(TOOLS, "..", "src", "repro", "transport", "aio.py")
-    with open(source_path, encoding="utf-8") as fh:
-        source = fh.read()
     assert lint.response_join_findings(source_path) == []
-    seeded = tmp_path / "repro" / "transport" / "aio.py"
-    seeded.parent.mkdir(parents=True)
-    anchor = "            conn.outbuf += response.iter_wire()\n"
-    assert source.count(anchor) == 1
-    seeded.write_text(
-        source.replace(anchor, "            conn.outbuf.append(response.to_bytes())\n"),
-        encoding="utf-8",
+    seeded = seeded_copy(
+        tmp_path,
+        "transport/aio.py",
+        "            conn.outbuf += response.iter_wire()\n",
+        "            conn.outbuf.append(response.to_bytes())\n",
     )
-    (finding,) = lint.response_join_findings(str(seeded))
+    (finding,) = lint.response_join_findings(seeded)
     assert "must not join a message" in finding[1]
     # the refusals stay legal, and other modules are not the rule's business
     assert lint.response_join_findings(source_path.replace("aio.py", "http/server.py")) == []
-    elsewhere = tmp_path / "repro" / "transport" / "http" / "client.py"
+    elsewhere = tmp_path / "repro" / "harness" / "overheads.py"
     elsewhere.parent.mkdir(parents=True)
     elsewhere.write_text("wire = request.to_bytes()\n", encoding="utf-8")
     assert lint.response_join_findings(str(elsewhere)) == []
+
+
+def test_lint_keeps_the_join_off_the_request_path(tmp_path):
+    """The seeded violations: the two joins the gather-send replaced — the
+    client's ``req.to_bytes()`` and the TCP binding's ``header + payload``."""
+    lint = load_tool("lint")
+    src = os.path.join(TOOLS, "..", "src", "repro", "transport")
+    # (the binding builds its few header bytes with ``+``: that is not a send)
+    for clean in ("http/client.py", "tcp_binding.py"):
+        assert lint.response_join_findings(os.path.join(src, clean)) == []
+    client = seeded_copy(
+        tmp_path,
+        "transport/http/client.py",
+        "                wire = list(req.iter_wire())\n",
+        "                wire = [req.to_bytes()]\n",
+    )
+    (finding,) = lint.response_join_findings(client)
+    assert "must not join a message: .to_bytes()" in finding[1]
+    binding = seeded_copy(
+        tmp_path,
+        "transport/tcp_binding.py",
+        "        send_pieces(channel, (header, *pieces))\n",
+        "        channel.send_all(header + pieces[0])\n",
+    )
+    (finding,) = lint.response_join_findings(binding)
+    assert "head + payload handed to a send" in finding[1]
+
+
+def test_lint_keeps_the_landing_in_one_place(tmp_path):
+    """The seeded violations: a driver calling ``recv_into`` itself, a
+    second uninitialised buffer, and the pieces-and-join receive regrown."""
+    lint = load_tool("lint")
+    src = os.path.join(TOOLS, "..", "src", "repro")
+    for clean in ("base.py", "aio.py", "sockets.py", "memory.py", "tcp_binding.py",
+                  "http/messages.py", "resilience.py", "instrument.py", "attachments.py"):  # fmt: skip
+        assert lint.body_landing_findings(os.path.join(src, "transport", clean)) == []
+    private_landing = seeded_copy(
+        tmp_path,
+        "transport/aio.py",
+        "                data = body.landing.fill(conn.sock)\n",
+        "                data = conn.sock.recv_into(np.empty(body.owed, 'u1'))\n",
+    )
+    findings = lint.body_landing_findings(private_landing)
+    assert [message.split(";")[0] for _, message in findings] == [
+        "a declared body is received by transport/base.py's Landing",
+        "the uninitialised receive buffer is allocated in transport/base.py only",
+    ]
+    pieces_and_join = seeded_copy(
+        tmp_path,
+        "transport/tcp_binding.py",
+        "        payload = land(channel, length)\n",
+        "        payload = b\"\".join(iter(lambda: channel.recv(65536), b\"\"))\n",
+    )
+    (finding,) = lint.body_landing_findings(pieces_and_join)
+    assert "a declared body lands in place" in finding[1]
+    # a channel's own recv_into forwards to what it wraps; the chunked
+    # consumers and the field reader keep their joins; and outside
+    # src/repro/transport none of this is the rule's business
+    elsewhere = tmp_path / "repro" / "gridftp" / "client.py"
+    elsewhere.parent.mkdir(parents=True)
+    elsewhere.write_text(
+        "got = sock.recv_into(np.empty(n, 'u1'))\nblob = b\"\".join(parts)\n", encoding="utf-8"
+    )
+    assert lint.body_landing_findings(str(elsewhere)) == []
 
 
 def test_lint_keeps_allocator_tuning_in_one_place(tmp_path):

@@ -317,6 +317,6 @@ class TestAioLoopHealth:
         finally:
             service.stop()
         assert response.status == 200
-        body = response.body.decode()
+        body = str(response.body, "utf-8")
         assert "aio_loop_lag_seconds" in body
         assert "aio_ready_queue_depth" in body

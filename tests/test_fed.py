@@ -250,14 +250,14 @@ class TestReadinessSplit:
         assert self.get("/healthz").status == 200
         ready = self.get("/readyz")
         assert ready.status == 200
-        assert b'"status": "ready"' in ready.body
+        assert b'"status": "ready"' in bytes(ready.body)
 
         # 1 executing + 3 queued >= ceil(0.75 * 4): readiness flips
         threads = self.occupy(4)
         wait_until(lambda: self.service.pool.queue_size >= 3)
         saturated = self.get("/readyz")
         assert saturated.status == 503
-        assert b'"status": "saturated"' in saturated.body
+        assert b'"status": "saturated"' in bytes(saturated.body)
         assert saturated.headers.get("Retry-After") is not None
         # liveness is unaffected: the process is healthy, just busy
         assert self.get("/healthz").status == 200
@@ -656,6 +656,46 @@ class TestStriping:
 
         with pytest.raises(StripeTimeout):
             striped_fetch([("stuck", hang)], 4096, stripe_size=1024, stripe_timeout=0.2)
+
+    def test_an_idle_puller_parks_on_the_queue_and_leaves_with_the_fetch(self, monkeypatch):
+        """Regression: pullers polled ``work.get(timeout=0.02)`` until
+        ``done`` — an idle one woke fifty times a second and outlived the
+        fetch by up to 20 ms.  It blocks, and the end of the fetch wakes it."""
+        import queue
+
+        gets = []
+        real_get = queue.Queue.get
+
+        def spying_get(self, block=True, timeout=None):
+            if threading.current_thread().name.startswith("fed-stripe-"):
+                gets.append(timeout)
+            return real_get(self, block, timeout)
+
+        monkeypatch.setattr(queue.Queue, "get", spying_get)
+        blob = fed_blob(size=1024)
+        taken, finish = threading.Event(), threading.Event()
+
+        def held(offset, length):
+            taken.set()
+            assert finish.wait(5)
+            return blob[offset : offset + length]
+
+        result = []
+        fetcher = threading.Thread(
+            target=lambda: result.append(
+                striped_fetch([("a", held), ("b", held)], len(blob), stripe_size=1024)
+            )
+        )
+        fetcher.start()
+        try:
+            assert taken.wait(5)
+            time.sleep(0.1)  # one stripe, two pullers: the other has nothing to do
+        finally:
+            finish.set()
+            fetcher.join(5)
+        assert not fetcher.is_alive()  # joined both pullers, the idle one included
+        assert result[0][0] == blob
+        assert gets == [None, None]  # one blocking get each; the idle one never polled
 
     def test_end_to_end_over_replicas(self):
         network, services, replicas = memory_cluster(3, blob_size=1 << 14)

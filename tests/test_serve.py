@@ -328,7 +328,7 @@ class TestServeServiceOverload:
             assert excinfo.value.retry_after == 0.35
 
             # saturation telemetry on the same port
-            samples = parse_prometheus(raw.get("/metrics").body.decode())
+            samples = parse_prometheus(str(raw.get("/metrics").body, "utf-8"))
             assert samples["serve_queue_depth"] == 1
             assert samples["serve_shed_total"] == 2
             assert samples["serve_workers_busy"] == 1

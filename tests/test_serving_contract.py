@@ -51,12 +51,17 @@ the test floor pins their ids; each may go once its id is released —
   ``test_chunked_then_pipelined_plain_request``.
 """
 
+import gc
 import json
+import os
 import random
 import socket
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -65,6 +70,7 @@ from repro import obs
 from repro.core.dispatcher import Dispatcher
 from repro.core.envelope import SoapEnvelope
 from repro.core.policies import BXSAEncoding, XMLEncoding
+from repro.core.client import SoapHttpClient, SoapTcpClient
 from repro.core.service import SoapTcpService
 from repro.obs import render_prometheus
 from repro.serve import ServeConfig, SoapServeService
@@ -186,14 +192,14 @@ class TestInlineServing:
         metrics = client.get("/metrics")
         assert metrics.status == 200
         assert metrics.headers.get("Content-Type") == "text/plain; version=0.0.4"
-        samples = parse_prometheus(metrics.body.decode())
+        samples = parse_prometheus(str(metrics.body, "utf-8"))
         assert samples['http_requests_total{method="POST",status="2xx"}'] == 1
         assert samples["http_connections_open"] == 1
-        health = json.loads(client.get("/healthz").body)
+        health = json.loads(bytes(client.get("/healthz").body))
         assert health["status"] == "ok" and health["uptime_seconds"] >= 0.0
         assert health["connections_open"] == 1
-        assert json.loads(client.get("/readyz").body)["status"] == "ready"
-        assert json.loads(client.get("/varz").body)["schema"] == "repro.obs.varz/1"
+        assert json.loads(bytes(client.get("/readyz").body))["status"] == "ready"
+        assert json.loads(bytes(client.get("/varz").body))["schema"] == "repro.obs.varz/1"
         assert client.post("/metrics", b"nope").status == 405  # GET only
 
     def test_admin_can_be_disabled(self, serving_core):
@@ -207,7 +213,7 @@ class TestInlineServing:
         response = serving_core.client(server).get("/readyz")
         assert response.status == 503
         assert response.headers.get("Retry-After") == "0.250"
-        assert json.loads(response.body)["why"] == "full"
+        assert json.loads(bytes(response.body))["why"] == "full"
 
     def test_handler_exception_becomes_500_and_connection_survives(self, serving_core):
         client = serving_core.client()
@@ -220,7 +226,7 @@ class TestInlineServing:
         # ...where /varz and the registry still show it
         server = serving_core.server
         assert server.recent_errors[-1]["detail"] == "handler exploded"
-        varz = json.loads(client.get("/varz").body)
+        varz = json.loads(bytes(client.get("/varz").body))
         assert varz["server"]["recent_errors"][-1]["target"] == "/boom"
         assert varz["metrics"]["counters"]['http_handler_errors_total{type="RuntimeError"}'] == 1
 
@@ -734,12 +740,12 @@ class TestLargeBodies:
         assert len(parses) == 2  # one per request
 
     def test_body_is_bytes_and_zero_copy_arrays_are_read_only(self, bulk_server):
-        """``request.body`` stays immutable ``bytes`` on the bulk path, so
+        """``request.body`` is the bytes of the landing buffer, read-only, so
         the ``copy=False`` arrays decoded over it cannot be written."""
         seen = {}
 
         def exchange(request, _state):
-            seen["type"] = type(request.body)
+            seen["type"] = (type(request.body), request.body.readonly)
             root = BXSAEncoding().decode(request.body).children[0]
             (values,) = [c.values for c in root.children if isinstance(c, ArrayElement)]
             seen["writeable"] = values.flags.writeable
@@ -757,7 +763,10 @@ class TestLargeBodies:
         finally:
             sock.close()
         assert seen == {
-            "type": bytes, "writeable": False, "aliases": True, "sum": float(values.sum()),
+            "type": (memoryview, True),
+            "writeable": False,
+            "aliases": True,
+            "sum": float(values.sum()),
         }
 
     def test_small_request_behind_a_large_ones_tail_is_answered_second(self, bulk_server):
@@ -896,6 +905,124 @@ class TestLargeBodies:
         assert held < sent + MAX_READ_BYTES + (1 << 20)
         wait_until(lambda: server.metrics.gauge("http_connections_open").snapshot() == 0)
         assert series_sum(samples_of(server), "http_requests_total") == 1  # the /healthz
+
+
+    def test_a_body_past_the_read_ceiling_arrives_byte_identical(self, serving_core):
+        """17 MiB each way: both the server's and the client's landing
+        outgrow the 16 MiB buffer a declared length may size."""
+        payload = random.Random(24).randbytes(MAX_READ_BYTES + (1 << 20))
+        server = serving_core.serve(lambda request: HttpResponse(200, body=request.body))
+        response = serving_core.client(server).post("/bulk", payload)
+        assert response.status == 200 and len(response.body) == len(payload)
+        assert response.body == payload
+
+    def test_arrays_of_request_n_outlive_request_n_plus_one(self, serving_core):
+        """The ``copy=False`` aliasing contract across exchanges: a landing
+        buffer is never recycled, and lives exactly as long as a view of it."""
+        kept, buffers = [], []
+
+        def keep(request):
+            root = BXSAEncoding().decode(request.body).children[0]
+            kept.append([c.values for c in root.children if isinstance(c, ArrayElement)][0])
+            buffers.append(weakref.ref(request.body.obj))
+            return HttpResponse(200, body=b"kept")
+
+        client = serving_core.client(serving_core.serve(keep))
+        sent = [np.arange(n, n + 150_000, dtype="f8") for n in (0, 7)]
+        for values in sent:  # one keep-alive connection, one landing each
+            payload = BXSAEncoding().encode(DocumentNode([element("d", array("v", values))]))
+            assert client.post("/bulk", payload).body == b"kept"
+        for values, decoded in zip(sent, kept):
+            assert not decoded.flags.writeable and not decoded.flags.owndata
+            np.testing.assert_array_equal(decoded, values)
+        first, second = (buffer() for buffer in buffers)
+        assert first is not None and second is not None and first is not second
+        del decoded, first, second
+        kept.clear()  # the last arrays die: so do the buffers, the connection still open
+        wait_until(lambda: gc.collect() is not None and buffers[0]() is buffers[1]() is None)
+        assert client.get("/healthz").status == 200
+
+
+#: A host in a process of its own, so ``VmRSS`` is the host's: it announces
+#: its address, then answers each line on stdin with its resident KiB.
+RESIDENCY_CHILD = """
+import sys
+from repro.services.echo import echo_dispatcher
+from repro.transport.sockets import TcpListener
+
+listener = TcpListener("127.0.0.1", 0)
+if sys.argv[1] == "tcp":
+    from repro.core.service import SoapTcpService
+    service = SoapTcpService(listener, echo_dispatcher())
+else:
+    from repro.serve import ServeConfig, SoapServeService
+    service = SoapServeService(
+        listener, echo_dispatcher(), config=ServeConfig(workers=2, core=sys.argv[1])
+    )
+service.start()
+print("ADDR %s %d" % listener.address, flush=True)
+for _ in sys.stdin:
+    with open("/proc/self/status", encoding="ascii") as fh:
+        print(next(line.split()[1] for line in fh if line.startswith("VmRSS:")), flush=True)
+service.stop()
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's procfs")
+@pytest.mark.parametrize("host", ["aio", "threaded", "tcp"])
+def test_a_declared_length_sizes_no_resident_memory(host):
+    """The hostile-length property, about residency: a peer declares
+    16 MiB, sends 4 KiB and stalls.  The landing buffer is allocated but
+    not touched, so the host's resident memory tracks the bytes received,
+    and every other connection is answered."""
+    echo = SoapEnvelope.wrap(element("Echo", leaf("n", 1, "int")))
+    child = subprocess.Popen(
+        [sys.executable, "-c", RESIDENCY_CHILD, host],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")},
+    )
+    try:
+        _, name, port = child.stdout.readline().split()
+        address = (name, int(port))
+
+        def resident_kib() -> int:
+            child.stdin.write("rss\n")
+            child.stdin.flush()
+            return int(child.stdout.readline())
+
+        def answers() -> bool:
+            client = (SoapTcpClient if host == "tcp" else SoapHttpClient)(
+                lambda: connect_tcp(*address)
+            )
+            try:
+                return client.call(echo).body_root.name.local == "EchoResponse"
+            finally:
+                client.close()
+
+        assert answers() and answers()  # what a first connection costs is not the peer's
+        before = resident_kib()
+        hostile = socket.create_connection(address, timeout=5)
+        try:
+            if host == "tcp":
+                head = b"\xb5\x0a\x10application/bxsa" + (16 << 20).to_bytes(4, "big")
+            else:
+                head = (
+                    b"POST /soap HTTP/1.1\r\nHost: a\r\nContent-Type: application/bxsa\r\n"
+                    b"Content-Length: %d\r\n\r\n" % (16 << 20)
+                )
+            hostile.sendall(head + bytes(4096))
+            time.sleep(0.2)  # let the host read what was sent, and park
+            grown = resident_kib() - before
+            assert answers()
+        finally:
+            hostile.close()
+        assert grown < 1024, f"{grown} KiB resident for 4 KiB received"
+    finally:
+        child.stdin.close()
+        child.wait(10)
+        child.stdout.close()
 
 
 # ----------------------------------------------------------------------

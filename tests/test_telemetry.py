@@ -644,7 +644,7 @@ class TestHttpAdminSurface:
         resp = self.client.get("/metrics")
         assert resp.status == 200
         assert resp.headers.get("Content-Type") == "text/plain; version=0.0.4"
-        samples = parse_prometheus(resp.body.decode())
+        samples = parse_prometheus(str(resp.body, "utf-8"))
         # the /app request is already on the books by the time we scrape
         assert samples['http_requests_total{method="GET",status="2xx"}'] >= 1
         assert series_sum(samples, "http_request_seconds_count") >= 1
@@ -653,7 +653,7 @@ class TestHttpAdminSurface:
     def test_healthz(self):
         resp = self.client.get("/healthz")
         assert resp.status == 200
-        payload = json.loads(resp.body)
+        payload = json.loads(bytes(resp.body))
         assert payload["status"] == "ok"
         assert payload["server"] == "t-web"
         assert payload["uptime_seconds"] >= 0.0
@@ -664,9 +664,9 @@ class TestHttpAdminSurface:
         assert resp.status == 500
         # the client sees a generic body — no exception detail leaks
         assert resp.body == b"internal server error"
-        assert b"secret internal detail" not in resp.body
+        assert b"secret internal detail" not in bytes(resp.body)
 
-        varz = json.loads(self.client.get("/varz").body)
+        varz = json.loads(bytes(self.client.get("/varz").body))
         assert varz["schema"] == "repro.obs.varz/1"
         errors = varz["server"]["recent_errors"]
         assert errors[-1]["error"] == "RuntimeError"
@@ -712,7 +712,7 @@ class TestHttpAdminSurface:
         server = make_admin_server(net.listen("admin"), registry).start()
         client = HttpClient(lambda: net.connect("admin"))
         try:
-            samples = parse_prometheus(client.get("/metrics").body.decode())
+            samples = parse_prometheus(str(client.get("/metrics").body, "utf-8"))
             assert samples["app_things_total"] == 5
             assert client.get("/other").status == 404
         finally:
@@ -739,7 +739,7 @@ class TestServiceRedEndToEnd:
         try:
             resp = scraper.get("/metrics")
             assert resp.status == 200
-            return parse_prometheus(resp.body.decode())
+            return parse_prometheus(str(resp.body, "utf-8"))
         finally:
             scraper.close()
 

@@ -53,7 +53,7 @@ class TestMessageCodec:
             a.send_all(piece)
         parsed = read_response(BufferedChannel(b))
         assert parsed.body == b"head-payload-tail" == bytes(resp.body)
-        assert type(parsed.body) is bytes
+        assert type(parsed.body) is memoryview and parsed.body.readonly
 
     def test_header_case_insensitive(self):
         req = HttpRequest("GET", "/")
@@ -175,8 +175,8 @@ class TestClientServerOverMemory:
         assert resp.status == 500
         # the body is deliberately generic: exception detail stays server-side
         assert resp.body == b"internal server error"
-        assert b"handler exploded" not in resp.body
-        assert b"RuntimeError" not in resp.body
+        assert b"handler exploded" not in bytes(resp.body)
+        assert b"RuntimeError" not in bytes(resp.body)
         # ...where it is still observable
         assert self.server.recent_errors[-1]["detail"] == "handler exploded"
         assert self.server.recent_errors[-1]["error"] == "RuntimeError"

@@ -51,7 +51,18 @@ lint) — they confine the concurrency machinery to its designated homes:
   refusals written before a request exists.  A response leaves through
   ``iter_wire()``, piece by piece: joining head and body first is a
   payload-sized copy the bulk path's copy budget (DESIGN.md §10) has no
-  room for.
+  room for.  The request writers (``transport/http/client.py``,
+  ``transport/tcp_binding.py``) may not spell ``.to_bytes()`` at all, nor
+  hand a send a ``head + payload`` concatenation: a message leaves as its
+  pieces, gathered (``send_pieces``).
+* inside ``src/repro/transport`` a declared-length body is received in
+  one place, ``base.py``'s ``Landing``: ``recv_into`` is called only there
+  and by a channel's own ``recv_into`` forwarding to what it wraps, the
+  uninitialised allocation (``np.empty``) appears only there, and a
+  ``b"".join(`` survives only where a listed function needs one — the two
+  consumers of ``ChunkedDecoder`` (a chunked body declares no length to
+  land into), ``recv_exactly`` (protocol fields) and the send side's
+  explicit joins.
 * inside ``src/repro`` only ``transport/base.py`` may import ``ctypes``
   or name ``mallopt`` — a process has one allocator, so it gets one
   policy, set in one place (``prime_allocator``, DESIGN.md §10); a second
@@ -430,6 +441,12 @@ FRAME_GRAMMAR_HOMES = {"bxsa/frames.py", "bxsa/walker.py"}
 FRAME_GRAMMAR_READERS = {"read_name_ref", "read_type_code", "read_scalar_value"}
 
 
+def _called_name(node: ast.Call) -> str | None:
+    """``f`` of a call ``f(...)`` or ``x.f(...)``."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _calls_outside(path: str, homes: set, names: set, message: str) -> list[tuple[int, str]]:
     """Calls to any of ``names`` in a ``src/repro`` module not in ``homes``."""
     rel, tree = _parsed(path) or (None, None)
@@ -438,8 +455,7 @@ def _calls_outside(path: str, homes: set, names: set, message: str) -> list[tupl
     findings = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            name = _called_name(node)
             if name in names:
                 findings.append((node.lineno, message.format(name=name)))
     return findings
@@ -620,42 +636,125 @@ def package_surface_findings(path: str) -> list[tuple[int, str]]:
 #: The modules that write responses to sockets (relative to src/repro).
 RESPONSE_WRITERS = {"transport/aio.py", "transport/http/server.py"}
 
+#: The modules that write requests (and the TCP binding's replies).
+REQUEST_WRITERS = {"transport/http/client.py", "transport/tcp_binding.py"}
+
 #: The pre-request refusals: tiny, built and written in one expression.
 REFUSAL_BUILDERS = {"connection_limit_response", "error_response"}
 
+SEND_CALLS = {"send_all", "send_pieces"}
+
 
 def response_join_findings(path: str) -> list[tuple[int, str]]:
-    """Keep the head+body join off the drivers' response path.
+    """Keep the head+body join off every writer's send path.
 
     ``message.to_bytes()`` concatenates the whole message: for a bulk
-    response that is one more copy of the payload, made and thrown away
+    message that is one more copy of the payload, made and thrown away
     between the codec and the socket.  The drivers queue or send the
     pieces ``iter_wire()`` yields instead.  The only ``.to_bytes()`` a
     driver may spell is the one applied directly to a refusal it has just
     built (``connection_limit_response().to_bytes()``,
     ``error_response(...).to_bytes()``) — a few dozen bytes, no request.
+    A request writer builds no refusals, so it may spell none; and it may
+    not hand a send ``header + payload`` either, which is the same join
+    written with ``+`` — the pieces leave gathered, through
+    ``send_pieces``.
     """
     rel, tree = _parsed(path) or (None, None)
-    if rel not in RESPONSE_WRITERS:
+    if rel not in RESPONSE_WRITERS and rel not in REQUEST_WRITERS:
         return []
-    message = (
-        "a driver must not join a message: .to_bytes() here copies the whole "
-        "payload once more — queue or send the pieces of iter_wire() (only a "
+    joined = (
+        "a writer must not join a message: .to_bytes() here copies the whole "
+        "payload once more — queue or send the pieces of iter_wire() (only a driver's "
         "just-built connection_limit_response()/error_response(...) may be joined)"
+    )
+    added = (
+        "a writer must not join a message: head + payload handed to a send is a "
+        "payload-sized copy — send the pieces gathered (send_pieces)"
     )
     findings = []
     for node in ast.walk(tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "to_bytes"
-        ):
+        if not isinstance(node, ast.Call):
             continue
-        built = node.func.value
-        builder = getattr(built, "func", None) if isinstance(built, ast.Call) else None
-        name = builder.id if isinstance(builder, ast.Name) else getattr(builder, "attr", None)
-        if name not in REFUSAL_BUILDERS:
-            findings.append((node.lineno, message))
+        name = _called_name(node)
+        if name == "to_bytes" and isinstance(node.func, ast.Attribute):
+            built = node.func.value
+            builder = _called_name(built) if isinstance(built, ast.Call) else None
+            if rel in REQUEST_WRITERS or builder not in REFUSAL_BUILDERS:
+                findings.append((node.lineno, joined))
+        elif name in SEND_CALLS and rel in REQUEST_WRITERS:
+            findings += [
+                (arg.lineno, added)
+                for arg in node.args
+                if isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add)
+            ]
+    return findings
+
+
+#: Where a declared-length body is received (relative to src/repro).
+LANDING_HOME = "transport/base.py"
+
+#: ``module -> functions`` that may spell ``b"".join(`` under
+#: ``src/repro/transport``: the consumers of ``ChunkedDecoder`` (a chunked
+#: body has no declared length to land into), the reader of protocol
+#: fields, and the send side's explicit joins.
+JOIN_HOMES = {
+    "transport/http/messages.py": {"read_chunked_body", "__bytes__", "to_bytes", "encode_chunk"},
+    "transport/aio.py": {"_advance_chunked"},
+    "transport/base.py": {"recv_exactly", "send_pieces"},
+    "transport/attachments.py": {"to_bytes"},
+}
+
+
+def body_landing_findings(path: str) -> list[tuple[int, str]]:
+    """One receive path for a body whose length was declared.
+
+    ``transport/base.py``'s ``Landing`` allocates the buffer (uninitialised:
+    resident memory tracks bytes received), fills it with ``recv_into`` and
+    hands on a read-only view.  Under ``src/repro/transport`` a
+    ``recv_into`` call anywhere else — a channel's own ``recv_into``
+    forwarding to what it wraps aside — an ``np.empty`` anywhere else, or a
+    ``b"".join(`` in a function not listed in ``JOIN_HOMES`` is a second
+    receive path (pieces and a join, or a private landing) growing back.
+    """
+    rel, tree = _parsed(path) or (None, None)
+    if rel is None or not rel.startswith("transport/"):
+        return []
+    findings = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call):
+            name = _called_name(node)
+            if name == "recv_into" and rel != LANDING_HOME and function != "recv_into":
+                findings.append((
+                    node.lineno,
+                    "a declared body is received by transport/base.py's Landing; "
+                    "recv_into() here is a second landing — call Landing.fill / land()",
+                ))  # fmt: skip
+            elif name == "empty" and rel != LANDING_HOME:
+                findings.append((
+                    node.lineno,
+                    "the uninitialised receive buffer is allocated in transport/base.py "
+                    "only; empty() here is a second landing buffer",
+                ))  # fmt: skip
+            elif (
+                name == "join"
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Constant)
+                and node.func.value.value == b""
+                and function not in JOIN_HOMES.get(rel, ())
+            ):
+                findings.append((
+                    node.lineno,
+                    'b"".join() of received pieces: a declared body lands in place '
+                    "(transport/base.py land()); only the functions in JOIN_HOMES join",
+                ))  # fmt: skip
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
     return findings
 
 
@@ -672,6 +771,7 @@ REPO_RULES = (
     accept_loop_findings,
     allocator_findings,
     response_join_findings,
+    body_landing_findings,
     package_surface_findings,
 )
 
