@@ -69,11 +69,21 @@ def decode_envelope(encoding: EncodingPolicy, payload: bytes) -> SoapEnvelope:
         raise SoapFault(CLIENT_FAULT, f"invalid SOAP envelope: {exc}") from exc
 
 
+def encode_body(encoding: EncodingPolicy, document) -> "bytes | list":
+    """The gather step both halves of the engine send through: one buffer,
+    or the list of pieces a gathering policy (``encode_pieces``) hands over
+    for a binding to write in order, by reference."""
+    gather = getattr(encoding, "encode_pieces", None)
+    if gather is None:
+        return encoding.encode(document)
+    pieces = gather(document)
+    return pieces[0] if len(pieces) == 1 else pieces
+
+
 class Served(NamedTuple):
     """What :func:`serve_exchange` answers one request with."""
 
-    #: The encoded reply: ``bytes``, or the list of pieces a gathering
-    #: policy (``encode_pieces``) hands over for a binding to write in order.
+    #: The encoded reply, as :func:`encode_body` made it.
     body: "bytes | list"
     #: Content type of ``body``.
     content_type: str
@@ -147,13 +157,7 @@ def _answer(envelope, handle, encoding: EncodingPolicy, security, operation: str
         response = handle(envelope)
         if security is not None:
             security.sign(response)
-        document = response.to_document()
-        gather = getattr(encoding, "encode_pieces", None)
-        if gather is None:
-            body = encoding.encode(document)
-        else:
-            pieces = gather(document)
-            body = pieces[0] if len(pieces) == 1 else pieces
+        body = encode_body(encoding, response.to_document())
     except SoapFault as fault:
         return _faulted(fault, encoding, security, operation)
     except Exception as exc:  # noqa: BLE001 - server boundary
@@ -171,7 +175,7 @@ def _faulted(
         security.sign(envelope)
     if status is None:
         status = "client_fault" if fault.code == CLIENT_FAULT else "server_fault"
-    body = encoding.encode(envelope.to_document())
+    body = encode_body(encoding, envelope.to_document())
     return Served(body, encoding.content_type, operation, status, obs.current_trace_id())
 
 
@@ -327,8 +331,9 @@ class SoapEngine:
                 propagation.inject_envelope(envelope, ctx)
             if self.security is not None:
                 self.security.sign(envelope)
-            payload = self.encoding.encode(envelope.to_document())
-            sp.set("bytes", len(payload))
+            payload = encode_body(self.encoding, envelope.to_document())
+            size = len(payload) if type(payload) is not list else sum(map(len, payload))
+            sp.set("bytes", size)
             if deadline is None:
                 self.binding.send_request(payload, self.encoding.content_type)
             else:
@@ -336,7 +341,7 @@ class SoapEngine:
                 self.binding.send_request(
                     payload, self.encoding.content_type, deadline=deadline
                 )
-            return len(payload)
+            return size
 
     def receive_response(self, *, deadline=None) -> SoapEnvelope:
         with obs.span("soap.receive", kind="logical") as sp:

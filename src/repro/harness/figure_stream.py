@@ -232,11 +232,12 @@ def _consume(pieces, *, signed: bool, chunk_bytes: int) -> int:
 
 
 def _exchange(client: HttpClient, mib: int, mode: str, chunk_bytes: int) -> dict:
-    """One GET, fully consumed; returns ttfb/total/checksum."""
+    """One GET, fully consumed; returns ttfb/total/checksum.  A buffered
+    answer declares its length, so the client lands it whole first."""
     start = time.perf_counter()
-    response = client.request("GET", f"/pull/{mib}/{mode}", stream_response=True)
+    response = client.request("GET", f"/pull/{mib}/{mode}")
     assert response.status == 200, response.status
-    stream = iter(response.stream)
+    stream = iter(response.stream if response.stream is not None else (response.body,))
     first = next(stream)
     ttfb = time.perf_counter() - start
     checksum = _consume(
@@ -269,7 +270,6 @@ def sweep(
         make_handler(chunk_bytes, queue_depth),
         name="figure-stream",
         admin=False,
-        stream_bodies=True,
     )
     points = []
     with server:

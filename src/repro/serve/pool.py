@@ -65,11 +65,6 @@ class PoolStopped(ServeError):
     """The pool is stopping/stopped and cannot take or finish the task."""
 
 
-#: Worker poll interval while waiting for work, seconds.  Bounds both the
-#: idle wakeup rate and the latency of a drain noticing an empty queue.
-_POLL_SECONDS = 0.05
-
-
 class _Completion:
     """One submitted task's future result (event + slot, no cancellation)."""
 
@@ -159,7 +154,8 @@ class WorkerPool:
         self._name = name
         self._state_factory = worker_state_factory
         self._retry_after = retry_after
-        self._queue: queue.Queue[_Item] = queue.Queue(maxsize=queue_depth)
+        #: Admitted items, then one ``None`` per worker to wake it at stop.
+        self._queue: queue.Queue[_Item | None] = queue.Queue(maxsize=queue_depth)
         self._threads: list[threading.Thread] = []
         self._running = False
         self._stopping = False
@@ -215,21 +211,27 @@ class WorkerPool:
         self._stopping = True
         self._stopped = True
         deadline = time.monotonic() + drain_timeout
+        # nothing is admitted now: unbounded, every wake-up fits behind the
+        # admitted work, and a worker takes one when that work is done
+        self._queue.maxsize = 0
+        self._wake_workers()
         for thread in self._threads:
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        if any(thread.is_alive() for thread in self._threads):
-            # drain budget exhausted: tell workers to quit after their
-            # current task and fail everything still queued
-            self._abandoned = True
-            self._fail_queued()
-            for thread in self._threads:
-                thread.join(timeout=_POLL_SECONDS * 4)
         # a submit that raced the stop may have slipped an item in after
         # the workers exited — fail it rather than strand its waiter
         self._fail_queued()
+        if any(thread.is_alive() for thread in self._threads):
+            # drain budget exhausted: a worker quits after its current task,
+            # or on a fresh wake-up if it was between tasks
+            self._abandoned = True
+            self._wake_workers()
         self._running = False
         self._threads = []
-        self._set_depth_gauge()
+        self.metrics.gauge("serve_queue_depth").set(0)  # wake-ups are not work
+
+    def _wake_workers(self) -> None:
+        for _ in self._threads:
+            self._queue.put_nowait(None)
 
     def _fail_queued(self) -> None:
         while True:
@@ -237,6 +239,8 @@ class WorkerPool:
                 item = self._queue.get_nowait()
             except queue.Empty:
                 return
+            if item is None:
+                continue  # a wake-up nobody took
             item.completion._finish(error=PoolStopped("pool stopped before the task ran"))
             self.metrics.counter(
                 "serve_completed_total", labels={"status": "abandoned"}
@@ -304,12 +308,9 @@ class WorkerPool:
         state = self._state_factory() if self._state_factory is not None else None
         m = self.metrics
         while True:
-            try:
-                item = self._queue.get(timeout=_POLL_SECONDS)
-            except queue.Empty:
-                if self._stopping or self._abandoned:
-                    return
-                continue
+            item = self._queue.get()
+            if item is None:
+                return  # stop's wake-up: everything admitted before it is done
             self._set_depth_gauge()
             m.histogram("serve_queue_wait_seconds").observe(
                 time.perf_counter() - item.enqueued_at

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.transport.base import TransportError
 from repro.transport.http.client import HttpClient
-from repro.transport.http.messages import HttpResponse
+from repro.transport.http.messages import BodyPieces, HttpResponse
 from repro.transport.resilience import ServerBusy, parse_retry_after
 
 #: Content types for the two encodings riding HTTP (the XML one matches the
@@ -43,16 +43,17 @@ class HttpClientBinding:
         self._idempotent = idempotent
         self._pending: HttpResponse | None = None
 
-    def send_request(self, payload: bytes, content_type: str, *, deadline=None) -> int:
+    def send_request(self, payload, content_type: str, *, deadline=None) -> int:
+        body = BodyPieces(payload) if type(payload) is list else payload
         headers = {"Content-Type": content_type, "SOAPAction": '""'}
         self._pending = self._client.post(
             self._target,
-            payload,
+            body,
             headers=headers,
             idempotent=self._idempotent or None,
             deadline=deadline,
         )
-        return len(payload)
+        return len(body)
 
     def receive_response(self, *, deadline=None) -> tuple[bytes, str]:
         if self._pending is None:

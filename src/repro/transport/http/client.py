@@ -21,9 +21,11 @@ from repro import obs
 from repro.obs import propagation
 from repro.transport.base import BufferedChannel, Channel, TransportError
 from repro.transport.http.messages import (
+    BodyPieces,
     HttpRequest,
     HttpResponse,
     _Headers,
+    drain_stream,
     read_response,
 )
 from repro.transport.instrument import ChannelStats, InstrumentedChannel
@@ -67,6 +69,8 @@ class HttpClient:
         self._channel: BufferedChannel | None = None
         self._shim: DeadlineChannel | None = None
         self._stats: ChannelStats | None = None
+        #: The last response, while its chunked body may be on the channel.
+        self._unread: HttpResponse | None = None
 
     # ------------------------------------------------------------------
 
@@ -75,13 +79,12 @@ class HttpClient:
         method: str,
         target: str,
         *,
-        body: bytes | Iterable[bytes] = b"",
+        body: bytes | BodyPieces | Iterable[bytes] = b"",
         headers: dict[str, str] | None = None,
         trailers: dict[str, str] | None = None,
         idempotent: bool | None = None,
         deadline: float | Deadline | None = None,
         retry: RetryPolicy | None = None,
-        stream_response: bool = False,
     ) -> HttpResponse:
         """Send one request, read one response, under the retry policy.
 
@@ -90,17 +93,17 @@ class HttpClient:
         operation known to be read-only) as replayable.  ``deadline``
         bounds the whole call — connect, retries and backoff included.
 
-        ``body`` may be an *iterable* of byte pieces: it is sent chunked,
-        pulled as the socket accepts bytes, so a producer larger than
-        memory never materializes (``trailers`` ride after the last
-        chunk).  A partially-consumed body iterable can never be re-sent,
-        so such a request stops retrying the moment the first piece is
-        pulled, regardless of idempotency.
+        ``body`` is one buffer or a ``BodyPieces``, sent by reference with
+        the head in one gathered send, or an *iterable* of byte pieces: that
+        is sent chunked, pulled as the socket accepts bytes, so a producer
+        larger than memory never materializes (``trailers`` ride after the
+        last chunk).  A partially-consumed body iterable can never be
+        re-sent, so such a request stops retrying the moment the first
+        piece is pulled, regardless of idempotency.
 
-        With ``stream_response`` the response body is not buffered:
-        ``response.stream`` yields pieces off the wire (exhaust it — or
-        :func:`~repro.transport.http.messages.drain_stream` it — before
-        the next request on this client).
+        A chunked response body is read by the caller, under ``deadline``
+        (``response.body`` whole, ``response.stream`` piece by piece); what
+        it leaves unread is drained before this client's next request.
         """
         if idempotent is None:
             idempotent = method.upper() in IDEMPOTENT_METHODS
@@ -120,7 +123,7 @@ class HttpClient:
                 propagation.inject_headers(req.headers, ctx)
 
             consumed = {"response_bytes": False, "body_pulled": False}
-            streamed_body = not isinstance(body, (bytes, bytearray, memoryview))
+            streamed_body = not isinstance(body, (bytes, bytearray, memoryview, BodyPieces))
             if streamed_body:
                 source = iter(body)
 
@@ -153,7 +156,7 @@ class HttpClient:
                             channel.send_all(piece)
                     mark = self._stats.bytes_received
                     try:
-                        return read_response(channel, stream_body=stream_response)
+                        return read_response(channel)
                     except TransportError:
                         if self._stats.bytes_received > mark:
                             consumed["response_bytes"] = True
@@ -161,9 +164,6 @@ class HttpClient:
                 except TransportError:
                     self._drop_channel()
                     raise
-                finally:
-                    if self._shim is not None and not stream_response:
-                        self._shim.deadline = None
 
             def may_retry(_exc: BaseException, _attempt: int) -> bool:
                 return (
@@ -177,27 +177,15 @@ class HttpClient:
             )
             sp.set("status", response.status)
 
-        if (response.headers.get("Connection") or "").lower() == "close":
-            if response.stream is not None:
-                # let the caller read the streamed body off this channel
-                # first; the next request reconnects
-                response.stream = self._closing_stream(response)
-            else:
-                self._drop_channel()
+        self._unread = response
+        if response.stream is None:
+            self._finish_unread()  # nothing left to read: settle it now
         return response
-
-    def _closing_stream(self, response: HttpResponse):
-        inner = response.stream
-        try:
-            for piece in inner:
-                yield piece
-        finally:
-            self._drop_channel()
 
     def get(self, target: str, **kwargs) -> HttpResponse:
         return self.request("GET", target, **kwargs)
 
-    def post(self, target: str, body: bytes, **kwargs) -> HttpResponse:
+    def post(self, target: str, body: bytes | BodyPieces, **kwargs) -> HttpResponse:
         return self.request("POST", target, body=body, **kwargs)
 
     def close(self) -> None:
@@ -206,6 +194,8 @@ class HttpClient:
     # ------------------------------------------------------------------
 
     def _ensure_channel(self) -> BufferedChannel:
+        if self._unread is not None:
+            self._finish_unread()
         if self._channel is None:
             instrumented = InstrumentedChannel(self._connect())
             self._stats = instrumented.stats
@@ -213,7 +203,20 @@ class HttpClient:
             self._channel = BufferedChannel(self._shim)
         return self._channel
 
+    def _finish_unread(self) -> None:
+        """Drain what the last response's caller left of its chunked body;
+        drop the channel if that failed or the response said ``close``."""
+        response, self._unread = self._unread, None
+        try:
+            drain_stream(response)
+        except TransportError:
+            self._drop_channel()  # its framing is lost: never reuse it
+            return
+        if (response.headers.get("Connection") or "").lower() == "close":
+            self._drop_channel()
+
     def _drop_channel(self) -> None:
+        self._unread = None
         if self._channel is not None:
             self._channel.close()
             self._channel = None

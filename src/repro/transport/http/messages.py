@@ -16,6 +16,10 @@ attribute is set serializes as a chunked body pulled lazily from that
 iterable (:meth:`HttpRequest.iter_wire`), which is what lets a server
 start writing a response before the body is fully produced — the
 transport half of the streaming pipeline.
+
+A received body's framing decides how it is read: a ``Content-Length``
+body lands in :func:`read_request`/:func:`read_response`, a chunked one is
+left to its consumer (:class:`ChunkedBody`).
 """
 
 from __future__ import annotations
@@ -151,6 +155,22 @@ class BodyPieces:
         return b"".join(self.pieces)
 
 
+class _BodyField:
+    """A message's ``body``: the value last set, except that a received
+    chunked body still on the channel is read, whole, on first use."""
+
+    def __get__(self, message, owner=None):
+        if message is None:
+            return b""  # the dataclass field's default
+        if type(message.stream) is ChunkedBody:
+            message._body = message.stream.read()
+            message.stream = None
+        return message._body
+
+    def __set__(self, message, value) -> None:
+        message._body = value
+
+
 class _Message:
     """Serialization shared by requests and responses.
 
@@ -159,16 +179,15 @@ class _Message:
     * ``body`` — a fully buffered body, framed by ``Content-Length``: to
       send, any bytes-like object (or :class:`BodyPieces`); as received,
       always a read-only ``memoryview`` (of the landing buffer its declared
-      length was received into, or of a chunked body's join) — say
+      length was received into, or of a chunked body's one join) — say
       ``bytes(body)`` / ``str(body, "utf-8")`` where a copy is meant;
     * ``stream`` — an iterable of byte pieces, framed chunked.  Set by a
       producer that cannot (or will not) buffer — the sink-driven BXSA
-      writer, a streaming handler — or by the streaming readers, where it
-      yields decoded body pieces straight off the channel.
+      writer, a streaming handler — or, received, the :class:`ChunkedBody`
+      still on the channel, which reading ``body`` joins.
 
     ``trailers``, when set on a streamed message, are written after the
-    last chunk; the streaming readers fill the same attribute with the
-    trailer section they parsed.
+    last chunk; a received chunked body fills the same attribute.
     """
 
     def _head_lines(self) -> list[bytes]:  # pragma: no cover - overridden
@@ -225,7 +244,7 @@ class HttpRequest(_Message):
     method: str
     target: str
     headers: _Headers = field(default_factory=_Headers)
-    body: bytes = b""
+    body: bytes = _BodyField()
     version: str = "HTTP/1.1"
     stream: Iterable[bytes] | None = None
     trailers: _Headers | None = None
@@ -250,7 +269,7 @@ class HttpResponse(_Message):
 
     status: int
     headers: _Headers = field(default_factory=_Headers)
-    body: bytes = b""
+    body: bytes = _BodyField()
     version: str = "HTTP/1.1"
     reason: str = ""
     stream: Iterable[bytes] | None = None
@@ -266,13 +285,11 @@ class HttpResponse(_Message):
 
 
 def drain_stream(message: HttpRequest | HttpResponse) -> None:
-    """Exhaust a message's streamed body, discarding the pieces.
+    """Read what is left of a received chunked body, discarding it.
 
-    Framing hygiene: a reader that hands out a body stream leaves the
-    underlying channel positioned mid-message until the stream is
-    consumed.  Servers call this after answering (the handler may not
-    have read the whole request body); clients before reusing a
-    connection whose response stream they abandoned.
+    The threaded server calls this after answering (an inline handler may
+    not have read the whole request body), the client before it reuses or
+    drops a connection whose response body its caller left unread.
     """
     if message.stream is not None:
         for _ in message.stream:
@@ -499,65 +516,55 @@ class ChunkedDecoder:
         return pieces
 
 
-def read_chunked_body(channel: BufferedChannel) -> tuple[memoryview, _Headers]:
-    """Read one whole chunked body off a channel: (body, trailers).
+class ChunkedBody:
+    """A received chunked body still on its channel: iterate it for the
+    pieces as they arrive, or :meth:`read` it whole — once, one way.  Its
+    last chunk sets the message's trailers and pushes bytes past the body
+    back into the channel; a body that failed to read fails again."""
 
-    A chunked body declares no length to land into: it is the view of its
-    one join, so a received body is one type whatever its framing.  Bytes
-    past the body (a pipelined next message) are pushed back into the
-    channel's buffer.
-    """
-    decoder = ChunkedDecoder()
-    pieces: list[bytes] = []
-    while not decoder.done:
-        data = channel.recv(65536)
-        if not data:
-            raise TransportClosed("peer closed mid-chunked-body")
-        pieces += decoder.feed(data)
-    if decoder.residue:
-        channel.unrecv(decoder.residue)
-    return memoryview(b"".join(pieces)), decoder.trailers
+    __slots__ = ("_pieces", "_started", "_failed")
 
+    def __init__(self, channel: BufferedChannel, message: HttpRequest | HttpResponse) -> None:
+        self._pieces = self._decode(channel, message)
+        self._started = False
+        self._failed = False
 
-def _iter_body(
-    channel: BufferedChannel, mode: str, length: int, owner: HttpRequest | HttpResponse
-) -> Iterator[bytes]:
-    """Yield body pieces straight off the channel (the streaming read path).
+    def __iter__(self) -> Iterator[bytes]:
+        if self._failed:
+            raise HttpError("chunked body could not be read; its framing is lost")
+        self._started = True
+        return self._pieces
 
-    Exactly one whole body is consumed; for a chunked body the parsed
-    trailers land on ``owner.trailers`` after the last piece.  The
-    generator owns the channel until exhausted — see :func:`drain_stream`.
-    """
-    if mode == "chunked":
+    def read(self) -> memoryview:
+        """The whole body: the view of its one join (no length to land into)."""
+        if self._started:
+            raise HttpError("chunked body is already being read as a stream")
+        return memoryview(b"".join(self))
+
+    def _decode(self, channel: BufferedChannel, message) -> Iterator[bytes]:
         decoder = ChunkedDecoder()
-        while not decoder.done:
-            data = channel.recv(65536)
-            if not data:
-                raise TransportClosed("peer closed mid-chunked-body")
-            for piece in decoder.feed(data):
-                yield piece
+        try:
+            while not decoder.done:
+                data = channel.recv(65536)
+                if not data:
+                    raise TransportClosed("peer closed mid-chunked-body")
+                yield from decoder.feed(data)
+        except Exception:
+            self._failed = True
+            raise
         if decoder.residue:
             channel.unrecv(decoder.residue)
-        owner.trailers = decoder.trailers
-        return
-    remaining = length
-    while remaining > 0:
-        data = channel.recv(min(remaining, 65536))
-        if not data:
-            raise TransportClosed(
-                f"peer closed mid-body ({length - remaining}/{length} bytes received)"
-            )
-        remaining -= len(data)
-        yield data
+        message.trailers = decoder.trailers
 
 
-def _read_body(
-    channel: BufferedChannel, headers: _Headers
-) -> tuple[memoryview, _Headers | None]:
-    mode, length = body_framing(headers)
+def _take_body(message, channel: BufferedChannel):
+    """Land a declared body now; leave a chunked one to its consumer."""
+    mode, length = body_framing(message.headers)
     if mode == "chunked":
-        return read_chunked_body(channel)
-    return land(channel, length), None
+        message.stream = ChunkedBody(channel, message)
+    else:
+        message.body = land(channel, length)
+    return message
 
 
 def parse_request_head(head: bytes) -> tuple[str, str, str, _Headers]:
@@ -578,31 +585,16 @@ def parse_request_head(head: bytes) -> tuple[str, str, str, _Headers]:
     return method, target, version, _parse_headers(header_block)
 
 
-def read_request(channel: BufferedChannel, *, stream_body: bool = False) -> HttpRequest:
-    """Parse one request off a buffered channel.
-
-    With ``stream_body`` a non-empty body is *not* buffered: the request
-    comes back with ``stream`` set to a generator yielding body pieces
-    off the channel as they arrive (chunked or length-framed alike) —
-    the consumer must exhaust it (or :func:`drain_stream` it) before the
-    channel is used again.
-    """
+def read_request(channel: BufferedChannel) -> HttpRequest:
+    """Parse one request off a buffered channel; a ``Content-Length`` body
+    has landed, a chunked one is ``request.stream`` (:class:`ChunkedBody`)."""
     head = channel.recv_until(HEADER_END)
     method, target, version, headers = parse_request_head(head[: -len(HEADER_END)])
-    if stream_body:
-        mode, length = body_framing(headers)
-        request = HttpRequest(method, target, headers, b"", version)
-        if mode == "chunked" or length > 0:
-            request.stream = _iter_body(channel, mode, length, request)
-        return request
-    body, trailers = _read_body(channel, headers)
-    request = HttpRequest(method, target, headers, body, version)
-    request.trailers = trailers
-    return request
+    return _take_body(HttpRequest(method, target, headers, b"", version), channel)
 
 
-def read_response(channel: BufferedChannel, *, stream_body: bool = False) -> HttpResponse:
-    """Parse one response off a buffered channel (``stream_body`` as above)."""
+def read_response(channel: BufferedChannel) -> HttpResponse:
+    """Parse one response off a buffered channel (its body as above)."""
     head = channel.recv_until(HEADER_END)
     start_line, _, header_block = head[: -len(HEADER_END)].partition(CRLF)
     parts = start_line.split(b" ", 2)
@@ -615,13 +607,4 @@ def read_response(channel: BufferedChannel, *, stream_body: bool = False) -> Htt
         raise HttpError(f"bad status code {parts[1]!r}") from None
     reason = str(parts[2], "latin-1") if len(parts) == 3 else ""
     headers = _parse_headers(header_block)
-    if stream_body:
-        mode, length = body_framing(headers)
-        response = HttpResponse(status, headers, b"", version, reason)
-        if mode == "chunked" or length > 0:
-            response.stream = _iter_body(channel, mode, length, response)
-        return response
-    body, trailers = _read_body(channel, headers)
-    response = HttpResponse(status, headers, body, version, reason)
-    response.trailers = trailers
-    return response
+    return _take_body(HttpResponse(status, headers, b"", version, reason), channel)

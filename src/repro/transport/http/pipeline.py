@@ -12,7 +12,8 @@ a framed request is a stage here, over one per-request context:
 3. **extract-trace-context** — a malformed or duplicate trace header means
    a fresh root, never an error;
 4. **admit** — inline on the calling thread, or ``WorkerPool.submit`` when
-   the pipeline has a pool; a refused admission is the shed;
+   the pipeline has a pool (a chunked body is read first: a worker never
+   waits on a peer); a refused admission is the shed;
 5. **exchange** — the application's ``exchange(request, worker_state)``
    under the ``http.serve`` root span, on the thread admit chose;
 6. **map-exception** — what a stage raised → the status the client sees;
@@ -44,6 +45,7 @@ from repro.obs import propagation
 from repro.obs.exposition import render_prometheus, render_varz
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.pool import AdmissionQueueFull, PoolStopped, WorkerPool
+from repro.transport.base import TransportError
 from repro.transport.http.messages import (
     HttpError,
     HttpRequest,
@@ -173,6 +175,10 @@ class RequestPipeline:
         """Run the exchange here, or queue it; ``None`` means queued."""
         if self._pool is None:
             return self._run_exchange(ctx, None)
+        try:
+            ctx.request.body  # noqa: B018 - reads a chunked body still on the wire
+        except TransportError as exc:  # bad framing, a peer gone: not the handler's
+            return error_response(HttpError(f"request body unreadable: {exc}"), close=True)
         completion = self._pool.submit(lambda state: self._run_exchange(ctx, state))
         completion.add_done_callback(lambda c: self._settle_pooled(ctx, c))
         return None
@@ -202,7 +208,8 @@ class RequestPipeline:
 
     def _map_exception(self, request: HttpRequest, exc: Exception) -> HttpResponse:
         if isinstance(exc, HttpError):
-            return error_response(exc)
+            # a chunked body still (partly) on the wire cannot be framed past
+            return error_response(exc, close=request.stream is not None)
         if isinstance(exc, AdmissionQueueFull):
             retry_after = exc.retry_after if exc.retry_after is not None else REJECT_RETRY_AFTER
             return busy_response(retry_after, b"server overloaded: admission queue full")

@@ -8,7 +8,8 @@ the :class:`~repro.transport.http.pipeline.RequestPipeline` (its blocking
 the client stops keeping the connection alive.  What a request *means* —
 admin surface, routing, admission, tracing, error mapping, metrics — is
 the pipeline's.  It is the only driver that serves in-memory listeners
-(the harness).
+(the harness), and the only one whose inline handler may stream a chunked
+request body; the connection thread drains what it leaves unread.
 
 Concurrency is bounded: at most ``max_connections`` connection threads
 exist at once (default :data:`DEFAULT_MAX_CONNECTIONS`); a connection
@@ -23,7 +24,6 @@ request half-written and no thread behind.
 from __future__ import annotations
 
 import time
-from functools import partial
 from typing import Callable
 
 from repro.obs.metrics import MetricsRegistry
@@ -92,18 +92,11 @@ class HttpServer(DriverBase):
         admin: bool = True,
         drain_timeout: float = 5.0,
         max_connections: int | None = DEFAULT_MAX_CONNECTIONS,
-        stream_bodies: bool = False,
         readiness: Callable[[], tuple[bool, dict]] | None = None,
     ) -> None:
         super().__init__(
             listener, handler, name, metrics, admin, readiness, drain_timeout, max_connections
         )
-        #: With ``stream_bodies`` request bodies are not buffered: the
-        #: handler receives ``request.stream`` yielding pieces off the
-        #: wire as the client sends them — required to process a message
-        #: larger than memory.  The connection thread drains whatever the
-        #: handler leaves unread, preserving keep-alive framing.
-        self._read_request = partial(read_request, stream_body=stream_bodies)
         self._host = ConnectionHost(
             listener,
             self._serve_connection,
@@ -160,7 +153,7 @@ class HttpServer(DriverBase):
         the thread parks in the next read.
         """
         try:
-            request = self._host.receive(channel, self._read_request)
+            request = self._host.receive(channel, read_request)
         except HttpError as exc:
             # framing the server understands enough to refuse — an
             # unsupported Transfer-Encoding earns its 501 (and bad framing
@@ -185,9 +178,8 @@ class HttpServer(DriverBase):
             # before its producer has generated the rest
             for piece in response.iter_wire():
                 channel.send_all(piece)
-            # a streaming handler may not have read the whole request
-            # body; the rest must leave the channel before the next
-            # request head can be framed
+            # what an inline handler left of a chunked request body must
+            # leave the channel before the next request head is framed
             drain_stream(request)
         except TransportError:
             return False  # client went away mid-response

@@ -117,7 +117,7 @@ class TcpClientBinding:
         self._channel = channel
         self._shim = DeadlineChannel(channel)
 
-    def send_request(self, payload: bytes, content_type: str, *, deadline=None) -> int:
+    def send_request(self, payload, content_type: str, *, deadline=None) -> int:
         return write_message(self._bounded(deadline), payload, content_type)
 
     def receive_response(self, *, deadline=None) -> tuple[bytes, str]:

@@ -167,9 +167,11 @@ def _scalar_equal(x, y) -> bool:
 
 
 def _arrays_equal(x: np.ndarray, y: np.ndarray) -> bool:
-    if x.dtype.kind == "f":
-        return bool(np.array_equal(x, y, equal_nan=True))
-    return bool(np.array_equal(x, y))
+    # one pass at memory speed; the NaN-aware compare (~30x slower on large
+    # float arrays) only settles what the plain one calls unequal
+    if (x == y).all():
+        return True
+    return x.dtype.kind == "f" and bool(np.array_equal(x, y, equal_nan=True))
 
 
 def _first_mismatch(x: np.ndarray, y: np.ndarray) -> int:
@@ -209,7 +211,9 @@ def canonical_signature(node: Node, *, include_ns_decls: bool = True):
             node.name.clark(),
             _header_sig(node, **opts),
             node.atype.xsd_name,
-            node.values.tobytes(),
+            # one fixed byte order: a big-endian decode of the same values
+            # signs alike, and a little-endian array is not copied
+            node.values.astype(node.values.dtype.newbyteorder("<"), copy=False).tobytes(),
         )
     if isinstance(node, ElementNode):
         return (

@@ -507,13 +507,13 @@ class TestChunkedTransfer:
         server = AsyncHttpServer(listener, streaming_handler).start()
         client = _http_client(listener)
         try:
-            response = client.get("/s", stream_response=True)
+            response = client.get("/s")
             assert response.status == 200
             assert (response.headers.get("Transfer-Encoding") or "").lower() == "chunked"
             body = b"".join(response.stream)
             assert body == b"".join(b"piece-%d," % i for i in range(8))
             # keep-alive survives a fully-consumed streamed response
-            assert client.get("/t", stream_response=False).status == 200
+            assert client.get("/t").status == 200
         finally:
             client.close()
             server.stop()

@@ -7,6 +7,7 @@ from repro.core import (
     BXSAEncoding,
     Dispatcher,
     ServiceProxy,
+    SoapEngine,
     SoapEnvelope,
     SoapFault,
     SoapHttpClient,
@@ -225,3 +226,34 @@ class TestIntermediary:
         finally:
             hop.stop()
             backend.stop()
+
+
+class TestSendGathers:
+    def test_a_warm_bxsa_client_hands_the_policy_pieces_to_the_binding(self):
+        """Both halves of the engine send through one gather step: once the
+        shape is warm, a bulk request reaches the binding as the policy's
+        pieces, its array by reference, not joined into one buffer."""
+
+        class Recording:
+            name = "recording"
+
+            def __init__(self):
+                self.payloads = []
+
+            def send_request(self, payload, content_type):
+                self.payloads.append(payload)
+                return 0
+
+            def receive_response(self):
+                raise AssertionError("one-way")
+
+        binding = Recording()
+        engine = SoapEngine(BXSAEncoding(), binding)
+        values = np.arange(100_000, dtype=np.float64)
+        envelope = SoapEnvelope.wrap(element("Echo", array("values", values)))
+        sizes = [engine.send(envelope) for _ in range(2)]
+        cold, warm = binding.payloads
+        assert type(warm) is list and len(warm) > 1
+        assert any(np.shares_memory(np.frombuffer(piece, "u1"), values) for piece in warm)
+        assert b"".join(warm) == cold == BXSAEncoding().encode(envelope.to_document())
+        assert sizes == [len(cold)] * 2

@@ -100,6 +100,20 @@ class TestSigningUnit:
             )
             policy.verify(rebuilt)
 
+    @pytest.mark.parametrize("byte_order", [0, 1])
+    def test_signature_survives_either_byte_order(self, key, byte_order):
+        """Regression: the MAC hashed array bytes in the array's own order,
+        so a message sent as big-endian BXSA (decoded into ``>f8``/``>i4``
+        arrays) failed verification although its data model was equal."""
+        policy = HmacSigningPolicy(key)
+        env = SoapEnvelope.wrap(
+            element("Op", array("v", np.arange(64.0)), array("n", np.arange(8, dtype=np.int32)))
+        )
+        policy.sign(env)
+        encoding = BXSAEncoding(byte_order=byte_order)
+        rebuilt = SoapEnvelope.from_document(encoding.decode(encoding.encode(env.to_document())))
+        policy.verify(rebuilt)
+
     def test_short_key_rejected(self):
         with pytest.raises(ValueError):
             SecretKey(b"short")

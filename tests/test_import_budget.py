@@ -21,6 +21,7 @@ an ``ImportError`` at package import, so the last tests resolve every name
 of every table.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -75,10 +76,17 @@ def in_a_fresh_interpreter(statements: str, expression: str = "list(sys.modules)
     return json.loads(run.stdout)
 
 
+#: What a serving process imports: the host, the echo service, the aio core.
+SERVING_IMPORTS = "import repro.serve.service, repro.services.echo, repro.transport.aio as aio"
+
+#: The stdlib modules of the banned list, which the interpreter's startup may
+#: hold already (see the module docstring) and so are also read statically.
+BANNED_STDLIB = {"_hashlib", "hashlib", "hmac", "tempfile", "uuid"}
+
+
 def test_a_serving_process_loads_only_what_it_serves():
     loaded, added, client_in_driver = in_a_fresh_interpreter(
-        "import sys\nSTARTUP = set(sys.modules)\n"
-        "import repro.serve.service, repro.services.echo, repro.transport.aio as aio",
+        f"import sys\nSTARTUP = set(sys.modules)\n{SERVING_IMPORTS}",
         "[list(sys.modules), sorted(set(sys.modules) - STARTUP),"
         " [n for n in ('LadderResult', 'drive_connections') if hasattr(aio, n)]]",
     )
@@ -92,6 +100,51 @@ def test_a_serving_process_loads_only_what_it_serves():
     assert client_in_driver == []  # the ladder client is repro.loadgen's
     ours = [module for module in loaded if module.split(".")[0] == "repro"]
     assert len(ours) <= MAX_REPRO_MODULES, sorted(ours)
+
+
+def module_level_imports(source: str) -> set[str]:
+    """Root names of the imports a module runs when it is imported: its own
+    statements, ``if``/``try`` blocks included, not function or class bodies."""
+    roots = set()
+    pending: list[ast.AST] = [ast.parse(source)]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            roots.add(node.module.split(".")[0])
+        pending.extend(ast.iter_child_nodes(node))
+    return roots
+
+
+def test_no_serving_module_imports_a_banned_stdlib_module_at_import():
+    """The static half of the budget, for what startup may already hold: a
+    module-level ``import tempfile`` in ``transport/base.py`` passes the
+    dynamic check on an interpreter whose site hook loaded ``tempfile``."""
+    files = in_a_fresh_interpreter(
+        SERVING_IMPORTS,
+        "{m: sys.modules[m].__file__ for m in sys.modules"
+        " if m.split('.')[0] == 'repro' and getattr(sys.modules[m], '__file__', None)}",
+    )
+    assert len(files) > 40  # the serving imports, not a stub
+    offenders = {}
+    for module, path in sorted(files.items()):
+        with open(path, encoding="utf-8") as handle:
+            banned = module_level_imports(handle.read()) & BANNED_STDLIB
+        if banned:
+            offenders[module] = sorted(banned)
+    assert offenders == {}
+
+
+def test_the_static_import_reader_sees_module_level_imports_only():
+    source = (
+        "import os, tempfile.x\nfrom hmac import new\nfrom . import sibling\n"
+        "try:\n    import uuid\nexcept ImportError:\n    import hashlib.x\n"
+        "def f():\n    import _hashlib\nclass C:\n    import _hashlib\n"
+    )
+    assert module_level_imports(source) == {"os", "tempfile", "hmac", "uuid", "hashlib"}
 
 
 @pytest.mark.parametrize(

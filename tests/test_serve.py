@@ -165,6 +165,52 @@ class TestWorkerPool:
         finally:
             release.set()
 
+    def test_stop_drains_a_full_admission_queue(self):
+        release = threading.Event()
+        started = threading.Event()
+        pool = WorkerPool(workers=1, queue_depth=3).start()
+
+        def block(_state):
+            started.set()
+            release.wait(10)
+            return "first"
+
+        first = pool.submit(block)
+        assert started.wait(5)
+        queued = [pool.submit(lambda _s, i=i: i) for i in range(3)]
+        releaser = threading.Timer(0.1, release.set)
+        releaser.start()
+        try:
+            pool.stop(drain_timeout=10)  # stops with the queue at its depth
+        finally:
+            release.set()
+            releaser.join()
+        assert first.result(0.1) == "first"
+        assert [c.result(0.1) for c in queued] == [0, 1, 2]
+
+    def test_an_idle_worker_parks_on_the_queue_and_stop_wakes_it(self, monkeypatch):
+        """Regression: workers polled ``get(timeout=0.05)`` — an idle one
+        woke twenty times a second, and stopping an idle pool waited for
+        the next poll.  Every get blocks; ``stop`` wakes each worker."""
+        import queue
+
+        gets = []
+        real_get = queue.Queue.get
+
+        def spying_get(self, block=True, timeout=None):
+            if threading.current_thread().name.startswith("parked-worker-"):
+                gets.append(timeout)
+            return real_get(self, block, timeout)
+
+        monkeypatch.setattr(queue.Queue, "get", spying_get)
+        pool = WorkerPool(workers=2, queue_depth=2, name="parked").start()
+        assert pool.submit(lambda _s: "ran").result(5) == "ran"
+        time.sleep(0.2)  # four polls of the old loop
+        threads = list(pool._threads)
+        pool.stop(5)
+        assert not any(thread.is_alive() for thread in threads)
+        assert gets and set(gets) == {None}
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             WorkerPool(workers=0)

@@ -11,7 +11,7 @@ TCP via the ``serving_core`` fixture.
 
 Driver-only behaviour keeps its own unparametrized tests next to the
 driver: memory-listener rejection and ``drive_connections`` in
-``test_aio_server.py``; ``stream_bodies``, memory listeners, the
+``test_aio_server.py``; a streamed request body, memory listeners, the
 close-raises channel, cap churn and the thread-spawn-failure slot release
 in ``test_transport_http.py`` / ``test_telemetry.py``.
 
@@ -564,12 +564,12 @@ class TestChunkedTransfer:
             return response
 
         client = serving_core.client(serving_core.serve(streaming_handler))
-        response = client.get("/s", stream_response=True)
+        response = client.get("/s")
         assert response.status == 200
         assert (response.headers.get("Transfer-Encoding") or "").lower() == "chunked"
         assert b"".join(response.stream) == b"".join(b"piece-%d," % i for i in range(8))
         # keep-alive survives a fully-consumed streamed response
-        assert client.get("/t", stream_response=False).status == 200
+        assert client.get("/t").status == 200
 
     def test_streamed_response_producer_failure_is_a_recorded_handler_error(
         self, serving_core

@@ -4,9 +4,12 @@ import threading
 
 import pytest
 
+from repro.obs.exposition import render_prometheus
+from repro.serve.pool import WorkerPool
 from repro.transport import MemoryNetwork, TcpListener, connect_tcp, memory_pipe
-from repro.transport.base import BufferedChannel
-from repro.transport.http.messages import BodyPieces
+from repro.transport.base import BufferedChannel, recv_into, send_pieces
+from repro.transport.http.messages import BodyPieces, drain_stream
+from repro.transport.http.pipeline import RequestPipeline
 from repro.transport.http import (
     HttpClient,
     HttpError,
@@ -239,8 +242,8 @@ class TestChunkedTransfer:
         return server, client
 
     def test_chunked_request_buffered_for_plain_handler(self):
-        """Without stream_bodies the server assembles a chunked body so
-        ordinary handlers keep seeing request.body whole."""
+        """A chunked body is read whole through ``request.body``, so
+        ordinary handlers keep seeing it as one buffer."""
         server, client = self._serve(_echo_handler)
         try:
             resp = client.post("/echo", body=iter([b"alpha-", b"beta-", b"gamma"]))
@@ -251,8 +254,9 @@ class TestChunkedTransfer:
             server.stop()
 
     def test_streamed_request_and_response_end_to_end(self):
-        """stream_bodies server + iterable client body + stream_response:
-        no side ever holds the message whole, and keep-alive survives."""
+        """Iterable client body, handler reading ``request.stream``, chunked
+        response read through ``response.stream``: no side ever holds the
+        message whole, and keep-alive survives."""
         seen = []
 
         def handler(request):
@@ -264,19 +268,18 @@ class TestChunkedTransfer:
             response.stream = (b"out-%d" % i for i in range(4))
             return response
 
-        server, client = self._serve(handler, stream_bodies=True)
+        server, client = self._serve(handler)
         try:
             resp = client.request(
                 "POST",
                 "/up",
                 body=iter([b"x" * 7000 for _ in range(10)]),
                 trailers={"X-Checksum": "abc"},
-                stream_response=True,
             )
             assert resp.status == 200
             assert b"".join(resp.stream) == b"out-0out-1out-2out-3"
             # the connection is reusable afterwards: framing stayed exact
-            assert client.get("/again", stream_response=False).status == 200
+            assert client.get("/again").status == 200
         finally:
             client.close()
             server.stop()
@@ -289,7 +292,7 @@ class TestChunkedTransfer:
         def handler(request):
             return HttpResponse(204)
 
-        server, client = self._serve(handler, stream_bodies=True)
+        server, client = self._serve(handler)
         try:
             first = client.post("/ignored", body=iter([b"y" * 5000] * 4))
             assert first.status == 204
@@ -340,3 +343,216 @@ class TestChunkedTransfer:
             assert read_response(channel).body == b"hi"
         finally:
             server.stop()
+
+    def test_chunked_response_streams_to_the_caller_as_it_arrives(self):
+        """The framing decides: a chunked response is ``response.stream``
+        with no flag, and its first piece is the caller's before the
+        producer makes the second."""
+        first_read = threading.Event()
+
+        def pieces():
+            yield b"first,"
+            assert first_read.wait(5), "the client waited for the whole body"
+            yield b"second"
+
+        def handler(request):
+            response = HttpResponse(200)
+            response.stream = pieces()
+            return response
+
+        server, client = self._serve(handler)
+        try:
+            response = client.get("/s")
+            stream = iter(response.stream)
+            head = b""
+            while head != b"first,":
+                head += next(stream)
+            first_read.set()
+            assert b"".join(stream) == b"second"
+            assert client.get("/t").status == 200
+        finally:
+            first_read.set()
+            client.close()
+            server.stop()
+
+    def test_an_unread_chunked_response_is_drained_before_the_next_request(self):
+        def handler(request):
+            response = HttpResponse(200, body=b"plain:" + request.target.encode())
+            if request.target == "/s":
+                response.stream = (b"piece-%d," % i for i in range(64))
+            return response
+
+        server, client = self._serve(handler)
+        try:
+            assert client.get("/s").stream is not None  # left unread
+            assert client.get("/t").body == b"plain:/t"
+            assert bytes(client.get("/s").body).startswith(b"piece-0,piece-1,")
+            assert client.get("/u").body == b"plain:/u"
+            # every request rode the one connection
+            assert server.metrics.counter("http_connections_total").snapshot() == 1
+        finally:
+            client.close()
+            server.stop()
+
+    def test_an_unread_chunked_close_response_drops_its_connection_first(self):
+        def handler(request):
+            response = HttpResponse(200, body=b"plain")
+            if request.target == "/s":
+                response.stream = iter([b"a" * 5000] * 8)
+                response.headers.set("Connection", "close")
+            return response
+
+        server, client = self._serve(handler)
+        try:
+            assert client.get("/s").stream is not None  # left unread
+            assert client.get("/t").body == b"plain"
+            assert server.metrics.counter("http_connections_total").snapshot() == 2
+        finally:
+            client.close()
+            server.stop()
+
+    def test_body_pieces_leave_by_reference_in_one_gathered_send(self):
+        """A caller's ``BodyPieces`` is a declared-length body: head and the
+        caller's own pieces go to one ``send_pieces``, never joined."""
+        pieces = [b"head-", memoryview(b"payload" * 40), bytearray(b"-tail")]
+        sends = []
+
+        class Recording:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def send_pieces(self, wire):
+                sends.append(("send_pieces", list(wire)))
+                send_pieces(self.inner, wire)
+
+            def send_all(self, data):
+                sends.append(("send_all", data))
+                self.inner.send_all(data)
+
+            def recv(self, max_bytes=65536):
+                return self.inner.recv(max_bytes)
+
+            def recv_into(self, view):
+                return recv_into(self.inner, view)
+
+            def close(self):
+                self.inner.close()
+
+        server = HttpServer(self.net.listen("web"), _echo_handler).start()
+        client = HttpClient(lambda: Recording(self.net.connect("web")))
+        try:
+            response = client.post("/echo", BodyPieces(pieces))
+            assert response.body == b"".join(pieces)
+        finally:
+            client.close()
+            server.stop()
+        [(kind, wire)] = sends
+        assert kind == "send_pieces"
+        head, *body = wire
+        assert b"Content-Length: 290" in head and b"chunked" not in head
+        assert len(body) == 3 and all(sent is piece for sent, piece in zip(body, pieces))
+
+    def test_a_pooled_worker_never_reads_a_chunked_request_off_the_wire(self, monkeypatch):
+        """A pool worker never waits on a peer: the admit stage reads a
+        chunked body whole, on the connection thread, before it queues."""
+        readers = []
+        real_recv = BufferedChannel.recv
+
+        def spying_recv(self, max_bytes=65536):
+            readers.append(threading.current_thread().name)
+            return real_recv(self, max_bytes)
+
+        monkeypatch.setattr(BufferedChannel, "recv", spying_recv)
+        seen = []
+
+        def handler(request):
+            seen.append((threading.current_thread().name, request.stream))
+            return HttpResponse(200, body=request.body)
+
+        pool = WorkerPool(workers=2, queue_depth=4, name="pooled").start()
+        server = HttpServer(
+            self.net.listen("web"), RequestPipeline(handler, pool=pool)
+        ).start()
+        client = HttpClient(lambda: self.net.connect("web"))
+        try:
+            for _ in range(3):
+                response = client.post("/up", body=iter([b"x" * 7000] * 10))
+                assert response.body == b"x" * 70000
+        finally:
+            client.close()
+            server.stop()
+            pool.stop()
+        assert [name.startswith("pooled-worker-") for name, _ in seen] == [True] * 3
+        assert all(stream is None for _, stream in seen)  # landed before it queued
+        assert readers and not [name for name in readers if name.startswith("pooled-worker-")]
+
+    def test_a_received_chunked_body_is_read_once_one_way(self):
+        a, b = memory_pipe()
+        wire = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\none\r\n0\r\n\r\n"
+        a.send_all(wire * 2)
+        channel = BufferedChannel(b)
+        streamed = read_request(channel)
+        assert list(streamed.stream) == [b"one"]
+        with pytest.raises(HttpError, match="as a stream"):
+            streamed.body
+        whole = read_request(channel)
+        assert whole.body == b"one" and whole.stream is None
+
+    def test_a_chunked_body_that_failed_to_read_fails_again(self):
+        a, b = memory_pipe()
+        a.send_all(b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n")
+        request = read_request(BufferedChannel(b))
+        with pytest.raises(HttpError, match="bad chunk size"):
+            request.body
+        with pytest.raises(HttpError, match="framing is lost"):
+            drain_stream(request)
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_a_malformed_chunked_request_gets_400_and_close(self, pooled):
+        """Whether the handler or the admit stage meets the bad chunk, the
+        body boundary is lost: 400, ``Connection: close``, and closed."""
+        pool = WorkerPool(workers=1, queue_depth=2).start() if pooled else None
+        handler = RequestPipeline(_echo_handler, pool=pool) if pooled else _echo_handler
+        server = HttpServer(self.net.listen("web"), handler).start()
+        try:
+            channel = BufferedChannel(self.net.connect("web"))
+            channel.send_all(
+                b"POST / HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n"
+            )
+            response = read_response(channel)
+            assert response.status == 400 and b"bad chunk size" in bytes(response.body)
+            assert response.headers.get("Connection") == "close"
+            assert channel.recv(65536) == b""
+            channel.close()
+        finally:
+            server.stop()
+            if pool is not None:
+                pool.stop()
+
+    def test_a_peer_gone_mid_chunked_body_is_not_a_handler_error(self):
+        """The admit stage reads the body on the connection thread; a peer
+        that breaks off mid-body is the client's failure, as on the loop."""
+        import time
+
+        pool = WorkerPool(workers=1, queue_depth=2).start()
+        server = HttpServer(
+            self.net.listen("web"), RequestPipeline(_echo_handler, pool=pool)
+        ).start()
+        try:
+            channel = BufferedChannel(self.net.connect("web"))
+            channel.send_all(
+                b"POST / HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhel"
+            )
+            channel.close()
+            gauge = server.metrics.gauge("http_connections_open")
+            deadline = time.monotonic() + 5
+            while server.metrics.counter("http_connections_total").snapshot() < 1 or (
+                gauge.snapshot() > 0
+            ):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            server.stop()
+            pool.stop()
+        assert not server.recent_errors
+        assert "http_handler_errors_total" not in render_prometheus(server.metrics)

@@ -164,6 +164,36 @@ class TestCompare:
         b = element("e", leaf("x", float("nan")), array("v", np.array([np.nan])))
         assert deep_equal(a, b)
 
+    def test_float_arrays_compare_nan_aware_and_signed_zero_equal(self):
+        """Equal bits take the fast path; NaN equals NaN and -0.0 equals 0.0
+        on the slow one; a real difference is still found, NaNs or not."""
+        values = np.array([0.0, 1.5, np.nan, -2.0])
+        same = values.copy()
+        same[0] = -0.0
+        assert deep_equal(element("e", array("v", values)), element("e", array("v", same)))
+        different = same.copy()
+        different[3] = 2.0
+        diff = explain_difference(
+            element("e", array("v", values)), element("e", array("v", different))
+        )
+        assert "index 3" in diff
+        assert not deep_equal(
+            element("e", array("n", np.arange(4))), element("e", array("n", np.arange(1, 5)))
+        )
+
+    @pytest.mark.parametrize("dtype", ["f8", "f4", "i8", "i4", "i2", "u2", "i1"])
+    def test_signature_agrees_across_byte_orders(self, dtype):
+        """Wherever ``deep_equal`` holds across byte orders, so does
+        ``canonical_signature``: arrays are hashed little-endian, so a
+        little-endian array's signature is its own bytes, unchanged."""
+        little = np.arange(5).astype("<" + dtype)
+        a, b = element("e", array("v", little)), element("e", array("v", little))
+        # as a big-endian decode leaves it: the constructor would normalize
+        b.children[0].values = little.astype(">" + dtype)
+        assert deep_equal(a, b)
+        assert canonical_signature(a) == canonical_signature(b)
+        assert canonical_signature(a)[-1][0][-1] == little.tobytes()
+
     def test_kind_mismatch(self):
         a = leaf("x", 1)
         b = element("x", text("1"))

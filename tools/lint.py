@@ -699,7 +699,7 @@ LANDING_HOME = "transport/base.py"
 #: body has no declared length to land into), the reader of protocol
 #: fields, and the send side's explicit joins.
 JOIN_HOMES = {
-    "transport/http/messages.py": {"read_chunked_body", "__bytes__", "to_bytes", "encode_chunk"},
+    "transport/http/messages.py": {"read", "__bytes__", "to_bytes", "encode_chunk"},
     "transport/aio.py": {"_advance_chunked"},
     "transport/base.py": {"recv_exactly", "send_pieces"},
     "transport/attachments.py": {"to_bytes"},
