@@ -243,6 +243,11 @@ class FrameEmitter(FrameHandler):
         """Open container frames (the document counts as one)."""
         return len(self._open)
 
+    @property
+    def chunks(self) -> list:
+        """The buffered frames, unjoined, in document order."""
+        return self._chunks
+
     def getvalue(self) -> bytes:
         """The buffered frames, joined."""
         return b"".join(self._chunks)

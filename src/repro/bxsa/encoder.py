@@ -38,3 +38,10 @@ class BXSAEncoder:
         emitter = FrameEmitter(self.byte_order)
         walk_tree(node, emitter)
         return emitter.getvalue()
+
+    def encode_chunks(self, node: Node) -> list:
+        """:meth:`encode` before its join: the frames as the emitter
+        buffered them, array payloads as views of the tree's arrays."""
+        emitter = FrameEmitter(self.byte_order)
+        walk_tree(node, emitter)
+        return emitter.chunks

@@ -28,7 +28,9 @@ enforces this itself: every freshly compiled plan is replayed once against
 the stateless encoder's output for the same tree, and a shape whose replay
 diverges is poisoned — it falls back to the stateless path forever (replay
 shares no frame-assembly code with the emitter; the check rests on that
-independence).  The cache is therefore an execution strategy, not a format
+independence).  The two outputs are compared in place, chunk against piece,
+so the first message of a shape holds no more payload copies than a warm
+one.  The cache is therefore an execution strategy, not a format
 change, which is why warm sessions do not alter any Figure 4-6 measured
 semantics (the harness still opts out to keep its *cold-start* CPU segments
 honest; see ``repro.harness.runners``).
@@ -220,11 +222,11 @@ class CodecSession:
         """:meth:`encode` for a consumer that can write pieces: the byte
         strings and read-only views whose concatenation is the message.
 
-        A warm shape's large array payloads (:data:`_GATHER_BYTES` and up)
-        come back as views of the tree's own arrays instead of being
-        copied into one buffer — for a bulk message that join is the
-        codec's only copy.  Everything else is a single piece, exactly
-        :meth:`encode`'s bytes.
+        Large array payloads (:data:`_GATHER_BYTES` and up) come back as
+        views of the tree's own arrays instead of being copied into one
+        buffer — for a bulk message that join is the codec's only copy —
+        cold or warm.  Everything else is a single piece, exactly
+        :meth:`encode`'s bytes; so is a poisoned shape's message.
 
         Aliasing contract: a view is read when the consumer writes it, so
         the tree's arrays must not be modified until then — the send-side
@@ -236,8 +238,8 @@ class CodecSession:
 
     def _encode(self, node: Node, gather: bool):
         """The message as ``bytes`` — or, with ``gather``, as a list of
-        pieces when a replayed plan's message is large enough to hold a
-        gatherable payload."""
+        pieces when a plan's message is large enough to hold a gatherable
+        payload."""
         shape, nodes = _shape_and_nodes(node)
         plan = self._plans.get(shape)
         if plan is not None:
@@ -250,7 +252,7 @@ class CodecSession:
         if shape in self._plans:  # poisoned shape: permanent stateless path
             self.stats.stateless_encodes += 1
             return self._encoder.encode(node)
-        return self._compile_and_check(shape, node, nodes)
+        return self._compile_and_check(shape, node, nodes, gather)
 
     def decode(
         self, data, offset: int = 0, *, copy: bool = False, whole: bool | None = None
@@ -418,30 +420,31 @@ class CodecSession:
     # ------------------------------------------------------------------
     # compilation
 
-    def _compile_and_check(self, shape: tuple, node: Node, nodes: list) -> bytes:
+    def _compile_and_check(self, shape: tuple, node: Node, nodes: list, gather: bool):
         """Compile a plan for ``shape``; poison the shape if replay diverges.
 
-        The returned bytes always come from a path proven equal to the
+        What is returned always comes from a path proven equal to the
         stateless encoder *for this very tree*: either the verified replay
-        output or the stateless output itself.
+        output (joined or gathered, as :meth:`_replay` makes it) or the
+        stateless output itself.  The stateless frames are compared with
+        the replay's in place, so neither is joined for the check.
         """
-        reference = self._encoder.encode(node)
+        reference = self._encoder.encode_chunks(node)
         try:
             plan = self._compile(node)
-            replayed = self._replay(plan, nodes)
+            out = self._replay(plan, nodes, gather)
         except Exception:
-            plan = None
-            replayed = None
-        if replayed != reference:
+            plan = out = None
+        if out is None or not _same_bytes(reference, out if isinstance(out, list) else (out,)):
             # a compiler blind spot must never reach the wire: remember the
             # shape as uncacheable and serve the stateless bytes
             self._remember(self._plans, shape, None)
             self.stats.poisoned_shapes += 1
             self.stats.stateless_encodes += 1
-            return reference
+            return b"".join(reference)
         self._remember(self._plans, shape, plan)
         self.stats.plans_compiled += 1
-        return reference
+        return out
 
     def _compile(self, root: Node) -> EncodePlan:
         """Walk the tree once, recording instructions instead of bytes."""
@@ -591,6 +594,32 @@ def _drop_oldest_half(cache: dict) -> None:
     a key a concurrent eviction already took."""
     for stale in list(cache)[: len(cache) // 2]:
         cache.pop(stale, None)
+
+
+def _same_bytes(xs, ys) -> bool:
+    """Whether two chunk sequences concatenate to the same bytes, compared
+    in place: each run both sides cover is a pair of views, never a copy."""
+    xs = [memoryview(x) for x in xs]
+    ys = [memoryview(y) for y in ys]
+    if sum(map(len, xs)) != sum(map(len, ys)):
+        return False
+    x = y = memoryview(b"")
+    i = j = 0
+    while True:
+        if not x:
+            if i == len(xs):
+                return True  # equal totals: ``ys`` is spent too
+            x, i = xs[i], i + 1
+        elif not y:
+            y, j = ys[j], j + 1
+        else:
+            n = min(len(x), len(y))
+            # compared as 8-byte words: the byte format compares item by
+            # item through the struct machinery, ~10x slower
+            words = n & ~7
+            if x[words:n] != y[words:n] or x[:words].cast("Q") != y[:words].cast("Q"):
+                return False
+            x, y = x[n:], y[n:]
 
 
 def _gather(chunks: list) -> list:

@@ -45,6 +45,28 @@ from repro.obs.metrics import MetricsRegistry
 from repro.transport.base import prime_allocator
 
 
+#: Per pool worker thread: the calls :func:`after_task` deferred until the
+#: worker has let go of its current task (no attribute on other threads).
+_worker_local = threading.local()
+
+
+def after_task(fn: Callable[[], object]) -> None:
+    """Run ``fn`` once this pool worker has let go of its finished task and
+    its result; at once on any other thread.
+
+    For a completion callback that hands the result to another thread and
+    then makes a call that releases the GIL (the selector driver's wake-up
+    send): the woken thread can answer, read the next request and land it
+    before this worker gets the GIL back, while this worker's frames — the
+    callback chain, the task's closure, the completion — still hold the
+    last exchange's request and reply."""
+    pending = getattr(_worker_local, "pending", None)
+    if pending is None:
+        fn()
+    else:
+        pending.append(fn)
+
+
 class ServeError(Exception):
     """Base class for serving-runtime failures."""
 
@@ -307,6 +329,7 @@ class WorkerPool:
     def _worker_loop(self) -> None:
         state = self._state_factory() if self._state_factory is not None else None
         m = self.metrics
+        pending = _worker_local.pending = []
         while True:
             item = self._queue.get()
             if item is None:
@@ -331,6 +354,12 @@ class WorkerPool:
                 # finished task is held (an idle worker that kept its last
                 # request and response cost the next exchange two payloads)
                 item = result = None
+                for fn in pending:
+                    try:
+                        fn()
+                    except Exception:  # noqa: BLE001 - must not kill a worker
+                        pass
+                pending.clear()
                 self._set_busy(-1)
                 m.histogram("serve_handle_seconds").observe(time.perf_counter() - start)
             if self._abandoned:

@@ -42,6 +42,7 @@ from collections import deque
 from typing import Callable
 
 from repro.obs.metrics import MetricsRegistry
+from repro.serve.pool import after_task
 from repro.transport.base import Landing, TransportError, drop_sent
 from repro.transport.http.messages import (
     HEADER_END,
@@ -615,7 +616,10 @@ class AsyncHttpServer(DriverBase):
             self._deliver(conn, keep_alive, response)
         else:
             self._done.append((conn, keep_alive, response))
-            self._wake()
+            # poked once the worker holds nothing of the exchange: the loop
+            # could otherwise send this reply, land the next request and
+            # hold a third payload before the worker's frames unwind
+            after_task(self._wake)
 
     def _drain_completions(self) -> None:
         while True:

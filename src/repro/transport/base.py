@@ -68,7 +68,7 @@ class Listener(Protocol):
 #: thread called it) and the buffer a body lands in (:class:`Landing` —
 #: allocated, never touched ahead of the bytes).  The ceiling is *large* on
 #: purpose: a body under it lands in the one buffer allocated for it, where
-#: one over it is copied at every doubling and its outgrown buffers,
+#: one over it is copied at every regrowth and its outgrown buffers,
 #: interleaved across connections, fragment the heap.  Measured with the
 #: ceiling at 256 KiB on a 1.2 MB echo under :func:`prime_allocator`: +10 %
 #: time per exchange, and at eight connections +3.6 MiB peak RSS on the
@@ -267,9 +267,10 @@ class Landing:
     under :data:`MAX_READ_BYTES`, and *not zero-filled*: its pages become
     resident as ``recv_into`` writes them, so memory held tracks bytes
     received, never bytes claimed.  A body past the ceiling outgrows the
-    buffer by doubling.  :meth:`body` is a read-only view of the same
-    memory — no join, no freeze — and the buffer lives as long as any view
-    of it (an array decoded ``copy=False`` is one): it is never recycled.
+    buffer in steps of four times what has arrived.  :meth:`body` is a
+    read-only view of the same memory — no join, no freeze — and the
+    buffer lives as long as any view of it (an array decoded
+    ``copy=False`` is one): it is never recycled.
     """
 
     __slots__ = ("declared", "filled", "_view")
@@ -293,7 +294,10 @@ class Landing:
         channel or a socket."""
         view = self._view
         if self.filled == len(view):
-            view = _uninitialised(min(2 * len(view), self.declared))
+            # sized by what arrived, never by the claim alone: a 64 MiB
+            # body over the 16 MiB ceiling is copied once (16 MiB), where
+            # doubling copied 16 + 32 MiB and held 32 + 64 at its last step
+            view = _uninitialised(min(4 * self.filled, self.declared))
             view[: self.filled] = self._view
             self._view = view
         got = recv_into(source, view[self.filled :])
@@ -386,7 +390,12 @@ class BufferedChannel:
             if len(self._buf) > max_bytes:
                 raise TransportError(f"delimiter not found within {max_bytes} bytes")
             search_from = len(self._buf)
-            chunk = self._channel.recv(65536)
+            # a read sized for a head, not for what follows it: what it
+            # takes past the delimiter is copied into the body's landing,
+            # and a 64 KiB read put two 64 KiB buffers beside every landing
+            # that split the hole the last one left, so one landing in a
+            # while went to fresh heap (+1 payload of resident memory)
+            chunk = self._channel.recv(4096)
             if not chunk:
                 raise TransportClosed("peer closed before delimiter")
             self._buf.extend(chunk)

@@ -237,9 +237,12 @@ class _Message:
         return b"".join(self.iter_wire())
 
 
-@dataclass
+@dataclass(eq=False)
 class HttpRequest(_Message):
-    """An HTTP request; body either buffered or streamed (see :class:`_Message`)."""
+    """An HTTP request; body either buffered or streamed (see :class:`_Message`).
+
+    Compared by identity, as a response is: a field-wise ``==`` would read
+    a received chunked body off its channel and consume a stream."""
 
     method: str
     target: str
@@ -263,7 +266,7 @@ class HttpRequest(_Message):
         return conn != "close"
 
 
-@dataclass
+@dataclass(eq=False)
 class HttpResponse(_Message):
     """An HTTP response; body either buffered or streamed (see :class:`_Message`)."""
 

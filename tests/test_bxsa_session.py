@@ -9,6 +9,7 @@ generated tree exposes fails loudly instead of silently costing performance.
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -641,13 +642,71 @@ class TestEncodePieces:
         assert session.stats.plans_compiled == 1 and session.stats.plan_hits == 2
         assert session.stats.poisoned_shapes == 0
 
-    def test_cold_and_small_messages_are_one_bytes_piece(self):
+    def test_cold_large_payloads_are_views_and_small_messages_one_bytes_piece(self):
         session = CodecSession()
-        (cold,) = session.encode_pieces(_bulk_doc())
-        assert type(cold) is bytes
+        tree = _bulk_doc()
+        cold = session.encode_pieces(tree)  # compiles and checks the plan
+        assert session.stats.plans_compiled == 1 and session.stats.plan_hits == 0
+        # the warm layout: small run, i payload, small run, v payload, small run
+        assert [type(p) for p in cold] == [bytes, memoryview, bytes, memoryview, bytes]
+        root = tree.children[0]
+        for view, node in zip(cold[1::2], (root.children[1], root.children[3])):
+            assert view.readonly and np.shares_memory(np.frombuffer(view, dtype=np.uint8), node.values)
+        assert b"".join(cold) == encode(tree) == CodecSession().encode(tree)
+        (small,) = CodecSession().encode_pieces(_sample_doc(1))  # cold, nothing large
+        assert small == encode(_sample_doc(1)) and type(small) is bytes
         session.encode(_sample_doc(0))
         (small,) = session.encode_pieces(_sample_doc(1))  # warm, nothing large
         assert small == encode(_sample_doc(1)) and type(small) is bytes
+
+    def test_a_cold_bulk_message_is_checked_in_place(self):
+        """The first message of a shape is compared with the stateless
+        encoder's frames without joining either: a 1.2 MB document's cold
+        ``encode_pieces`` allocates almost nothing (it read 2.0 payloads at
+        its peak, 1.0 kept, when both sides were joined)."""
+        tree = _bulk_doc(n=100_000)
+        payload = len(encode(tree))
+        session = CodecSession()
+        tracemalloc.start()
+        try:
+            floor = tracemalloc.get_traced_memory()[0]
+            pieces = session.encode_pieces(tree)
+            peak = tracemalloc.get_traced_memory()[1] - floor
+        finally:
+            tracemalloc.stop()
+        assert session.stats.plans_compiled == 1
+        assert peak < 0.3 * payload, peak / payload
+        assert b"".join(pieces) == encode(tree)
+
+    @pytest.mark.parametrize("where", ["head", "first-payload", "second-payload-end", "tail"])
+    def test_a_replay_diverging_inside_a_gathered_message_poisons_its_shape(
+        self, monkeypatch, where
+    ):
+        """One flipped byte anywhere — a small run, inside a payload, a
+        payload's last word, the end — poisons the shape: compared in
+        place, the check is as strict as comparing the joins."""
+        tree = _bulk_doc()
+        good = encode(tree)
+        root = tree.children[0]
+        first, second = (good.find(root.children[k].values.tobytes()) for k in (1, 3))
+        at = {
+            "head": 3,
+            "first-payload": first + 41,
+            "second-payload-end": second + root.children[3].values.nbytes - 1,
+            "tail": len(good) - 1,
+        }
+        bad = bytearray(good)
+        bad[at[where]] ^= 0x10
+        session = CodecSession()
+        monkeypatch.setattr(
+            session, "_replay", lambda plan, nodes, gather=False: [bytes(bad[:9]), memoryview(bad)[9:]]
+        )
+        (only,) = session.encode_pieces(tree)
+        assert only == good and type(only) is bytes
+        assert session.stats.poisoned_shapes == 1 and session.stats.plans_compiled == 0
+        monkeypatch.undo()
+        assert b"".join(session.encode_pieces(_bulk_doc(1))) == encode(_bulk_doc(1))
+        assert session.stats.plan_hits == 0 and session.stats.stateless_encodes == 2
 
     def test_warm_large_payloads_are_read_only_views_of_the_trees_arrays(self):
         session = CodecSession()

@@ -1,10 +1,11 @@
 """The bulk path's copy budget, held on both drivers (DESIGN.md §10).
 
 ``tools/copy_budget.py`` is the instrument; this module runs it in tier-1.
-Two numbers are counts of bytes, not timings, so they are the same on
+Three numbers are counts of bytes, not timings, so they are the same on
 every machine: one warm 1.2 MB ``Echo`` may hold ``PEAK_BUDGET`` payloads
-of traced memory at its peak, and nothing payload-sized may still be
-referenced once the exchange is over.  The parent of the PR that added
+of traced memory at its peak, each worker's first (cold) one
+``COLD_BUDGET``, and nothing payload-sized may still be referenced once
+the exchange is over.  The parent of the PR that added
 this read 7-9 payloads at peak with two requests and two responses pinned
 by the idle pool workers.
 
@@ -34,12 +35,27 @@ def load_tool(name: str):
     return module
 
 
-@pytest.mark.parametrize("core", ["aio", "threaded"])
-def test_bulk_echo_stays_within_the_copy_budget(core):
+@pytest.fixture(scope="module", params=["aio", "threaded"])
+def measured(request):
+    """The instrument's in-process run against one driver."""
     copy_budget = load_tool("copy_budget")
-    result = copy_budget.measure(core)
+    return copy_budget, copy_budget.measure(request.param)
+
+
+def test_bulk_echo_stays_within_the_copy_budget(measured):
+    copy_budget, result = measured
     assert result["pinned"] == []
     assert max(result["peak_payloads"]) <= copy_budget.PEAK_BUDGET, result
+
+
+def test_a_workers_first_bulk_exchange_stays_within_the_cold_budget(measured):
+    """The exchange that compiles a worker's codec plans: it read 3.0-3.1
+    payloads while the encode-plan check joined the stateless encoding and
+    the replay, and sets the process's high-water mark if it holds more
+    than a warm exchange does."""
+    copy_budget, result = measured
+    assert len(result["cold_peak_payloads"]) == copy_budget.WORKERS, result
+    assert max(result["cold_peak_payloads"]) <= copy_budget.COLD_BUDGET, result
 
 
 glibc_only = pytest.mark.skipif(
@@ -83,7 +99,8 @@ def bulk_cell(request):
 def test_a_serving_process_keeps_one_arena(bulk_cell):
     """Resident memory above the idle floor, in payloads: every thread in
     an arena of its own read 8.5-9.5 (each arena keeps its own high-water
-    mark), all of them in one 4.2-4.7."""
+    mark), all of them in one 4.2-4.7, and since a cold exchange holds
+    what a warm one does 2.1-2.3."""
     copy_budget = load_tool("copy_budget")
     assert bulk_cell["server_rss_payloads"] <= copy_budget.RSS_BUDGET, bulk_cell
     assert bulk_cell["server_faults"] <= copy_budget.FAULT_BUDGET, bulk_cell

@@ -230,9 +230,9 @@ class TestIntermediary:
 
 class TestSendGathers:
     def test_a_warm_bxsa_client_hands_the_policy_pieces_to_the_binding(self):
-        """Both halves of the engine send through one gather step: once the
-        shape is warm, a bulk request reaches the binding as the policy's
-        pieces, its array by reference, not joined into one buffer."""
+        """Both halves of the engine send through one gather step: cold or
+        warm, a bulk request reaches the binding as the policy's pieces,
+        its array by reference, not joined into one buffer."""
 
         class Recording:
             name = "recording"
@@ -253,7 +253,9 @@ class TestSendGathers:
         envelope = SoapEnvelope.wrap(element("Echo", array("values", values)))
         sizes = [engine.send(envelope) for _ in range(2)]
         cold, warm = binding.payloads
-        assert type(warm) is list and len(warm) > 1
-        assert any(np.shares_memory(np.frombuffer(piece, "u1"), values) for piece in warm)
-        assert b"".join(warm) == cold == BXSAEncoding().encode(envelope.to_document())
-        assert sizes == [len(cold)] * 2
+        for pieces in (cold, warm):
+            assert type(pieces) is list and len(pieces) > 1
+            assert any(np.shares_memory(np.frombuffer(p, "u1"), values) for p in pieces)
+        wire = BXSAEncoding().encode(envelope.to_document())
+        assert b"".join(warm) == b"".join(cold) == wire
+        assert sizes == [len(wire)] * 2

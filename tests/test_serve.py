@@ -76,6 +76,38 @@ class TestWorkerPool:
         assert kind is dict
         assert value == 42
 
+    def test_after_task_waits_until_the_worker_holds_nothing_of_the_task(self):
+        """What a completion callback defers runs once the worker has let go
+        of the task, its closure and its result: a hand-off that wakes
+        another thread from inside the callback (a call that releases the
+        GIL) kept the last exchange's payload alive while the woken thread
+        landed the next one."""
+        import weakref
+
+        from repro.serve.pool import after_task
+
+        class Payload:
+            pass
+
+        seen = []
+        handed = threading.Event()
+
+        def hand_off(completion):
+            payload = weakref.ref(completion.result())
+            after_task(lambda: (seen.append(payload() is None), handed.set()))
+
+        go = threading.Event()
+        with WorkerPool(workers=1, queue_depth=2) as pool:
+            kept = Payload()
+            completion = pool.submit(lambda _state: go.wait(5) and Payload())
+            completion.add_done_callback(hand_off)  # before the task can finish
+            del completion
+            go.set()
+            assert handed.wait(5)
+            # off a pool worker it runs at once
+            after_task(lambda: seen.append(kept is not None))
+        assert seen == [True, True]
+
     def test_worker_state_is_reused_across_tasks(self):
         def factory():
             return {"count": 0}

@@ -181,6 +181,17 @@ class TestBufferedChannel:
         with pytest.raises(TransportError):
             BufferedChannel(b).recv_until(b"|", max_bytes=1024)
 
+    def test_a_head_read_takes_little_of_the_body_behind_it(self):
+        """What a head read takes past the delimiter is copied into the
+        body's landing, and a 64 KiB read allocated 64 KiB buffers beside
+        every landing (DESIGN.md §10): under 4 KiB stays buffered."""
+        a, b = memory_pipe()
+        a.send_all(b"HEAD\r\n\r\n" + b"x" * (1 << 20))
+        buffered = BufferedChannel(b)
+        assert buffered.recv_until(b"\r\n\r\n") == b"HEAD\r\n\r\n"
+        assert 0 < len(buffered._buf) < 4096
+        assert land(buffered, 1 << 20) == b"x" * (1 << 20)
+
 
 class TestSizedReads:
     def test_take_cuts_a_slice_and_drops_the_front(self):
@@ -476,7 +487,7 @@ class TestLanding:
             land(Claimed(), claimed)
         assert asked == [MAX_READ_BYTES, MAX_READ_BYTES - 10]
 
-    def test_a_body_past_the_ceiling_outgrows_the_buffer_by_doubling(self, monkeypatch):
+    def test_a_body_past_the_ceiling_outgrows_the_buffer_by_what_arrived(self, monkeypatch):
         from repro.transport import base
 
         monkeypatch.setattr(base, "MAX_READ_BYTES", 1024)
@@ -495,8 +506,37 @@ class TestLanding:
                 return n
 
         assert land(Source(), len(payload)) == payload
-        # each size only once the one before is full, and never past what is declared
-        assert sorted(set(buffers)) == [1024, 2048, 4096, 5000] and buffers == sorted(buffers)
+        # each size only once the one before is full, four times what it
+        # holds, and never past what is declared
+        assert sorted(set(buffers)) == [1024, 4096, 5000] and buffers == sorted(buffers)
+
+    def test_a_body_past_the_ceiling_lands_with_one_regrowth_per_fourfold(self, monkeypatch):
+        """Sixteen ceilings' worth over a real socket: the buffer regrows
+        twice (1 → 4 → 16 ceilings), so the traced peak is the body plus
+        the quarter it outgrew — doubling held 1.5 bodies at its last step
+        and copied 15 ceilings' worth on the way."""
+        import socket
+        import tracemalloc
+
+        from repro.transport import base
+
+        ceiling = 64 << 10
+        monkeypatch.setattr(base, "MAX_READ_BYTES", ceiling)
+        payload = random.Random(25).randbytes(16 * ceiling)
+        near, far = socket.socketpair()
+        sender = threading.Thread(target=far.sendall, args=(payload,))
+        tracemalloc.start()
+        try:
+            sender.start()
+            body = land(near, len(payload))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            near.close()  # a failed landing must not leave the sender blocked
+            sender.join()
+            far.close()
+        assert body == payload
+        assert len(payload) + ceiling < peak <= 1.3 * len(payload), peak / len(payload)
 
     def test_the_buffer_lives_as_long_as_any_view_of_it_and_no_longer(self):
         a, b = memory_pipe()

@@ -43,6 +43,20 @@ class TestMessageCodec:
         assert parsed.reason == "OK"
         assert parsed.body == b"hello"
 
+    def test_messages_compare_by_identity(self):
+        """No field-wise ``==``: comparing would read a received chunked
+        body off its channel, and headers have no equality of their own."""
+        response, twin = HttpResponse(200, body=b"x"), HttpResponse(200, body=b"x")
+        request, other = HttpRequest("GET", "/"), HttpRequest("GET", "/")
+        assert response == response and response != twin
+        assert request == request and request != other
+        assert len({response, twin, request, other}) == 4  # hashable, by identity
+        a, b = memory_pipe()
+        a.send_all(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1\r\nx\r\n0\r\n\r\n")
+        received = read_response(BufferedChannel(b))
+        assert received != twin and received.stream is not None  # still on the wire
+        assert received.body == b"x"
+
     def test_body_pieces_frame_as_one_length_delimited_body(self):
         """A body kept as its producer's pieces: ``Content-Length`` is the
         sum, ``iter_wire`` yields them unjoined, the peer cannot tell."""

@@ -22,13 +22,17 @@ Both are counted, not timed, so the answer is the same on every machine:
   starts against a quiescent server: the client shares this process's
   GIL with the workers, so without the wait it can race a worker that
   has answered but not yet let go.
+* **cold peak** — the same reading for each worker's first bulk exchange,
+  the one that compiles its codec plans and checks the encode plan
+  against the stateless encoder: it sets the process's high-water mark
+  if it holds more than a warm one.
 * **pinned** — after a ``GET /healthz`` barrier on the same connection,
   every ``gc``-tracked object and every thread's frames are walked for
   buffers of at least half a payload.  Between exchanges there should be
   none: an idle worker or a parked connection that keeps its last
   request alive makes the *next* exchange's peak one payload higher.
 
-A third reading depends on the allocator, and means what it says only in
+One more reading depends on the allocator, and means what it says only in
 a fresh process (run this file; do not import it) under glibc:
 
 * **minor faults** — page faults per measured exchange.  A server that
@@ -65,10 +69,10 @@ reads (``repro.transport.base.MAX_READ_BYTES``) in the server, which is how
 that constant's comment is re-checked.
 
 The budget (DESIGN.md §10, "Copy budget") is ``PEAK_BUDGET`` payloads at
-peak, nothing pinned and ``FAULT_BUDGET`` faults per exchange;
-``tests/test_copy_budget.py`` holds both drivers to the first two
-in-process and runs this file for the third.  Exit status 1 when any is
-exceeded.
+peak, ``COLD_BUDGET`` at a cold peak, nothing pinned and ``FAULT_BUDGET``
+faults per exchange; ``tests/test_copy_budget.py`` holds both drivers to
+the first three in-process and runs this file for the fourth.  Exit
+status 1 when any is exceeded.
 """
 
 from __future__ import annotations
@@ -116,8 +120,12 @@ WORKERS = 2
 FLOATS = 100_000
 #: Payloads of traced memory one warm bulk exchange may hold at its peak:
 #: the request where it landed, plus heads and the codec's small pieces
-#: (measured 1.24 on the selector driver, 1.20 on the threaded one).
+#: (measured 1.24 on the selector driver, 1.05 on the threaded one).
 PEAK_BUDGET = 1.5
+#: The same for each worker's first bulk exchange, which compiles and
+#: checks its codec plans: measured 1.21 (selector) and 1.03 (threaded);
+#: 3.1 and 3.0 when the encode-plan check joined both encodings.
+COLD_BUDGET = 1.5
 #: Minor page faults one warm bulk exchange may cost (a trimmed heap: ~570).
 FAULT_BUDGET = 50
 #: Warm exchanges measured per run.
@@ -228,15 +236,19 @@ def pinned_buffers(threshold: int) -> list[dict]:
     return sorted(found.values(), key=lambda e: -e["bytes"])
 
 
-def _warm_sessions() -> int:
-    """Codec sessions in this process that have replayed a plan both ways."""
-    return sum(
-        1
-        for obj in gc.get_objects()
-        if isinstance(obj, CodecSession)
-        and obj.stats.plan_hits > 0
-        and obj.stats.decode_plan_hits > 0
-    )
+def _sessions(counts) -> int:
+    """Codec sessions in this process whose ``stats`` satisfy ``counts``."""
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, CodecSession) and counts(obj.stats))
+
+
+def _warm(stats) -> bool:
+    """Replayed a plan both ways."""
+    return stats.plan_hits > 0 and stats.decode_plan_hits > 0
+
+
+def _compiled(stats) -> bool:
+    """Compiled an encode plan: a worker's first bulk exchange does."""
+    return stats.plans_compiled > 0
 
 
 def measure(core: str) -> dict:
@@ -266,13 +278,19 @@ def measure(core: str) -> dict:
                         time.sleep(0.0005)
 
                 warmups = 0
-                while _warm_sessions() < WORKERS:
+                cold, compiled = [], 0
+                while _sessions(_warm) < WORKERS:
                     if warmups == MAX_WARMUP:
                         raise RuntimeError(
                             f"{WORKERS} workers not warm after {MAX_WARMUP} exchanges"
                         )
+                    tracemalloc.reset_peak()
                     settled_exchange()
+                    peak = (tracemalloc.get_traced_memory()[1] - floor) / payload
                     warmups += 1
+                    before, compiled = compiled, _sessions(_compiled)
+                    if compiled > before:
+                        cold.append(peak)
                 peaks, faults = [], []
                 for _ in range(MEASURED):
                     tracemalloc.reset_peak()
@@ -302,6 +320,7 @@ def measure(core: str) -> dict:
         "core": core,
         "payload_bytes": payload,
         "warmup_exchanges": warmups,
+        "cold_peak_payloads": [round(p, 2) for p in cold],
         "peak_payloads": [round(p, 2) for p in peaks],
         "minor_faults": faults,
         "pinned": pinned,
@@ -311,6 +330,7 @@ def measure(core: str) -> dict:
 def within_budget(result: dict) -> bool:
     return (
         max(result["peak_payloads"]) <= PEAK_BUDGET
+        and max(result["cold_peak_payloads"]) <= COLD_BUDGET
         and not result["pinned"]
         and max(result["minor_faults"]) <= FAULT_BUDGET
     )
@@ -330,8 +350,11 @@ CELL_WARMUP = 16
 CELL_SECONDS = 3.0
 #: Budget of the tier-1 RSS pin, in payloads of server ``VmHWM`` above the
 #: idle floor after warm 1.2 MB echoes on two concurrent connections: an
-#: arena per thread read 8.5-9.5, one arena reads 4.2-4.7.
-RSS_BUDGET = 6.5
+#: arena per thread read 8.5-9.5, one arena 4.2-4.7, a landed body with
+#: gathered replies 3.1-4.0, and a cold exchange that holds what a warm one
+#: does 2.1-2.3 in the 0.3 s window tier-1 runs (two bodies in flight and
+#: their heads), 2.4-2.6 over 3 s.
+RSS_BUDGET = 3.0
 
 
 def _process_stats() -> dict:
@@ -637,6 +660,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{core}: payload {result['payload_bytes']} B, peak "
             f"{max(result['peak_payloads']):.2f} payloads "
             f"(per exchange {result['peak_payloads']}, budget {PEAK_BUDGET}), "
+            f"cold peak {result['cold_peak_payloads']} (budget {COLD_BUDGET}), "
             f"{len(result['pinned'])} buffer(s) >= half a payload held after the barrier, "
             f"minor faults per exchange {result['minor_faults']} (budget {FAULT_BUDGET})"
         )
