@@ -114,13 +114,18 @@ _GATHER_BYTES = 64 << 10
 
 
 class EncodePlan:
-    """A compiled per-shape instruction list (internal to the session)."""
+    """A compiled per-shape instruction list (internal to the session).
 
-    __slots__ = ("ops", "node_count")
+    ``reference`` is set only while the session checks a fresh plan: an
+    iterator over the stateless encoder's array payloads for the tree the
+    plan was compiled from (see :func:`_proven_payload`)."""
+
+    __slots__ = ("ops", "node_count", "reference")
 
     def __init__(self, ops: list[tuple], node_count: int) -> None:
         self.ops = ops
         self.node_count = node_count
+        self.reference = None
 
 
 class SessionStats:
@@ -427,12 +432,19 @@ class CodecSession:
         stateless encoder *for this very tree*: either the verified replay
         output (joined or gathered, as :meth:`_replay` makes it) or the
         stateless output itself.  The stateless frames are compared with
-        the replay's in place, so neither is joined for the check.
+        the replay's in place, so neither is joined for the check, and the
+        replay converts no array whole for it: each of its payloads is
+        proven equal to the stateless one block by block and the stateless
+        one is sent (at a non-native byte order that is one byteswapped copy
+        of every array held, not two).
         """
         reference = self._encoder.encode_chunks(node)
         try:
             plan = self._compile(node)
+            # the emitter's chunks that are not bytes are its array payloads
+            plan.reference = iter([c for c in reference if type(c) is memoryview])
             out = self._replay(plan, nodes, gather)
+            plan.reference = None  # checked or discarded: no replay sees it again
         except Exception:
             plan = out = None
         if out is None or not _same_bytes(reference, out if isinstance(out, list) else (out,)):
@@ -464,6 +476,7 @@ class CodecSession:
         chunks = self.__dict__.pop("_scratch", None)
         if chunks is None:
             chunks = []
+        reference = plan.reference
         try:
             nbytes = 0
             open_frames: list[tuple[int, int]] = []  # (placeholder idx, mark)
@@ -498,10 +511,11 @@ class CodecSession:
                         head_const = self._assemble_header(header, nodes) + meta
                     count = encode_vls(int(node.values.size))
                     pad = (-(len(head_const) + len(count) + 1)) % item_size
-                    normalized = np.ascontiguousarray(node.values, dtype=target)
-                    payload = (
-                        memoryview(normalized).cast("B") if normalized.size else b""
-                    )
+                    if reference is None:
+                        normalized = np.ascontiguousarray(node.values, dtype=target)
+                        payload = memoryview(normalized).cast("B") if normalized.size else b""
+                    else:
+                        payload = _proven_payload(node.values, target, reference)
                     head = head_const + count + _PAD_BYTES[pad]
                     size_field = encode_vls(len(head) + len(payload))
                     chunks.append(prefix + size_field)
@@ -620,6 +634,39 @@ def _same_bytes(xs, ys) -> bool:
             if x[words:n] != y[words:n] or x[:words].cast("Q") != y[:words].cast("Q"):
                 return False
             x, y = x[n:], y[n:]
+
+
+#: How much of an array :func:`_proven_payload` converts at a time.
+_PROOF_BLOCK_BYTES = 64 << 10
+
+
+def _proven_payload(values, target, reference):
+    """The payload a replay converts ``values`` to, taken from ``reference``
+    (the stateless encoder's payloads, in document order) once the replay's
+    own conversion has been compared equal with it, block by block.
+
+    So checking a plan holds the reference's converted copy of an array and
+    a block of the replay's, not two whole copies.  Raises ``ValueError``
+    where the two differ.  An array already in the target type costs no
+    copy either way; its payload is the replay's own view, compared with
+    the rest of the message.
+    """
+    flat = values.reshape(-1)
+    if not flat.size:
+        return b""  # the emitter emits no payload for an empty array
+    expected = next(reference, b"")
+    if flat.dtype == target:  # nothing to convert: the replay's own is a view
+        return memoryview(flat).cast("B")
+    itemsize = target.itemsize
+    if len(expected) != flat.size * itemsize:
+        raise ValueError("replayed payload differs in length from the stateless one")
+    step = max(1, _PROOF_BLOCK_BYTES // itemsize)
+    for start in range(0, flat.size, step):
+        block = memoryview(np.ascontiguousarray(flat[start : start + step], dtype=target))
+        at = start * itemsize
+        if not _same_bytes((block.cast("B"),), (expected[at : at + block.nbytes],)):
+            raise ValueError("replayed payload differs from the stateless one")
+    return expected
 
 
 def _gather(chunks: list) -> list:

@@ -43,7 +43,7 @@ from typing import Callable
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.pool import after_task
-from repro.transport.base import Landing, TransportError, drop_sent
+from repro.transport.base import HEAD_READ_BYTES, Landing, TransportError, drop_sent
 from repro.transport.http.messages import (
     HEADER_END,
     ChunkedDecoder,
@@ -385,7 +385,7 @@ class AsyncHttpServer(DriverBase):
             # a declared body lands in place, by what it still owes; the
             # peer's claim sizes neither a read nor resident memory
             if body is None:
-                data = conn.sock.recv(65536)
+                data = conn.sock.recv(HEAD_READ_BYTES)
             else:
                 data = body.landing.fill(conn.sock)
         except (BlockingIOError, InterruptedError):

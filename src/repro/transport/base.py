@@ -78,6 +78,15 @@ class Listener(Protocol):
 MAX_READ_BYTES = 16 << 20
 
 
+#: What one read takes while no body is owed (a head and what follows it,
+#: on either driver): sized for a head, not for what follows it.  What it
+#: takes past the head is copied into the body's landing, and a 64 KiB read
+#: put two 64 KiB buffers beside every landing that split the hole the last
+#: one left, so one landing in a while went to fresh heap (+1 payload of
+#: resident memory).
+HEAD_READ_BYTES = 4096
+
+
 def read_size(owed: int) -> int:
     """How much a peer that declared ``owed`` bytes may have read or
     allocated for it at once: all of it (so never into the next message),
@@ -98,18 +107,29 @@ _ALLOCATOR_POLICY = (
 _allocator_primed = False
 
 
-def _find_mallopt():
-    """The C library's ``mallopt``, or ``None`` where there is none to call
-    (no ``ctypes``, no handle on the running process, no such symbol)."""
+def _libc_function(name: str, *argtypes: str):
+    """The C library's ``int name(*argtypes)`` (``ctypes`` type names), or
+    ``None`` where there is none to call (no ``ctypes``, no handle on the
+    running process, no such symbol)."""
     try:
         import ctypes  # numpy has already paid for this import
 
-        mallopt = ctypes.CDLL(None).mallopt
+        function = getattr(ctypes.CDLL(None), name)
     except (ImportError, OSError, TypeError, AttributeError):
         return None
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    return mallopt
+    function.argtypes = tuple(getattr(ctypes, argtype) for argtype in argtypes)
+    function.restype = ctypes.c_int
+    return function
+
+
+def _find_mallopt():
+    """``mallopt(parameter, value)``, or ``None``."""
+    return _libc_function("mallopt", "c_int", "c_int")
+
+
+def _find_malloc_trim():
+    """``malloc_trim(pad)`` (glibc's), or ``None``."""
+    return _libc_function("malloc_trim", "c_size_t")
 
 
 def prime_allocator() -> None:
@@ -120,7 +140,8 @@ def prime_allocator() -> None:
     thread either spawns) and a client as it connects (``connect_tcp``).
     Four ``mallopt`` settings, silently skipped where the C library has no
     ``mallopt`` or does not know a parameter (every one is a hint to glibc
-    and means nothing to another allocator):
+    and means nothing to another allocator), and with them numpy's
+    huge-page advice:
 
     * **One arena.**  glibc hands every thread an arena of its own, and
       every arena keeps its own high-water mark: memory a pool worker freed
@@ -147,6 +168,22 @@ def prime_allocator() -> None:
       CPU per exchange against per-thread arenas).  A pad equal to the
       threshold keeps the 32 MiB the threshold promises and releases only
       what is beyond it (~45 faults, CPU level with the per-thread reading).
+    * **No huge pages for what a claim sizes.**  numpy advises
+      ``MADV_HUGEPAGE`` on every array of 4 MiB and up, so a landing sized
+      by a peer's claim faults in 2 MiB for the first byte it receives in
+      a 2 MiB block nothing has touched yet (measured: one byte written at
+      a block boundary of a fresh 16 MiB landing, 2048 KiB resident against
+      4) — and once the trim below has returned the heap top, the first
+      landing is in such blocks.  The advice is switched off for the
+      process, silently skipped where numpy has no switch for it.
+
+    Its last step is one ``malloc_trim(0)`` (skipped with the settings, and
+    where the C library has none): the heap start-up has already freed goes
+    back to the kernel instead of staying resident for the life of the
+    process — ~0.9 MiB in a process that compiled ``repro`` from source,
+    nothing with a bytecode cache (DESIGN.md §10 "The process floor").  It
+    runs here, once, before any serving thread, and nowhere else: nothing
+    is trimmed between exchanges.
 
     What it cannot do: ``M_ARENA_MAX`` stops *new* arenas, so a thread an
     embedder started (and that allocated) earlier keeps the arena it has,
@@ -159,18 +196,26 @@ def prime_allocator() -> None:
     parallel now contends for one arena lock, glibc serves allocations
     under 16 MiB from the heap, grows the heap 32 MiB of address space
     (not of memory) ahead of need, and returns freed heap top to the
-    kernel only past 32 MiB, so an idle process can sit on that much.
-    DESIGN.md §10 has the body-size × connection-count table
-    (``tools/copy_budget.py --matrix``).
+    kernel only past 32 MiB, so an idle process can sit on that much;
+    and no numpy array is backed by huge pages.  DESIGN.md §10 has the
+    body-size × connection-count table (``tools/copy_budget.py --matrix``).
     """
     global _allocator_primed
     if _allocator_primed:
         return
     _allocator_primed = True
     mallopt = _find_mallopt()
-    if mallopt is not None:
-        for parameter, value in _ALLOCATOR_POLICY:
-            mallopt(parameter, value)
+    if mallopt is None:
+        return
+    for parameter, value in _ALLOCATOR_POLICY:
+        mallopt(parameter, value)
+    try:
+        np._core.multiarray._set_madvise_hugepage(False)
+    except AttributeError:  # a numpy without the advice (or before 2.0)
+        pass
+    trim = _find_malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 def take(buf: bytearray, end: int, start: int = 0) -> bytes:
@@ -271,6 +316,11 @@ class Landing:
     read-only view of the same memory — no join, no freeze — and the
     buffer lives as long as any view of it (an array decoded
     ``copy=False`` is one): it is never recycled.
+
+    A body that arrived whole with its head owes no read, so it is not
+    given a buffer to land in: it is one ``bytes`` copy of what arrived
+    (``Landing(200, first).body()``: ~1.0 µs that way, ~1.8 µs with an
+    array behind it).
     """
 
     __slots__ = ("declared", "filled", "_view")
@@ -279,6 +329,9 @@ class Landing:
         """``first`` is what arrived with the head: the body's first bytes."""
         self.declared = declared
         self.filled = len(first)
+        if self.filled == declared:
+            self._view = memoryview(bytes(first))
+            return
         self._view = _uninitialised(read_size(declared))
         if first:
             self._view[: self.filled] = first
@@ -319,8 +372,14 @@ def _uninitialised(nbytes: int) -> memoryview:
 
 
 def land(channel: Channel, nbytes: int) -> memoryview:
-    """Receive a body of exactly ``nbytes`` or raise TransportClosed."""
-    landing = Landing(nbytes)
+    """Receive a body of exactly ``nbytes`` or raise TransportClosed.
+
+    What a :class:`BufferedChannel` holds of it already (read with the
+    head) is the body's first bytes, as the selector driver's are."""
+    if isinstance(channel, BufferedChannel):
+        landing = channel.landing(nbytes)
+    else:
+        landing = Landing(nbytes)
     while landing.filled < nbytes:
         if not landing.fill(channel):
             raise TransportClosed(
@@ -367,6 +426,14 @@ class BufferedChannel:
     def recv_exactly(self, nbytes: int) -> bytes:
         return recv_exactly(self, nbytes)
 
+    def landing(self, nbytes: int) -> Landing:
+        """A :class:`Landing` for the next ``nbytes``, holding what of them
+        is buffered already."""
+        with memoryview(self._buf) as buffered:
+            landing = Landing(nbytes, buffered[:nbytes])
+        del self._buf[:nbytes]
+        return landing
+
     def unrecv(self, data: bytes) -> None:
         """Push bytes back to the *front* of the read buffer.
 
@@ -390,12 +457,7 @@ class BufferedChannel:
             if len(self._buf) > max_bytes:
                 raise TransportError(f"delimiter not found within {max_bytes} bytes")
             search_from = len(self._buf)
-            # a read sized for a head, not for what follows it: what it
-            # takes past the delimiter is copied into the body's landing,
-            # and a 64 KiB read put two 64 KiB buffers beside every landing
-            # that split the hole the last one left, so one landing in a
-            # while went to fresh heap (+1 payload of resident memory)
-            chunk = self._channel.recv(4096)
+            chunk = self._channel.recv(HEAD_READ_BYTES)
             if not chunk:
                 raise TransportClosed("peer closed before delimiter")
             self._buf.extend(chunk)

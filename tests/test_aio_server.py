@@ -90,6 +90,31 @@ class TestInlineServing:
         finally:
             client.close()
 
+    def test_a_head_read_takes_little_of_the_body_behind_it(self, monkeypatch):
+        """The selector loop's counterpart of ``BufferedChannel.recv_until``:
+        a read while no body is owed is sized for a head, so what it takes
+        past the head — the landing's first bytes — is under 4 KiB (a
+        64 KiB read took ~64 KiB of a bulk body; DESIGN.md §10)."""
+        from repro.transport import aio
+
+        firsts = []
+
+        class Recorded(aio.Landing):
+            __slots__ = ()
+
+            def __init__(self, declared, first=b""):
+                firsts.append(len(first))
+                super().__init__(declared, first)
+
+        monkeypatch.setattr(aio, "Landing", Recorded)
+        body = b"x" * (1 << 20)
+        client = _http_client(self.listener)
+        try:
+            assert client.post("/x", body).body == b"echo:" + body
+        finally:
+            client.close()
+        assert len(firsts) == 1 and 0 < firsts[0] < 4096, firsts
+
     def test_admin_surface_answers_inline(self):
         client = _http_client(self.listener)
         try:

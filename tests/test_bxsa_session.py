@@ -29,6 +29,7 @@ from repro.bxsa.decodeplan import _D_ELEM, _D_LEAF
 from repro.bxsa.session import _OP_CONST, EncodePlan
 from repro.xdm.qname import QName
 from repro.xbs import BIG_ENDIAN, TypeCode
+from repro.xbs.constants import NATIVE_ENDIAN
 from repro.xdm import (
     ArrayElement,
     CommentNode,
@@ -677,6 +678,31 @@ class TestEncodePieces:
         assert session.stats.plans_compiled == 1
         assert peak < 0.3 * payload, peak / payload
         assert b"".join(pieces) == encode(tree)
+
+    def test_a_cold_check_at_the_other_byte_order_holds_one_swapped_copy(self):
+        """At the non-native byte order the stateless encoder and the replay
+        each byteswap every array; the check proves the replay's conversion
+        against the stateless one block by block and sends the latter, so a
+        cold 1.2 MB ``encode_pieces`` peaks near one payload (2.0 when the
+        replay swapped each array whole)."""
+        other = 1 - NATIVE_ENDIAN
+        tree = _bulk_doc(n=100_000)
+        payload = len(encode(tree, other))
+        session = CodecSession(other)
+        tracemalloc.start()
+        try:
+            floor = tracemalloc.get_traced_memory()[0]
+            pieces = session.encode_pieces(tree)
+            peak = tracemalloc.get_traced_memory()[1] - floor
+        finally:
+            tracemalloc.stop()
+        assert session.stats.plans_compiled == 1 and session.stats.poisoned_shapes == 0
+        assert peak <= 1.3 * payload, peak / payload
+        assert b"".join(pieces) == encode(tree, other)
+        assert b"".join(session.encode_pieces(_bulk_doc(1, n=100_000))) == encode(
+            _bulk_doc(1, n=100_000), other
+        )  # the checked plan converts its own arrays once it serves
+        assert session.stats.plan_hits == 1
 
     @pytest.mark.parametrize("where", ["head", "first-payload", "second-payload-end", "tail"])
     def test_a_replay_diverging_inside_a_gathered_message_poisons_its_shape(

@@ -99,8 +99,9 @@ def bulk_cell(request):
 def test_a_serving_process_keeps_one_arena(bulk_cell):
     """Resident memory above the idle floor, in payloads: every thread in
     an arena of its own read 8.5-9.5 (each arena keeps its own high-water
-    mark), all of them in one 4.2-4.7, and since a cold exchange holds
-    what a warm one does 2.1-2.3."""
+    mark), all of them in one 4.2-4.7, since a cold exchange holds what a
+    warm one does 2.1-2.3, and 2.5-2.65 since start-up's freed heap is trimmed
+    before the floor is read (the exchanges fault it back in)."""
     copy_budget = load_tool("copy_budget")
     assert bulk_cell["server_rss_payloads"] <= copy_budget.RSS_BUDGET, bulk_cell
     assert bulk_cell["server_faults"] <= copy_budget.FAULT_BUDGET, bulk_cell
@@ -124,22 +125,29 @@ def test_the_matrix_prints_a_row_per_cell():
 
 class FakeMallopt:
     """Stands in for the C library's ``mallopt``: records each setting with
-    the threads alive when it was made."""
+    the threads alive when it was made.  Its :meth:`trim` stands in for
+    ``malloc_trim`` and records the pad with how many settings preceded it."""
 
     def __init__(self) -> None:
         self.calls: list[tuple[int, int, set[str]]] = []
+        self.trims: list[tuple[int, int]] = []
 
     def __call__(self, parameter: int, value: int) -> int:
         self.calls.append((parameter, value, {t.name for t in threading.enumerate()}))
+        return 1
+
+    def trim(self, pad: int) -> int:
+        self.trims.append((pad, len(self.calls)))
         return 1
 
 
 @pytest.fixture
 def unprimed(monkeypatch):
     """``transport.base`` as in a process that has not set its policy yet.
-    ``unprimed(mallopt)`` substitutes what the ``mallopt`` lookup answers
-    (so this process's real allocator is left alone) and returns the list
-    the lookups made are appended to."""
+    ``unprimed(mallopt)`` substitutes what the ``mallopt`` lookup answers,
+    and the ``malloc_trim`` lookup ``mallopt.trim`` (so this process's real
+    ``malloc`` is left alone), and returns the list the ``mallopt`` lookups
+    made are appended to."""
     from repro.transport import base
 
     monkeypatch.setattr(base, "_allocator_primed", False)
@@ -147,6 +155,7 @@ def unprimed(monkeypatch):
     def substitute(mallopt):
         lookups = []
         monkeypatch.setattr(base, "_find_mallopt", lambda: lookups.append(1) or mallopt)
+        monkeypatch.setattr(base, "_find_malloc_trim", lambda: getattr(mallopt, "trim", None))
         return lookups
 
     return substitute
@@ -218,6 +227,95 @@ def test_without_mallopt_the_policy_is_a_no_op_and_the_process_serves(unprimed, 
     lookups = unprimed(None)
     echo_once(core)
     assert lookups == [1]
+
+
+def test_one_trim_ends_the_policy_and_only_after_its_settings(unprimed, monkeypatch):
+    """``malloc_trim(0)`` once, after the four settings; where there is no
+    ``mallopt`` there is no policy, and the trim is not even looked up."""
+    from repro.transport import base
+
+    mallopt = FakeMallopt()
+    unprimed(mallopt)
+    base.prime_allocator()
+    base.prime_allocator()
+    assert mallopt.trims == [(0, len(base._ALLOCATOR_POLICY))]
+    unprimed(None)
+    monkeypatch.setattr(base, "_allocator_primed", False)
+    monkeypatch.setattr(base, "_find_malloc_trim", lambda: pytest.fail("trim without mallopt"))
+    base.prime_allocator()
+
+
+@glibc_only
+def test_start_up_gives_back_the_heap_its_compiler_freed(tmp_path):
+    """A process compiling ``repro`` (and here the standard library too)
+    from source frees the compiler's heap but keeps it resident: the policy's
+    one trim returns it — ~2.5 MiB of ``RssAnon`` in this child, ~0.9 with
+    only ``repro`` compiled (the benchmark's server), nothing from a warm
+    bytecode cache."""
+    from tests.test_import_budget import ENV, SERVING_IMPORTS
+
+    code = f"""{SERVING_IMPORTS}
+from repro.transport import base
+
+def rss_anon_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("RssAnon:"))
+
+before = rss_anon_kib()
+base.prime_allocator()
+print(before - rss_anon_kib())
+"""
+    run = subprocess.run(
+        [sys.executable, "-B", "-X", f"pycache_prefix={tmp_path}", "-c", code],
+        env=ENV,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) >= 256, f"RssAnon fell by {run.stdout.strip()} KiB"
+
+
+def _transparent_huge_pages() -> str:
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled", encoding="ascii") as fh:
+            return fh.read()
+    except OSError:
+        return ""
+
+
+@glibc_only
+@pytest.mark.skipif(
+    "[madvise]" not in _transparent_huge_pages(),
+    reason="huge pages are only given where advised (the kernel's 'madvise' mode)",
+)
+def test_a_landing_buffer_is_never_backed_by_huge_pages():
+    """numpy advises huge pages for arrays of 4 MiB and up; a landing is
+    one, sized by a peer's claim, in heap the start-up trim left untouched.
+    Under the policy a byte received at a 2 MiB boundary of a fresh 16 MiB
+    landing costs a page (it cost 2048 KiB with numpy's advice)."""
+    code = """
+import numpy as np
+from repro.transport import base
+
+def vm_rss_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmRSS:"))
+
+base.prime_allocator()
+view = base._uninitialised(16 << 20)
+boundary = -np.frombuffer(view, "u1").ctypes.data % (2 << 20) + (2 << 20)
+before = vm_rss_kib()
+view[boundary] = 1
+print(vm_rss_kib() - before)
+"""
+    from tests.test_import_budget import ENV
+
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 1024, f"{run.stdout.strip()} KiB resident for one byte"
 
 
 def seeded_copy(tmp_path, rel: str, anchor: str, replacement: str) -> str:
@@ -318,7 +416,8 @@ def test_lint_keeps_the_landing_in_one_place(tmp_path):
 
 
 def test_lint_keeps_allocator_tuning_in_one_place(tmp_path):
-    """The seeded violations: a second ``mallopt`` caller, a ``ctypes`` import."""
+    """The seeded violations: a ``ctypes`` import, a second ``mallopt``
+    caller, a second trimmer."""
     lint = load_tool("lint")
     src = os.path.join(TOOLS, "..", "src", "repro")
     assert lint.allocator_findings(os.path.join(src, "transport", "base.py")) == []
@@ -327,11 +426,13 @@ def test_lint_keeps_allocator_tuning_in_one_place(tmp_path):
     seeded.write_text(
         "import ctypes\n"
         "from ctypes import util\n"
-        "ctypes.CDLL(None).mallopt(-8, 4)\n",
+        "ctypes.CDLL(None).mallopt(-8, 4)\n"
+        "libc.malloc_trim(0)\n",
         encoding="utf-8",
     )
     findings = lint.allocator_findings(str(seeded))
-    assert [line for line, _ in findings] == [1, 2, 3]
+    assert [line for line, _ in findings] == [1, 2, 3, 4]
+    assert "malloc_trim here is a second allocator policy" in findings[3][1]
     assert all("reserved to transport/base.py" in message for _, message in findings)
     # the home may do both; code outside src/repro is not the rule's business
     home = tmp_path / "repro" / "transport" / "base.py"

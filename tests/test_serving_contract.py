@@ -769,6 +769,22 @@ class TestLargeBodies:
             "sum": float(values.sum()),
         }
 
+    def test_a_body_that_came_whole_with_its_head_has_no_array_behind_it(self, serving_core):
+        """A 200 B body arrives with its head and owes no read: it is a view
+        of one ``bytes`` copy, never a landing buffer; a 1.2 MB body still
+        lands in a buffer of its own."""
+        owners = []
+
+        def handler(request):
+            owners.append(request.body.obj)
+            return HttpResponse(200, body=b"echo:" + request.body)
+
+        client = serving_core.client(serving_core.serve(handler))
+        small, large = b"s" * 200, BULK[: 1_200_000]
+        assert client.post("/x", small).body == b"echo:" + small
+        assert client.post("/x", large).body == b"echo:" + large
+        assert [type(owner) for owner in owners] == [bytes, np.ndarray]
+
     def test_small_request_behind_a_large_ones_tail_is_answered_second(self, bulk_server):
         """The sized body read stops at the body's end: a pipelined request
         sharing the last segment is not swallowed."""

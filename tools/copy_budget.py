@@ -64,9 +64,11 @@ runs of:
 ``--parent CHECKOUT`` measures another checkout's ``src`` with this same
 file, alternating with this one cell by cell, and marks each cell's RSS and
 time ``lower``/``HIGHER`` when the two sides' ranges do not overlap.
-``--cell`` runs one cell once and prints its JSON; a fourth field caps sized
-reads (``repro.transport.base.MAX_READ_BYTES``) in the server, which is how
-that constant's comment is re-checked.
+``--cell`` runs one cell once and prints its JSON — next to the server's
+idle floor (``server_floor_mb``) its absolute high-water marks, reached in
+start-up (``server_start_peak_mb``) and under the load (``server_peak_mb``);
+a fourth field caps sized reads (``repro.transport.base.MAX_READ_BYTES``)
+in the server, which is how that constant's comment is re-checked.
 
 The budget (DESIGN.md §10, "Copy budget") is ``PEAK_BUDGET`` payloads at
 peak, ``COLD_BUDGET`` at a cold peak, nothing pinned and ``FAULT_BUDGET``
@@ -353,7 +355,11 @@ CELL_SECONDS = 3.0
 #: arena per thread read 8.5-9.5, one arena 4.2-4.7, a landed body with
 #: gathered replies 3.1-4.0, and a cold exchange that holds what a warm one
 #: does 2.1-2.3 in the 0.3 s window tier-1 runs (two bodies in flight and
-#: their heads), 2.4-2.6 over 3 s.
+#: their heads), 2.4-2.6 over 3 s.  Since ``prime_allocator`` trims what
+#: start-up freed, the floor (read after ``start()``) sits ~0.7 MiB lower
+#: and the first exchanges fault those pages back in: 2.48-2.55 (aio) and
+#: 2.55-2.65 (threaded) at 0.3 s, while the absolute peak
+#: (``server_peak_mb``) fell ~0.3 MiB.
 RSS_BUDGET = 3.0
 
 
@@ -529,6 +535,7 @@ def run_cell(
         "exchanges": load["exchanges"],
         "failed": load["failed"],
         "server_floor_mb": round(idle["rss_kb"] / 1024, 2),
+        "server_start_peak_mb": round(idle["hwm_kb"] / 1024, 2),
         "server_peak_mb": round(peak["hwm_kb"] / 1024, 2),
         "server_rss_payloads": round((peak["hwm_kb"] - idle["rss_kb"]) * 1024 / payload, 2),
         "client_rss_payloads": round(load["rss_above_floor_kb"] * 1024 / payload, 2),

@@ -64,9 +64,10 @@ lint) — they confine the concurrency machinery to its designated homes:
   land into), ``recv_exactly`` (protocol fields) and the send side's
   explicit joins.
 * inside ``src/repro`` only ``transport/base.py`` may import ``ctypes``
-  or name ``mallopt`` — a process has one allocator, so it gets one
-  policy, set in one place (``prime_allocator``, DESIGN.md §10); a second
-  module tuning ``malloc`` would be tuning the first one's numbers away.
+  or name ``mallopt`` or ``malloc_trim`` — a process has one allocator, so
+  it gets one policy, set in one place (``prime_allocator``, DESIGN.md
+  §10); a second module tuning ``malloc`` would be tuning the first one's
+  numbers away.
 * inside ``src/repro`` only ``fed/balancer.py`` may define
   ``choose_replica`` — replica-selection policy is one pluggable
   surface; a routing brain elsewhere would bypass the balancer's
@@ -535,8 +536,10 @@ def accept_loop_findings(path: str) -> list[tuple[int, str]]:
     )  # fmt: skip
 
 
-#: The one module allowed to tune the C allocator (relative to src/repro).
+#: The one module allowed to tune the C allocator (relative to src/repro),
+#: and the C library calls that tune it.
 ALLOCATOR_HOME = "transport/base.py"
+ALLOCATOR_CALLS = {"mallopt", "malloc_trim"}
 
 
 def allocator_findings(path: str) -> list[tuple[int, str]]:
@@ -544,10 +547,13 @@ def allocator_findings(path: str) -> list[tuple[int, str]]:
 
     ``prime_allocator`` there is the process's one allocator policy: one
     arena, two thresholds and a pad, measured as a set (DESIGN.md §10,
-    ``tools/copy_budget.py --matrix``).  ``mallopt`` is process-wide, so a second
-    caller does not add a policy, it overwrites this one; and ``ctypes`` is
-    the only way to reach it, so an import of it anywhere else under
-    ``src/repro`` is where that second caller would start.
+    ``tools/copy_budget.py --matrix``), then one trim of what start-up
+    freed.  ``mallopt`` is process-wide, so a second caller does not add a
+    policy, it overwrites this one; a second ``malloc_trim`` is a second
+    policy too (one between exchanges returns pages the next exchange
+    faults back in); and ``ctypes`` is the only way to reach either, so an
+    import of it anywhere else under ``src/repro`` is where that second
+    caller would start.
     """
     rel, tree = _parsed(path) or (None, None)
     if rel is None or rel == ALLOCATOR_HOME:
@@ -564,8 +570,8 @@ def allocator_findings(path: str) -> list[tuple[int, str]]:
             modules = [node.module or ""]
         else:
             name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if name == "mallopt":
-                findings.append((node.lineno, message.format(what="mallopt")))
+            if name in ALLOCATOR_CALLS:
+                findings.append((node.lineno, message.format(what=name)))
             continue
         if any(module.split(".")[0] == "ctypes" for module in modules):
             findings.append((node.lineno, message.format(what="importing ctypes")))
