@@ -195,7 +195,7 @@ class _Compiler:
         order = self._walker.byte_order
         for attr, span in zip(attrs, holes[1:]):
             self._hole(span, (_D_ATTRVAL, *_scalar_slot(order, attr.atype.code)))
-        return tuple((attr.name, attr.atype) for attr in attrs)
+        return tuple([(attr.name, attr.atype) for attr in attrs])
 
     # -- productions ------------------------------------------------------
 

@@ -48,10 +48,10 @@ from repro.xdm.nodes import (
 )
 
 #: The Common Frame Prefix's first byte per byte order, per frame type.
-_PREFIXES = tuple(
+_PREFIXES = tuple([
     {frame_type: bytes((pack_prefix_byte(order, frame_type),)) for frame_type in FrameType}
     for order in (0, 1)
-)
+])
 
 
 def string_bytes(text: str) -> bytes:

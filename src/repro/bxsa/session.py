@@ -99,7 +99,7 @@ _OP_ARRAY = 9  # (tag, prefix, header, meta, head_const, dtype, item_size, node_
 
 # pad-length byte + that many zero bytes, for every pad an item size ≤ 8
 # can require (array payload alignment; see emitter.array_frame_head)
-_PAD_BYTES = tuple(bytes((p,)) + b"\x00" * p for p in range(8))
+_PAD_BYTES = tuple([bytes((p,)) + b"\x00" * p for p in range(8)])
 
 #: Decode plans cached per fingerprint.  Distinct shapes can share a
 #: fingerprint (e.g. SOAP envelopes whose root headers match but whose
@@ -852,13 +852,13 @@ def _shape_and_nodes(root: Node) -> tuple[tuple, list]:
 def _ns_key(namespaces: list) -> tuple:
     if not namespaces:
         return ()
-    return tuple((ns.prefix, ns.uri) for ns in namespaces)
+    return tuple([(ns.prefix, ns.uri) for ns in namespaces])
 
 
 def _attr_key(attributes: list) -> tuple:
     if not attributes:
         return ()
-    return tuple(
+    return tuple([
         (a.name.prefix, a.name.uri, a.name.local, int(a.atype.code))
         for a in attributes
-    )
+    ])

@@ -95,10 +95,10 @@ def _body_digest_input(envelope: SoapEnvelope) -> bytes:
     stable byte string.  (pickle here serializes only our own canonical
     tuples of str/bytes/int/float — it is never *loaded*.)
     """
-    sig = tuple(
+    sig = tuple([
         canonical_signature(child, include_ns_decls=False)
         for child in envelope.body_children
-    )
+    ])
     return pickle.dumps(sig, protocol=4)
 
 

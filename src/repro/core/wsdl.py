@@ -123,12 +123,12 @@ class ServiceDescription:
         port_types = [c for c in root.elements() if c.name == _PORT_TYPE]
         if not port_types:
             raise WsdlError("no wsdl:portType declared")
-        operations = tuple(
+        operations = tuple([
             op.attribute("name").value
             for pt in port_types
             for op in pt.elements()
             if op.name == _OPERATION and op.attribute("name") is not None
-        )
+        ])
 
         bindings = [c for c in root.elements() if c.name == _BINDING]
         if not bindings:

@@ -140,7 +140,7 @@ def sweep(
         ladder = [m * capacity for m in multipliers]
     else:
         capacity = None
-        multipliers = tuple(float("nan") for _ in rates)
+        multipliers = tuple([float("nan") for _ in rates])
         ladder = list(rates)
 
     schemes: dict[str, list[dict]] = {}

@@ -42,7 +42,7 @@ from repro.transport.resilience import ServerBusy
 
 #: Latency histogram bounds: 10 µs .. ~30 s, log-spaced (finer than the
 #: default metrics bounds around the millisecond range load tests live in).
-LATENCY_BOUNDS = tuple(10.0 ** (e / 4.0) for e in range(-20, 7))
+LATENCY_BOUNDS = tuple([10.0 ** (e / 4.0) for e in range(-20, 7)])
 
 
 @dataclass

@@ -175,7 +175,7 @@ class _Reader:
             nc_type = self._i4()
             _vsize = self._i4()
             begin = self._i8() if use_64bit else self._i4()
-            shape = tuple(dims[d][1] for d in dim_ids)
+            shape = tuple([dims[d][1] for d in dim_ids])
             nelems = int(np.prod(shape, dtype=np.int64)) if shape else 1
             nbytes = nelems * element_size(nc_type)
             if begin < 0 or begin + nbytes > len(self.blob):
@@ -190,5 +190,5 @@ class _Reader:
             else:
                 data = flat.astype(stored.newbyteorder("=")).reshape(shape)
             ds.variables[name] = Variable(
-                name, tuple(dims[d][0] for d in dim_ids), data, attrs
+                name, tuple([dims[d][0] for d in dim_ids]), data, attrs
             )

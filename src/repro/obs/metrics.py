@@ -43,7 +43,7 @@ import threading
 
 #: Default histogram bounds: log-spaced from 1 µs to ~100 s, suitable for
 #: the latency ranges the harness observes (seconds as floats).
-DEFAULT_BOUNDS = tuple(10.0 ** (e / 2.0) for e in range(-12, 5))
+DEFAULT_BOUNDS = tuple([10.0 ** (e / 2.0) for e in range(-12, 5)])
 
 #: Ceiling on distinct label-value combinations per family.
 DEFAULT_MAX_SERIES = 64
@@ -300,13 +300,29 @@ class _Family:
         raise NotImplementedError
 
     def labels(self, **values):
-        """The series for one label-value set (created on first use)."""
-        if set(values) != set(self.label_names):
-            raise ValueError(
-                f"family {self.name!r} takes labels {list(self.label_names)}, "
-                f"got {sorted(values)}"
-            )
-        key = tuple(str(values[n]) for n in self.label_names)
+        """The series for one label-value set (created on first use).
+
+        A hit takes no lock: ``_series`` only gains entries, each put in
+        whole under the lock.  Label names are checked on every call, hit
+        or miss: as many values as names, each name present, is the exact
+        set.  The key is built from a list, so it is a tuple of its final
+        size (``tuple(<generator>)`` would park one on a free list per call).
+        """
+        names = self.label_names
+        if len(values) == len(names):
+            try:
+                key = tuple([str(values[n]) for n in names])
+            except KeyError:
+                pass
+            else:
+                series = self._series.get(key)
+                return series if series is not None else self._add(key)
+        raise ValueError(
+            f"family {self.name!r} takes labels {list(names)}, got {sorted(values)}"
+        )
+
+    def _add(self, key: tuple):
+        """The series for ``key``, made under the lock and the cap."""
         with self._lock:
             series = self._series.get(key)
             if series is None:

@@ -185,6 +185,17 @@ class WorkerPool:
         self._abandoned = False
         self._busy_lock = threading.Lock()
         self._busy = 0
+        # bound once: every task touches these, and a registry lookup per
+        # touch cost more than the update (a refusal's counters, which
+        # /metrics shows only once one happened, are looked up then)
+        m = self.metrics
+        self._depth_gauge = m.gauge("serve_queue_depth")
+        self._busy_gauge = m.gauge("serve_workers_busy")
+        self._saturation_gauge = m.gauge("serve_saturation")
+        self._admitted = m.counter("serve_admitted_total")
+        self._completed = m.counter_family("serve_completed_total", ("status",))
+        self._queue_wait = m.histogram("serve_queue_wait_seconds")
+        self._handle_seconds = m.histogram("serve_handle_seconds")
 
     # ------------------------------------------------------------------
 
@@ -249,7 +260,7 @@ class WorkerPool:
             self._wake_workers()
         self._running = False
         self._threads = []
-        self.metrics.gauge("serve_queue_depth").set(0)  # wake-ups are not work
+        self._depth_gauge.set(0)  # wake-ups are not work
 
     def _wake_workers(self) -> None:
         for _ in self._threads:
@@ -264,9 +275,7 @@ class WorkerPool:
             if item is None:
                 continue  # a wake-up nobody took
             item.completion._finish(error=PoolStopped("pool stopped before the task ran"))
-            self.metrics.counter(
-                "serve_completed_total", labels={"status": "abandoned"}
-            ).add()
+            self._completed.labels(status="abandoned").add()
 
     def __enter__(self) -> "WorkerPool":
         return self.start()
@@ -295,7 +304,7 @@ class WorkerPool:
                 f"admission queue full ({self.queue_depth} waiting)",
                 retry_after=self._retry_after,
             ) from None
-        self.metrics.counter("serve_admitted_total").add()
+        self._admitted.add()
         self._set_depth_gauge()
         return completion
 
@@ -317,37 +326,34 @@ class WorkerPool:
     # ------------------------------------------------------------------
 
     def _set_depth_gauge(self) -> None:
-        self.metrics.gauge("serve_queue_depth").set(self._queue.qsize())
+        self._depth_gauge.set(self._queue.qsize())
 
     def _set_busy(self, delta: int) -> None:
         with self._busy_lock:
             self._busy += delta
             busy = self._busy
-        self.metrics.gauge("serve_workers_busy").set(busy)
-        self.metrics.gauge("serve_saturation").set(busy / self.workers)
+        self._busy_gauge.set(busy)
+        self._saturation_gauge.set(busy / self.workers)
 
     def _worker_loop(self) -> None:
         state = self._state_factory() if self._state_factory is not None else None
-        m = self.metrics
         pending = _worker_local.pending = []
         while True:
             item = self._queue.get()
             if item is None:
                 return  # stop's wake-up: everything admitted before it is done
             self._set_depth_gauge()
-            m.histogram("serve_queue_wait_seconds").observe(
-                time.perf_counter() - item.enqueued_at
-            )
+            self._queue_wait.observe(time.perf_counter() - item.enqueued_at)
             self._set_busy(+1)
             start = time.perf_counter()
             try:
                 result = item.task(state)
             except BaseException as exc:  # noqa: BLE001 - worker must not die
                 item.completion._finish(error=exc)
-                m.counter("serve_completed_total", labels={"status": "error"}).add()
+                self._completed.labels(status="error").add()
             else:
                 item.completion._finish(result=result)
-                m.counter("serve_completed_total", labels={"status": "ok"}).add()
+                self._completed.labels(status="ok").add()
             finally:
                 # dropped before this worker reports itself idle and parks
                 # in get(): ``busy_workers == 0`` means nothing of a
@@ -361,6 +367,6 @@ class WorkerPool:
                         pass
                 pending.clear()
                 self._set_busy(-1)
-                m.histogram("serve_handle_seconds").observe(time.perf_counter() - start)
+                self._handle_seconds.observe(time.perf_counter() - start)
             if self._abandoned:
                 return

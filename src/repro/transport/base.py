@@ -117,7 +117,7 @@ def _libc_function(name: str, *argtypes: str):
         function = getattr(ctypes.CDLL(None), name)
     except (ImportError, OSError, TypeError, AttributeError):
         return None
-    function.argtypes = tuple(getattr(ctypes, argtype) for argtype in argtypes)
+    function.argtypes = tuple([getattr(ctypes, argtype) for argtype in argtypes])
     function.restype = ctypes.c_int
     return function
 

@@ -113,7 +113,11 @@ class RequestPipeline:
             self._shed = getattr(app, "shed", None)
         self.name = name
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # bound once, as the pool's are (label names in the sorted order
+        # the ``labels={...}`` accessors give them)
         self._in_flight = self.metrics.gauge("http_requests_in_flight")
+        self._requests = self.metrics.counter_family("http_requests_total", ("method", "status"))
+        self._seconds = self.metrics.histogram_family("http_request_seconds", ("method",))
         self._admin = admin
         #: Optional readiness probe ``() -> (ready, detail)`` behind
         #: ``GET /readyz``; without one the server is always ready.
@@ -236,12 +240,10 @@ class RequestPipeline:
             response = self._map_exception(request, outcome)
         elapsed = time.perf_counter() - ctx.start
         self._in_flight.dec()
-        m = self.metrics
-        m.counter(
-            "http_requests_total",
-            labels={"method": request.method, "status": f"{response.status // 100}xx"},
+        self._requests.labels(
+            method=request.method, status=f"{response.status // 100}xx"
         ).add()
-        m.histogram("http_request_seconds", labels={"method": request.method}).observe(elapsed)
+        self._seconds.labels(method=request.method).observe(elapsed)
         if self._shed is not None and isinstance(outcome, (AdmissionQueueFull, PoolStopped)):
             try:
                 self._shed(request, elapsed)

@@ -131,7 +131,7 @@ class XBSReader:
         values = run.unpack_from(self._data, self._pos)
         self._pos += run.size
         if code is TypeCode.BOOL:
-            return tuple(bool(v) for v in values)
+            return tuple([bool(v) for v in values])
         return values
 
     def read_int8(self) -> int:

@@ -196,7 +196,7 @@ def canonical_signature(node: Node, *, include_ns_decls: bool = True):
     """
     opts = {"include_ns_decls": include_ns_decls}
     if isinstance(node, DocumentNode):
-        return ("doc", tuple(canonical_signature(c, **opts) for c in node.children))
+        return ("doc", tuple([canonical_signature(c, **opts) for c in node.children]))
     if isinstance(node, LeafElement):
         return (
             "leaf",
@@ -220,7 +220,7 @@ def canonical_signature(node: Node, *, include_ns_decls: bool = True):
             "elem",
             node.name.clark(),
             _header_sig(node, **opts),
-            tuple(canonical_signature(c, **opts) for c in node.children),
+            tuple([canonical_signature(c, **opts) for c in node.children]),
         )
     if isinstance(node, TextNode):
         return ("text", node.text)

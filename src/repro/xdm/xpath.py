@@ -99,9 +99,9 @@ def parse_path(path: str) -> list[_Step]:
         m = _STEP_RE.match(path, pos)
         if not m or m.end() == pos:
             raise XPathError(f"cannot parse step at {path[pos:]!r}")
-        predicates = tuple(
+        predicates = tuple([
             _parse_predicate(p) for p in _PRED_RE.findall(m.group("preds"))
-        )
+        ])
         steps.append(_Step(m.group("name"), descendant, predicates))
         pos = m.end()
         if pos == len(path):

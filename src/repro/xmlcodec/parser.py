@@ -44,24 +44,29 @@ _WS = " \t\r\n"
 _SIMPLE_ITEM_RE = re.compile(r"\s*<([^\W\d][\w.\-]*)>([^<&]*)</\1>", re.UNICODE)
 
 
-def parse_document(data: str | bytes, *, typed: bool = True) -> DocumentNode:
+def parse_document(data: str | bytes | memoryview, *, typed: bool = True) -> DocumentNode:
     """Parse a complete XML document into a :class:`DocumentNode`."""
     return XMLParser(_decode(data), typed=typed).parse_document()
 
 
-def parse_fragment(data: str | bytes, *, typed: bool = True) -> ElementNode:
+def parse_fragment(data: str | bytes | memoryview, *, typed: bool = True) -> ElementNode:
     """Parse a single element (no prolog required) into an element node."""
     return XMLParser(_decode(data), typed=typed).parse_fragment()
 
 
-def _decode(data: str | bytes) -> str:
+#: The UTF-8 byte-order mark, dropped before a document is decoded.
+_BOM = b"\xef\xbb\xbf"
+
+
+def _decode(data: str | bytes | memoryview) -> str:
+    """The document's text: a ``str`` as given; bytes, or a buffer such as
+    a received body's ``memoryview``, decoded where they lie (no copy)."""
     if isinstance(data, str):
         return data
-    raw = bytes(data)
-    if raw[:3] == b"\xef\xbb\xbf":
-        raw = raw[3:]
+    if data[:3] == _BOM:
+        data = memoryview(data)[3:]
     try:
-        return raw.decode("utf-8")
+        return str(data, "utf-8")
     except UnicodeDecodeError as exc:
         raise XMLParseError(f"document is not valid UTF-8: {exc}") from exc
 

@@ -93,7 +93,9 @@ class XMLSerializer(Visitor):
         self.emit_types = emit_types
         self.xml_declaration = xml_declaration
         self.item_name = item_name
-        self._out: io.StringIO = io.StringIO()
+        #: The text of the run in progress; ``None`` between runs, so a
+        #: serializer held for reuse holds no message.
+        self._out: io.StringIO | None = None
         self._scopes: list[dict[str, str]] = [{"xml": XML_URI}]
         self._gen_counter = 0
         self._self_closed: set[int] = set()
@@ -109,7 +111,8 @@ class XMLSerializer(Visitor):
         if self.xml_declaration:
             self._out.write('<?xml version="1.0" encoding="UTF-8"?>')
         walk(node, self)
-        return self._out.getvalue()
+        out, self._out = self._out, None
+        return out.getvalue()
 
     def run_bytes(self, node: Node) -> bytes:
         """Serialize to UTF-8 bytes (what the transport layer carries)."""

@@ -7,7 +7,8 @@ of traced memory at its peak, each worker's first (cold) one
 ``COLD_BUDGET``, and nothing payload-sized may still be referenced once
 the exchange is over.  The parent of the PR that added
 this read 7-9 payloads at peak with two requests and two responses pinned
-by the idle pool workers.
+by the idle pool workers.  Past the peak, a thousand warm exchanges of a
+small message may leave ``FLAT_BUDGET`` of traced heap behind.
 
 The rest is what glibc makes of that — resident memory and page faults —
 and is read by the kernel from fresh interpreters (one ``--cell`` of the
@@ -15,6 +16,7 @@ instrument's matrix per driver): the process's one allocator policy
 (``transport.base.prime_allocator``) is what these pin.
 """
 
+import gc
 import importlib.util
 import json
 import os
@@ -22,6 +24,8 @@ import platform
 import subprocess
 import sys
 import threading
+import time
+import tracemalloc
 
 import pytest
 
@@ -185,6 +189,68 @@ def echo_once(core: str) -> None:
         service.stop()
 
 
+#: Warm exchanges before the heap is read, and the exchanges it is read over.
+FLAT_WARMUP = 200
+FLAT_MEASURED = 1000
+#: Traced growth those exchanges may leave behind.  A key built with
+#: ``tuple(<generator>)`` parks one tuple on its size's free list per call,
+#: up to 2000 per size: the parent of the change that added this read
+#: ~250 KiB here.
+FLAT_BUDGET = 32 * 1024
+
+
+@pytest.mark.parametrize("encoding", ["bxsa", "xml"])
+@pytest.mark.parametrize("core", ["aio", "threaded"])
+def test_warm_exchanges_leave_the_heap_flat(core, encoding):
+    """A serving process (client in the same one) holds the same memory
+    after twelve hundred warm exchanges as after two hundred."""
+    from repro.core.client import SoapHttpClient
+    from repro.core.envelope import SoapEnvelope
+    from repro.core.policies import BXSAEncoding, XMLEncoding
+    from repro.serve import ServeConfig, SoapServeService
+    from repro.services.echo import echo_dispatcher
+    from repro.transport import TcpListener, connect_tcp
+    from repro.workloads.lead import lead_dataset
+    from repro.xdm import element
+
+    request = SoapEnvelope.wrap(element("Echo", lead_dataset(16, seed=5).to_bxdm()))
+    # the garbage, and every free list, of the tests before: the warm-up
+    # refills what an exchange takes from a free list and gives back
+    gc.collect()
+    listener = TcpListener()
+    service = SoapServeService(
+        listener, echo_dispatcher(), config=ServeConfig(workers=2, core=core), name="flat"
+    ).start()
+    client = SoapHttpClient(
+        lambda: connect_tcp(*listener.address),
+        encoding=BXSAEncoding() if encoding == "bxsa" else XMLEncoding(),
+    )
+
+    def settled() -> int:
+        # a worker lets go of its task before it reports idle
+        while service.pool.busy_workers:
+            time.sleep(0.0005)
+        # not a full collection: that would empty the free lists under test
+        gc.collect(1)
+        return tracemalloc.get_traced_memory()[0]
+
+    try:
+        for _ in range(FLAT_WARMUP):
+            client.call(request)
+        tracemalloc.start()
+        try:
+            before = settled()
+            for _ in range(FLAT_MEASURED):
+                client.call(request)
+            grown = settled() - before
+        finally:
+            tracemalloc.stop()
+    finally:
+        client.close()
+        service.stop()
+    assert grown < FLAT_BUDGET, f"{grown / 1024:.1f} KiB left behind by {FLAT_MEASURED} exchanges"
+
+
 @pytest.mark.parametrize("core", ["aio", "threaded"])
 def test_the_policy_is_set_once_and_before_any_serving_thread(unprimed, core):
     from repro.transport.base import MAX_READ_BYTES
@@ -318,6 +384,41 @@ print(vm_rss_kib() - before)
     assert int(run.stdout) < 1024, f"{run.stdout.strip()} KiB resident for one byte"
 
 
+def test_an_xml_body_is_decoded_where_it_landed():
+    """A received body is a ``memoryview``: its text is decoded from it,
+    with no ``bytes`` copy first (the parent of the change that added this
+    read 2.0 bodies at the text decode's peak, 1.0 here), and decoding the
+    ``text_xml`` envelope (32 KB) from one peaks no higher than from
+    ``bytes`` (the copy was freed before the tree's peak)."""
+    from repro.core.envelope import SoapEnvelope
+    from repro.core.policies import XMLEncoding
+    from repro.workloads.lead import lead_dataset
+    from repro.xdm import element
+    from repro.xmlcodec.parser import _decode
+
+    encoding = XMLEncoding()
+    payload = encoding.encode(
+        SoapEnvelope.wrap(element("Echo", lead_dataset(1365, seed=7).to_bxdm())).to_document()
+    )
+    assert len(payload) > 30_000
+    view = memoryview(payload)
+    # warm, both ways: the parser's first-use caches are not the body's
+    encoding.decode(payload)
+    encoding.decode(view)
+
+    def peak(decode, body) -> int:
+        tracemalloc.start()
+        try:
+            floor = tracemalloc.get_traced_memory()[0]
+            decode(body)
+            return tracemalloc.get_traced_memory()[1] - floor
+        finally:
+            tracemalloc.stop()
+
+    assert peak(_decode, view) < 1.5 * len(payload)
+    assert peak(encoding.decode, view) <= peak(encoding.decode, payload)
+
+
 def seeded_copy(tmp_path, rel: str, anchor: str, replacement: str) -> str:
     """``src/repro/<rel>`` copied under ``tmp_path`` with ``anchor`` (which
     must occur exactly once) replaced; the copy's path."""
@@ -443,6 +544,38 @@ def test_lint_keeps_allocator_tuning_in_one_place(tmp_path):
     tool.parent.mkdir()
     tool.write_text("import ctypes\n", encoding="utf-8")
     assert lint.allocator_findings(str(tool)) == []
+
+
+def test_lint_keeps_generator_built_tuples_off_the_heap(tmp_path):
+    """The seeded violations: ``_Family.labels`` building its key from a
+    generator again, and a module-level one; ``tuple([...])``, a tuple of
+    something else and code outside src/repro are not the rule's business."""
+    lint = load_tool("lint")
+    src = os.path.join(TOOLS, "..", "src", "repro")
+    for clean in ("obs/metrics.py", "bxsa/session.py"):
+        assert lint.generator_tuple_findings(os.path.join(src, clean)) == []
+    seeded = seeded_copy(
+        tmp_path,
+        "obs/metrics.py",
+        "                key = tuple([str(values[n]) for n in names])\n",
+        "                key = tuple(str(values[n]) for n in names)\n",
+    )
+    (finding,) = lint.generator_tuple_findings(seeded)
+    assert "tuple(<generator>) parks a tuple on a free list" in finding[1]
+    module = tmp_path / "repro" / "xdm" / "keys.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(
+        "BOUNDS = tuple(2.0 ** e for e in range(8))\n"
+        "EXACT = tuple([2.0 ** e for e in range(8)])\n"
+        "SORTED = tuple(sorted(k for k in KEYS))\n"
+        "PAIRS = tuple(zip(A, B))\n",
+        encoding="utf-8",
+    )
+    assert [line for line, _ in lint.generator_tuple_findings(str(module))] == [1]
+    tool = tmp_path / "tools" / "probe.py"
+    tool.parent.mkdir()
+    tool.write_text("BOUNDS = tuple(2.0 ** e for e in range(8))\n", encoding="utf-8")
+    assert lint.generator_tuple_findings(str(tool)) == []
 
 
 def test_lint_keeps_package_imports_lazy_and_openssl_out_of_the_closure(tmp_path):

@@ -8,6 +8,7 @@ the number of exchanges made.
 """
 
 import json
+import sys
 import threading
 import time
 
@@ -151,6 +152,95 @@ class TestCardinalityGuard:
             source_family.labels(id=f"s{i}").add()
         dest.merge(source)
         assert len(dest_family.series()) == 7
+
+
+class TestBoundFamilies:
+    """A serving instrument is bound once and then hit without a lock: the
+    fast path keeps the family's contract."""
+
+    def test_a_bound_family_still_enforces_its_cap(self):
+        family = MetricsRegistry().counter_family("c", ("id",), max_series=2)
+        family.labels(id="a").add()
+        family.labels(id="b").add()
+        family.labels(id="a").add()  # a hit at the cap is no new series
+        with pytest.raises(LabelCardinalityError, match="cap of 2"):
+            family.labels(id="c")
+        assert sorted(s.value for s in family.series()) == [1, 2]
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            {"op": "echo"},
+            {"op": "echo", "status": "ok", "extra": "nope"},
+            {"op": "echo", "state": "ok"},
+        ],
+        ids=["missing", "extra", "misnamed"],
+    )
+    def test_wrong_label_names_raise_on_a_hit(self, labels):
+        family = MetricsRegistry().counter_family("c", ("op", "status"))
+        family.labels(op="echo", status="ok")
+        with pytest.raises(ValueError, match="takes labels"):
+            family.labels(**labels)
+        assert len(family.series()) == 1
+
+    def test_racing_first_uses_make_one_series_per_label_set(self):
+        """Hits read the series map without the lock while misses insert
+        under it: threads racing to first use of a label set must all get
+        the one series, or their updates land on a series nobody exports."""
+        family = MetricsRegistry().counter_family("c", ("id",))
+        threads, per_thread, keys = 8, 2000, 16
+        barrier = threading.Barrier(threads)
+
+        def hammer(seed):
+            barrier.wait()
+            for i in range(per_thread):
+                family.labels(id=str((seed + i) % keys)).add()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer, args=(s,)) for s in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(family.series()) == keys
+        assert sum(s.value for s in family.series()) == threads * per_thread
+
+    def test_series_made_before_and_after_binding_are_one_series(self):
+        def record(registry, bind_first):
+            if bind_first:
+                requests = registry.counter_family("req_total", ("method", "status"))
+                seconds = registry.histogram_family("req_seconds", ("method",))
+            registry.counter("req_total", labels={"status": "2xx", "method": "GET"}).add()
+            registry.histogram("req_seconds", labels={"method": "GET"}).observe(0.5)
+            if not bind_first:
+                requests = registry.counter_family("req_total", ("method", "status"))
+                seconds = registry.histogram_family("req_seconds", ("method",))
+            requests.labels(method="GET", status="2xx").add()
+            requests.labels(method="POST", status="5xx").add(2)
+            seconds.labels(method="GET").observe(0.25)
+            assert requests.labels(method="GET", status="2xx") is registry.counter(
+                "req_total", labels={"method": "GET", "status": "2xx"}
+            )
+
+        bound, looked_up = MetricsRegistry(), MetricsRegistry()
+        record(bound, bind_first=True)
+        record(looked_up, bind_first=False)
+        assert render_prometheus(bound) == render_prometheus(looked_up)
+        assert 'req_total{method="GET",status="2xx"} 2' in render_prometheus(bound)
+        merged = MetricsRegistry()
+        merged.merge(bound)
+        merged.merge(looked_up)
+        counters = merged.snapshot()["counters"]
+        assert counters == {
+            'req_total{method="GET",status="2xx"}': 4,
+            'req_total{method="POST",status="5xx"}': 4,
+        }
+        assert merged.snapshot()["histograms"]['req_seconds{method="GET"}']["count"] == 4
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,8 @@ class TestSerializerReuse:
         a = ser.run(element(QName("r", "urn:x")))
         b = ser.run(element(QName("r", "urn:x")))
         assert a == b
+        # a serializer held for reuse (one per pooled policy) holds no text
+        assert ser._out is None
 
     def test_run_bytes(self):
         assert XMLSerializer().run_bytes(element("r")) == b"<r/>"

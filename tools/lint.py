@@ -578,6 +578,35 @@ def allocator_findings(path: str) -> list[tuple[int, str]]:
     return findings
 
 
+def generator_tuple_findings(path: str) -> list[tuple[int, str]]:
+    """Flag ``tuple(<generator expression>)`` under ``src/repro``.
+
+    A generator has no length, so CPython allocates its tuple at ten slots
+    and shrinks it: the tuple is freed onto the free list of its final
+    size, never taken from it, and each call parks one more there, up to
+    2000 per size (DESIGN.md §10, "Free lists").  On a per-message path
+    (a label key, a plan key) that is a heap that grows for thousands of
+    exchanges.  A list comprehension is sized as it goes and its tuple is
+    exact: ``tuple([...])``.
+    """
+    rel, tree = _parsed(path) or (None, None)
+    if rel is None:
+        return []
+    return [
+        (
+            node.lineno,
+            "tuple(<generator>) parks a tuple on a free list per call; "
+            "build it from a list: tuple([...])",
+        )
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "tuple"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.GeneratorExp)
+    ]
+
+
 #: ``repro`` modules a package ``__init__`` may import at module level
 #: (relative to src/repro): the export helper anywhere, and the one eager
 #: edge — ``repro.obs``'s ``span``/``counter`` helpers call ``get_recorder``
@@ -776,6 +805,7 @@ REPO_RULES = (
     frame_emit_findings,
     accept_loop_findings,
     allocator_findings,
+    generator_tuple_findings,
     response_join_findings,
     body_landing_findings,
     package_surface_findings,
