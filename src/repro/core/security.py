@@ -10,8 +10,8 @@ checks in :mod:`repro.core.concepts`, which is all the engine imports; this
 module holds the *models*, and is loaded by whoever constructs one.
 
 :class:`HmacSigningPolicy` signs the *data model*, not the wire bytes: the
-MAC is computed over the canonical signature of the body children
-(:func:`repro.xdm.compare.canonical_signature`), so a signed message stays
+MAC is computed over the canonical form of the body children
+(:func:`repro.xdm.digest.canonical_digest`), so a signed message stays
 verifiable after re-encoding — XML ↔ BXSA transcoding at an intermediary
 does not break it, exactly the property the paper's architecture needs
 (WS-Security sits *above* the encoding layer in Figure 3).  The signature
@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
-import pickle
 import struct
 from typing import Iterable, Iterator, Protocol, runtime_checkable
 
@@ -36,7 +35,7 @@ from repro.core.envelope import SoapEnvelope
 from repro.core.fault import SoapFault
 from repro.xbs.errors import XBSDecodeError
 from repro.xbs.varint import encode_vls
-from repro.xdm.compare import canonical_signature
+from repro.xdm.digest import canonical_digest
 from repro.xdm.nodes import ElementNode, LeafElement
 from repro.xdm.qname import QName
 
@@ -86,20 +85,24 @@ class SecretKey:
     def mac(self, payload: bytes) -> bytes:
         return hmac.new(self._key, payload, hashlib.sha256).digest()
 
+    def hasher(self):
+        """An incremental HMAC-SHA256 under this key: ``update``, then
+        ``digest``."""
+        return hmac.new(self._key, digestmod=hashlib.sha256)
 
-def _body_digest_input(envelope: SoapEnvelope) -> bytes:
-    """Encoding-independent byte form of the body children.
 
-    ``canonical_signature`` normalizes attribute order, namespace prefixes
-    and NaN bit patterns; pickling the resulting nested tuples gives a
-    stable byte string.  (pickle here serializes only our own canonical
-    tuples of str/bytes/int/float — it is never *loaded*.)
+def _body_mac(key: SecretKey, envelope: SoapEnvelope) -> bytes:
+    """HMAC of the body children's canonical forms, in order.
+
+    ``canonical_digest`` writes each child's prefix-free encoding (Clark
+    names, sorted attributes, canonical NaN, arrays little-endian) into
+    the MAC as it walks the tree, so arrays are read where they lie:
+    nothing payload-sized is built, and a big-endian decode signs alike.
     """
-    sig = tuple([
-        canonical_signature(child, include_ns_decls=False)
-        for child in envelope.body_children
-    ])
-    return pickle.dumps(sig, protocol=4)
+    mac = key.hasher()
+    for child in envelope.body_children:
+        canonical_digest(child, mac)
+    return mac.digest()
 
 
 class HmacSigningPolicy:
@@ -128,7 +131,7 @@ class HmacSigningPolicy:
             for block in envelope.header_blocks
             if not (isinstance(block, ElementNode) and block.name == SIGNATURE_HEADER)
         ]
-        mac = self.key.mac(_body_digest_input(envelope))
+        mac = _body_mac(self.key, envelope)
         header = ElementNode(SIGNATURE_HEADER)
         header.declare_namespace("sec", SEC_URI)
         header.children.append(LeafElement("keyId", self.key.key_id, "string"))
@@ -158,7 +161,7 @@ class HmacSigningPolicy:
             claimed = bytes.fromhex(fields.get("value", ""))
         except ValueError:
             raise SoapFault(SECURITY_FAULT, "malformed signature value") from None
-        expected = self.key.mac(_body_digest_input(envelope))
+        expected = _body_mac(self.key, envelope)
         if not hmac.compare_digest(claimed, expected):
             raise SoapFault(SECURITY_FAULT, "body does not match its signature")
 
@@ -201,6 +204,28 @@ _CHUNK_TAG = b"repro:chunk"
 _FINAL_TAG = b"repro:final"
 
 
+def _chunk_mac(key: SecretKey, seq: int, payload) -> bytes:
+    """``mac_i`` above, fed in pieces: the payload is read where it lies."""
+    mac = key.hasher()
+    mac.update(_CHUNK_TAG)
+    mac.update(struct.pack(">Q", seq))
+    mac.update(payload)
+    return mac.digest()
+
+
+def _open_chunk(key: SecretKey, seq: int, buf: bytearray, length: int) -> bytes | None:
+    """The payload of the signed chunk at the head of ``buf`` (copied once),
+    or None when its MAC does not match.  The views die on return, so the
+    caller may resize ``buf``."""
+    view = memoryview(buf)
+    payload = view[:length]
+    if not hmac.compare_digest(
+        view[length : length + MAC_SIZE], _chunk_mac(key, seq, payload)
+    ):
+        return None
+    return bytes(payload)
+
+
 class ChunkSignatureError(Exception):
     """A signed stream failed verification (tampered, reordered,
     truncated, or malformed framing)."""
@@ -225,17 +250,18 @@ class ChunkSigner:
         a zero length is the trailer marker)."""
         if self._finished:
             raise ChunkSignatureError("signer already emitted its trailer")
-        payload = bytes(payload)
-        if not payload:
+        view = memoryview(payload).cast("B")
+        if not view:
             raise ChunkSignatureError("cannot sign an empty chunk")
-        if len(payload) > MAX_SIGNED_CHUNK:
+        if len(view) > MAX_SIGNED_CHUNK:
             raise ChunkSignatureError(
-                f"chunk of {len(payload)} bytes exceeds MAX_SIGNED_CHUNK"
+                f"chunk of {len(view)} bytes exceeds MAX_SIGNED_CHUNK"
             )
-        mac = self.key.mac(_CHUNK_TAG + struct.pack(">Q", self._seq) + payload)
+        mac = _chunk_mac(self.key, self._seq, view)
         self._seq += 1
         self._chain.update(mac)
-        return encode_vls(len(payload)) + payload + mac
+        # the one copy of the payload: into the chunk that goes out
+        return b"".join([encode_vls(len(view)), view, mac])
 
     def trailer(self) -> bytes:
         """The terminal zero-length marker + MAC over the whole chain."""
@@ -304,19 +330,15 @@ class ChunkVerifier:
             total = self._need + MAC_SIZE
             if len(buf) < total:
                 break
-            payload = bytes(buf[: self._need])
-            mac = bytes(buf[self._need : total])
-            del buf[:total]
-            self._need = None
-            expected = self.key.mac(
-                _CHUNK_TAG + struct.pack(">Q", self._seq) + payload
-            )
-            if not hmac.compare_digest(mac, expected):
+            payload = _open_chunk(self.key, self._seq, buf, self._need)
+            if payload is None:
                 raise ChunkSignatureError(
                     f"chunk {self._seq} failed its signature check"
                 )
+            self._chain.update(buf[self._need : total])
+            del buf[:total]
+            self._need = None
             self._seq += 1
-            self._chain.update(mac)
             out.append(payload)
         return out
 

@@ -361,8 +361,8 @@ class AsyncHttpServer(DriverBase):
                 continue
             conn = _Conn(sock)
             self._conns[conn.fd] = conn
-            self.metrics.gauge("http_connections_open").inc()
-            self.metrics.counter("http_connections_total").add()
+            self._connections_open.inc()
+            self._connections_total.add()
             self._sel.register(sock, selectors.EVENT_READ, conn)
             conn.events = selectors.EVENT_READ
 
@@ -589,7 +589,7 @@ class AsyncHttpServer(DriverBase):
         except OSError:  # pragma: no cover - defensive
             pass
         if self._conns.pop(conn.fd, None) is not None:
-            self.metrics.gauge("http_connections_open").dec()
+            self._connections_open.dec()
 
     # ------------------------------------------------------------------
     # dispatch

@@ -74,6 +74,11 @@ class DriverBase(OneShot):
         self._pipeline = handler
         self._name = name
         self.metrics = handler.metrics
+        # bound once: every accept and close updates them.  A refusal's
+        # counter is looked up when one happens, so /metrics lists it
+        # only after the first
+        self._connections_open = self.metrics.gauge("http_connections_open")
+        self._connections_total = self.metrics.counter("http_connections_total")
         self.recent_errors = handler.recent_errors
         self._drain_timeout = drain_timeout
         self._max_connections = max_connections
@@ -135,15 +140,13 @@ class HttpServer(DriverBase):
             pass  # the peer is gone; nothing owed to it
 
     def _serve_connection(self, channel: BufferedChannel) -> None:
-        m = self.metrics
-        open_gauge = m.gauge("http_connections_open")
-        open_gauge.inc()
-        m.counter("http_connections_total").add()
+        self._connections_open.inc()
+        self._connections_total.add()
         try:
             while self._serve_one(channel):
                 pass
         finally:
-            open_gauge.dec()
+            self._connections_open.dec()
 
     def _serve_one(self, channel: BufferedChannel) -> bool:
         """Read, run and answer one request; True keeps the connection.

@@ -53,9 +53,10 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "leaf": "builder",
         "pi": "builder",
         "text": "builder",
-        "canonical_signature": "compare",
         "deep_equal": "compare",
         "explain_difference": "compare",
+        "canonical_digest": "digest",
+        "canonical_signature": "digest",
         "children_named": "path",
         "find_all": "path",
         "find_first": "path",

@@ -43,6 +43,7 @@ from repro.xdm import (
     doc,
     element,
     explain_difference,
+    find_first,
     leaf,
     text,
 )
@@ -555,6 +556,39 @@ class TestDecodeSelfVerification:
         out = session.decode(blob)
         assert explain_difference(decode(blob), out) is None
         assert session.stats.decode_poisoned == 1
+
+    def test_a_replay_one_element_off_is_poisoned(self, monkeypatch):
+        """The check says "equal" without reading only for arrays that read
+        the same bytes the same way; a replay whose array view starts one
+        element early in the same buffer — same dtype, shape and strides —
+        is still compared by value, and poisoned."""
+        import repro.bxsa.session as session_module
+
+        real_replay = session_module.replay_decode_plan
+
+        def one_element_off(plan, view, offset, copy):
+            out = real_replay(plan, view, offset, copy)
+            if out is not None:
+                node, _ = out
+                arr = find_first(node, "data")
+                whole = np.frombuffer(view, np.uint8)
+                start = (
+                    arr.values.__array_interface__["data"][0]
+                    - whole.__array_interface__["data"][0]
+                )
+                arr.values = np.frombuffer(
+                    view, arr.values.dtype, arr.values.size, start - arr.values.itemsize
+                )
+            return out
+
+        monkeypatch.setattr(session_module, "replay_decode_plan", one_element_off)
+        session = CodecSession()
+        blob = encode(_sample_doc())
+        session.decode(blob)  # compiles the plan
+        out = session.decode(blob)  # first reuse: checked, and caught
+        assert session.stats.decode_poisoned == 1
+        assert session.stats.decode_plan_hits == 0
+        assert explain_difference(decode(blob), out) is None
 
     def test_compiler_crash_poisons_fingerprint(self, monkeypatch):
         import repro.bxsa.session as session_module

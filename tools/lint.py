@@ -607,6 +607,39 @@ def generator_tuple_findings(path: str) -> list[tuple[int, str]]:
     ]
 
 
+#: The standard library's object serialisers.
+PICKLE_MODULES = {"pickle", "_pickle"}
+
+
+def pickle_findings(path: str) -> list[tuple[int, str]]:
+    """Flag an import of ``pickle`` anywhere under ``src/repro``.
+
+    The byte form of a data model is the codecs' job, or
+    ``xdm.digest.canonical_digest``'s when it is hashed: ``pickle.dumps``
+    copies every array it is handed (a 1.2 MB body signed at 2.5 payloads
+    of traced peak), its bytes depend on the protocol, and a loaded pickle
+    runs code.
+    """
+    rel, tree = _parsed(path) or (None, None)
+    if rel is None:
+        return []
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(module.split(".")[0] in PICKLE_MODULES for module in modules):
+            findings.append((
+                node.lineno,
+                "pickle is not a byte form of the data model; encode it with a "
+                "codec, or feed xdm.digest.canonical_digest a hasher",
+            ))
+    return findings
+
+
 #: ``repro`` modules a package ``__init__`` may import at module level
 #: (relative to src/repro): the export helper anywhere, and the one eager
 #: edge — ``repro.obs``'s ``span``/``counter`` helpers call ``get_recorder``
@@ -806,6 +839,7 @@ REPO_RULES = (
     accept_loop_findings,
     allocator_findings,
     generator_tuple_findings,
+    pickle_findings,
     response_join_findings,
     body_landing_findings,
     package_surface_findings,
