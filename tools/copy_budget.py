@@ -35,10 +35,15 @@ Both are counted, not timed, so the answer is the same on every machine:
 One more reading depends on the allocator, and means what it says only in
 a fresh process (run this file; do not import it) under glibc:
 
-* **minor faults** — page faults per measured exchange.  A server that
-  pins nothing frees a heap top glibc would trim after every exchange and
-  fault back in for the next (~570 per 1.2 MB echo on the selector
+* **minor faults** — page faults per warm exchange, read over
+  ``MEASURED`` more exchanges once ``tracemalloc`` has stopped.  A server
+  that pins nothing frees a heap top glibc would trim after every exchange
+  and fault back in for the next (~570 per 1.2 MB echo on the selector
   driver); the drivers' ``prime_allocator`` step at start keeps it at 0.
+  Tracing would make the reading its own: each traced block has a record
+  that glibc allocates on the same heap, and one placed in the hole a
+  freed landing left sends the next landing to untouched pages — one
+  payload of faults, once, in about one start-up heap layout in eight.
 
 ``--matrix`` asks what the allocator makes of that budget away from the one
 cell it was cut for: body size x connections x driver (``MATRIX_*``), the
@@ -293,14 +298,10 @@ def measure(core: str) -> dict:
                     before, compiled = compiled, _sessions(_compiled)
                     if compiled > before:
                         cold.append(peak)
-                peaks, faults = [], []
+                peaks = []
                 for _ in range(MEASURED):
                     tracemalloc.reset_peak()
-                    faults_before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                     settled_exchange()
-                    faults.append(
-                        resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults_before
-                    )
                     peaks.append((tracemalloc.get_traced_memory()[1] - floor) / payload)
                 exchange(sock, b"GET /healthz HTTP/1.1\r\nHost: copy-budget\r\n\r\n", receive)
                 # the barrier orders this walk after the connection's own
@@ -312,6 +313,18 @@ def measure(core: str) -> dict:
                     if not pinned or time.monotonic() >= deadline:
                         break
                     time.sleep(0.01)
+                # faults are the heap's, read untraced: every block tracing
+                # holds has a record glibc allocates on the same heap, and
+                # one of those placed in the hole a freed landing left moves
+                # the next landing to pages nothing has touched yet
+                tracemalloc.stop()
+                faults = []
+                for _ in range(MEASURED):
+                    faults_before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                    settled_exchange()
+                    faults.append(
+                        resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults_before
+                    )
             finally:
                 sock.close()
         finally:
