@@ -132,11 +132,6 @@ class BXSAEncoding:
             encoder = self._encoder = BXSAEncoder(self.byte_order)
         return encoder
 
-    @property
-    def codec_session(self) -> CodecSession | None:
-        """The live session (``None`` in cold mode or before first use)."""
-        return self._session if self.session else None
-
     def encode(self, document: DocumentNode) -> bytes:
         # hot path: guard on the recorder so the disabled cost is one
         # attribute check, not a context-manager round trip

@@ -19,7 +19,6 @@ from repro.gridftp.client import GridFTPClient, TransferStats
 from repro.gridftp.errors import GridFTPError
 from repro.gridftp.server import GridFTPServer
 from repro.transport.base import Channel, Listener, TransportError
-from repro.transport.resilience import NO_RETRY, RetryPolicy, retry_call
 
 
 class GridFTPDataChannel:
@@ -33,10 +32,6 @@ class GridFTPDataChannel:
         Client-side connectors used by :meth:`fetch`.
     n_streams:
         Parallel data streams per retrieval (the paper sweeps 1/4/16).
-    retry:
-        Session-level retry policy: a failed retrieval (reset control
-        channel, dead stripe, timed-out worker) re-runs the whole
-        authenticated session — safe because retrieval is read-only.
     """
 
     scheme = "gftp"
@@ -51,12 +46,10 @@ class GridFTPDataChannel:
         authority: str = "gridhost",
         n_streams: int = 1,
         spool_dir=None,
-        retry: RetryPolicy | None = None,
     ) -> None:
         self._authority = authority
         self._connect_control = connect_control
         self._connect_data = connect_data
-        self._retry = retry if retry is not None else NO_RETRY
         self.n_streams = n_streams
         self._credential = HostCredential.generate()
         self._server = GridFTPServer(
@@ -99,28 +92,19 @@ class GridFTPDataChannel:
         self._server.publish(safe, path.read_bytes())
         return f"gftp://{self._authority}{safe}"
 
-    def fetch(self, url: str) -> bytes:
+    def fetch(self, url: str) -> memoryview:
         _authority, target = split_url(url, "gftp")
-
-        def session(_attempt: int) -> bytes:
+        try:
             client = GridFTPClient(
                 self._connect_control, self._connect_data, self._credential
             )
             try:
-                blob = client.retrieve(target, self.n_streams)
+                return client.retrieve(target, self.n_streams)
             finally:
                 self.last_stats = client.stats
                 try:
                     client.quit()
                 except (GridFTPError, TransportError):
                     pass  # a broken goodbye must not mask the retrieval error
-            return blob
-
-        try:
-            return retry_call(
-                session,
-                self._retry,
-                retryable=lambda exc: isinstance(exc, (GridFTPError, TransportError)),
-            )
         except (GridFTPError, TransportError) as exc:
             raise DataChannelError(f"GridFTP fetch of {url} failed: {exc}") from exc

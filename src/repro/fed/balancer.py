@@ -24,7 +24,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
@@ -208,10 +208,6 @@ class Balancer:
         #: Total exchanges handed to any replica — the plain counter the
         #: cache layer checks to prove a warm hit made no upstream call.
         self.upstream_requests = 0
-
-    @property
-    def replica_names(self) -> list[str]:
-        return [state.name for state in self._states]
 
     def state(self, name: str) -> _ReplicaState:
         return self._by_name[name]
@@ -537,8 +533,3 @@ class FederatedClient:
                 client.close()
             except Exception:
                 pass
-
-
-def probe_mapping(results: Mapping[str, str]) -> str:
-    """Render a probe_all result as a compact one-line summary."""
-    return " ".join(f"{name}:{verdict}" for name, verdict in sorted(results.items()))

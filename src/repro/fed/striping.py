@@ -8,7 +8,8 @@ from a shared work queue, so a fast replica naturally takes more of
 the transfer; a source that fails mid-transfer is abandoned and its
 stripe re-queued for the survivors.
 
-Timeout semantics are shared with :mod:`repro.gridftp.client`: a
+The landing, the pullers and their timeout are shared with
+:mod:`repro.gridftp.client` (:mod:`repro.datachannel.stripes`): a
 transfer whose pullers stall past the budget raises the same
 :class:`~repro.gridftp.errors.StripeTimeout`.  Every stripe is
 length-checked and (optionally) digest-verified on arrival; each pull
@@ -21,15 +22,14 @@ from __future__ import annotations
 
 import hashlib
 import queue
-import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro import obs
+from repro.datachannel.stripes import Stripes
 from repro.gridftp.errors import GridFTPError, StripeTimeout
-from repro.obs.metrics import MetricsRegistry
-from repro.transport.resilience import Deadline
 
 #: A stripe source: (name, fetch) where ``fetch(offset, length)``
 #: returns exactly ``length`` bytes of the object.
@@ -50,16 +50,6 @@ class StripeStats:
     requeued_stripes: int = 0
     failed_sources: list[str] = field(default_factory=list)
     duration_seconds: float = 0.0
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "total_bytes": self.total_bytes,
-            "stripes_total": self.stripes_total,
-            "stripes_by_source": dict(self.stripes_by_source),
-            "requeued_stripes": self.requeued_stripes,
-            "failed_sources": list(self.failed_sources),
-            "duration_seconds": self.duration_seconds,
-        }
 
 
 def plan_stripes(size: int, stripe_size: int) -> list[tuple[int, int, int]]:
@@ -89,8 +79,7 @@ def striped_fetch(
     stripe_size: int = 64 * 1024,
     stripe_timeout: float = 30.0,
     digests: Sequence[str] | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> tuple[bytes, StripeStats]:
+) -> tuple[memoryview, StripeStats]:
     """Pull ``size`` bytes as stripes from several sources concurrently.
 
     Every stripe is length-checked; when ``digests`` (one sha256 hex per
@@ -108,7 +97,6 @@ def striped_fetch(
     stripes = plan_stripes(size, stripe_size)
     if digests is not None and len(digests) != len(stripes):
         raise ValueError(f"expected {len(stripes)} digests, got {len(digests)}")
-    registry = metrics if metrics is not None else MetricsRegistry()
     stats = StripeStats(stripes_total=len(stripes))
     started = time.perf_counter()
 
@@ -120,20 +108,18 @@ def striped_fetch(
         sources=len(sources),
         stripes=len(stripes),
     ) as fetch_span:
-        buffer = bytearray(size)
+        receive = Stripes(size)
         # stripes to pull; ``None`` tells one puller the fetch is over
         work: "queue.Queue[tuple[int, int, int] | None]" = queue.Queue()
         for stripe in stripes:
             work.put(stripe)
-        lock = threading.Lock()
-        remaining = [len(stripes)]
-        done = threading.Event()
         errors: list[Exception] = []
+        landed_from: list[str] = []  # the source of each stripe, as it lands
 
         def release() -> None:
             """The fetch is over — complete, failed or timed out: no puller
             starts another stripe, and one parked on the queue wakes now."""
-            done.set()
+            receive.end()
             for _ in sources:
                 work.put(None)
 
@@ -141,7 +127,7 @@ def striped_fetch(
             release()
 
         def pull(name: str, fetch: Callable[[int, int], bytes]) -> None:
-            while not done.is_set():
+            while not receive.over:
                 item = work.get()
                 if item is None:
                     return
@@ -172,61 +158,35 @@ def striped_fetch(
                         # This source is out: requeue the stripe for the
                         # survivors and stop pulling from it.
                         stripe_span.set("outcome", type(exc).__name__)
-                        registry.counter(
-                            "fed_stripe_failures_total", labels={"source": name}
-                        ).add()
-                        with lock:
-                            errors.append(exc)
-                            stats.requeued_stripes += 1
-                            stats.failed_sources.append(name)
+                        errors.append(exc)
+                        stats.failed_sources.append(name)
                         work.put(item)
                         return
                     stripe_span.set("outcome", "ok")
                     stripe_span.set("bytes", length)
-                    registry.counter(
-                        "fed_stripes_total", labels={"source": name}
-                    ).add()
-                    with lock:
-                        buffer[offset : offset + length] = data
-                        stats.total_bytes += length
-                        stats.stripes_by_source[name] = (
-                            stats.stripes_by_source.get(name, 0) + 1
-                        )
-                        remaining[0] -= 1
-                        if remaining[0] == 0:
-                            release()
+                    receive.region(offset, length)[:] = data
+                    landed_from.append(name)
+                    if receive.landed(offset, length) == size:
+                        release()
 
-        threads = [
-            threading.Thread(
-                target=pull, args=(name, fetch), name=f"fed-stripe-{name}", daemon=True
-            )
-            for name, fetch in sources
-        ]
-        for thread in threads:
-            thread.start()
-
-        budget = Deadline.after(stripe_timeout)
-        for thread in threads:
-            thread.join(timeout=max(0.0, budget.remaining()))
-        stats.duration_seconds = time.perf_counter() - started
-        fetch_span.set("bytes", stats.total_bytes)
-
-        complete = done.is_set()
-        release()
-        if not complete:
-            stalled = [thread.name for thread in threads if thread.is_alive()]
-            if stalled:
-                fetch_span.set("outcome", "stripe_timeout")
-                raise StripeTimeout(
-                    f"striped fetch stalled: {remaining[0]} of {len(stripes)} stripes "
-                    f"missing after {stripe_timeout:.3f}s "
-                    f"(stalled pullers: {', '.join(stalled)})"
-                )
+        try:
+            receive.run(pull, "fed-stripe-", sources, stripe_timeout, stats)
+        except StripeTimeout:
+            fetch_span.set("outcome", "stripe_timeout")
+            raise
+        finally:
+            release()
+            stats.requeued_stripes = len(stats.failed_sources)  # one per failure
+            stats.stripes_by_source = dict(Counter(landed_from))
+            stats.total_bytes = receive.landed_bytes
+            stats.duration_seconds = time.perf_counter() - started
+            fetch_span.set("bytes", stats.total_bytes)
+        if receive.landed_bytes != size:
             fetch_span.set("outcome", "sources_exhausted")
             detail = f": {errors[0]}" if errors else ""
             raise GridFTPError(
                 f"striped fetch failed: all {len(sources)} sources failed with "
-                f"{remaining[0]} stripes missing{detail}"
+                f"{len(stripes) - len(receive.ranges)} stripes missing{detail}"
             )
         fetch_span.set("outcome", "ok")
-    return bytes(buffer), stats
+        return receive.body(), stats

@@ -1,7 +1,7 @@
 """GridFTP-like client: authenticate, then retrieve with n parallel streams.
 
-The receiver reassembles striped blocks into one buffer the way a real
-GridFTP receiver lands them in one file: a shared write cursor, with every
+The receiver lands striped blocks in one buffer (:mod:`repro.datachannel.stripes`)
+the way a real GridFTP receiver lands them in one file: a shared write cursor, with every
 block whose offset is not the cursor counting as a *seek* — the quantity
 [Allcock et al. 2005] and the paper blame for LAN parallel degradation.
 :class:`TransferStats` reports it alongside the control-channel round-trip
@@ -11,20 +11,19 @@ harness needs to model wire time.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
 from repro import obs
+from repro.datachannel.stripes import Stripes
 from repro.gridftp.auth import (
     GSI_HANDSHAKE_ROUND_TRIPS,
     HostCredential,
     client_handshake,
 )
-from repro.gridftp.errors import GridFTPError, StripeTimeout
+from repro.gridftp.errors import GridFTPError
 from repro.gridftp.server import BLOCK_HEADER, EOF_FLAG
-from repro.transport.base import BufferedChannel, Channel, recv_exactly
-from repro.transport.resilience import Deadline, as_deadline
+from repro.transport.base import BufferedChannel, Channel, TransportClosed, recv_exactly, recv_into
 
 
 @dataclass
@@ -32,7 +31,6 @@ class TransferStats:
     """Observable costs of one client session/transfer."""
 
     control_round_trips: int = 0  #: command/response exchanges incl. handshake
-    auth_round_trips: int = GSI_HANDSHAKE_ROUND_TRIPS
     data_bytes: int = 0  #: payload bytes received
     block_header_bytes: int = 0  #: striping overhead on the wire
     n_streams: int = 1
@@ -60,10 +58,6 @@ class GridFTPClient:
         retrieval; a worker still alive past it raises
         :class:`~repro.gridftp.errors.StripeTimeout` instead of silently
         returning a buffer with holes.
-    metrics:
-        Optional :class:`~repro.obs.MetricsRegistry`: retrievals are
-        counted into ``gridftp_transfers_total{streams,status}``,
-        ``gridftp_bytes_total`` and ``gridftp_out_of_order_blocks_total``.
     """
 
     def __init__(
@@ -73,12 +67,10 @@ class GridFTPClient:
         credential: HostCredential,
         *,
         stripe_timeout: float = 60.0,
-        metrics=None,
     ) -> None:
         self._connect_data = connect_data
         self._credential = credential
         self._stripe_timeout = stripe_timeout
-        self.metrics = metrics
         self.stats = TransferStats()
         self._control = BufferedChannel(connect_control())
         client_handshake(self._control, credential)
@@ -111,38 +103,8 @@ class GridFTPClient:
     # ------------------------------------------------------------------
     # retrieval
 
-    def retrieve(self, path: str, n_streams: int = 1, *, deadline=None) -> bytes:
-        """Fetch ``path`` over ``n_streams`` parallel data channels.
-
-        ``deadline`` (seconds or a Deadline) tightens the stripe-worker
-        wait below :attr:`stripe_timeout` when it expires sooner.
-        """
-        if self.metrics is None:
-            return self._retrieve(path, n_streams, deadline=deadline)
-        blocks_before = self.stats.out_of_order_blocks
-        bytes_before = self.stats.data_bytes
-        status = "ok"
-        try:
-            return self._retrieve(path, n_streams, deadline=deadline)
-        except Exception as exc:
-            status = type(exc).__name__
-            raise
-        finally:
-            self.metrics.counter(
-                "gridftp_transfers_total",
-                labels={"streams": str(n_streams), "status": status},
-            ).add()
-            self.metrics.counter("gridftp_bytes_total").add(
-                self.stats.data_bytes - bytes_before
-            )
-            out_of_order = self.stats.out_of_order_blocks - blocks_before
-            if out_of_order:
-                self.metrics.counter("gridftp_out_of_order_blocks_total").add(
-                    out_of_order
-                )
-
-    def _retrieve(self, path: str, n_streams: int, *, deadline=None) -> bytes:
-        dl = as_deadline(deadline)
+    def retrieve(self, path: str, n_streams: int = 1) -> memoryview:
+        """Fetch ``path`` over ``n_streams`` parallel data channels, as a read-only view."""
         recorder = obs.get_recorder()
         with recorder.span(
             "gridftp.retrieve", kind="logical", path=path, streams=n_streams
@@ -160,11 +122,10 @@ class GridFTPClient:
                     f"server advertised {advertised} streams, asked {n_streams}"
                 )
 
-            buffer = bytearray(size)
-            cursor_lock = threading.Lock()
-            state = {"cursor": 0, "landed": 0}
+            stripes = Stripes(size)
             self.stats.n_streams = n_streams
             errors: list[Exception] = []
+            headers: list[int] = []  # block headers read, one count per stream
 
             def pull(index: int, address: str) -> None:
                 # the worker thread adopts the retrieval as its explicit
@@ -176,68 +137,41 @@ class GridFTPClient:
                     stripe=index,
                     address=address,
                 ) as stripe_span:
-                    blocks = bytes_landed = 0
+                    blocks = received = read = 0
                     try:
-                        channel = self._connect_data(address)
-                    except Exception as exc:  # noqa: BLE001 - collected below
-                        errors.append(exc)
-                        return
-                    try:
+                        # the end of the transfer closes the channel
+                        channel = stripes.register(self._connect_data(address))
                         while True:
                             header = recv_exactly(channel, BLOCK_HEADER.size)
                             offset, length, flags = BLOCK_HEADER.unpack(header)
+                            read += 1
                             # the peer's length sizes the read: refuse it first
-                            if offset + length > size:
-                                raise GridFTPError(
-                                    f"block [{offset}, {offset + length}) beyond file of {size}"
-                                )
-                            payload = recv_exactly(channel, length) if length else b""
-                            with cursor_lock:
-                                if length:
-                                    if offset != state["cursor"]:
-                                        self.stats.out_of_order_blocks += 1
-                                        obs.counter("gridftp.out_of_order_blocks").add()
-                                    buffer[offset : offset + length] = payload
-                                    state["cursor"] = offset + length
-                                    self.stats.blocks_received += 1
-                                    self.stats.data_bytes += length
-                                    state["landed"] += length
-                                    blocks += 1
-                                    bytes_landed += length
-                                self.stats.block_header_bytes += BLOCK_HEADER.size
+                            view = stripes.region(offset, length)
+                            while view:
+                                got = recv_into(channel, view)
+                                if not got:
+                                    raise TransportClosed("data stream closed mid-block")
+                                view = view[got:]
+                            if length:
+                                stripes.landed(offset, length)
+                                blocks += 1
+                                received += length
                             if flags & EOF_FLAG:
                                 return
                     except Exception as exc:  # noqa: BLE001
                         errors.append(exc)
                     finally:
-                        stripe_span.set("blocks", blocks).set("bytes", bytes_landed)
-                        channel.close()
+                        stripe_span.set("blocks", blocks).set("bytes", received)
+                        headers.append(read)
 
-            threads = [
-                threading.Thread(
-                    target=pull, args=(i, addr), name=f"gridftp-stripe-{i}", daemon=True
-                )
-                for i, addr in enumerate(addresses)
-            ]
-            for thread in threads:
-                thread.start()
-            wait = Deadline.after(self._stripe_timeout)
-            for thread in threads:
-                budget = wait.remaining()
-                if dl is not None:
-                    budget = min(budget, dl.remaining())
-                thread.join(timeout=max(0.0, budget))
-            stalled = [thread for thread in threads if thread.is_alive()]
-            if stalled:
-                # a join timeout must never be swallowed: the buffer may have
-                # holes where the stalled stripes were supposed to land
-                raise StripeTimeout(
-                    f"{len(stalled)}/{len(threads)} stripe workers still running "
-                    f"after {self._stripe_timeout:.1f}s; "
-                    f"{self.stats.blocks_received} blocks "
-                    f"({self.stats.data_bytes}/{size} bytes) landed",
-                    stats=self.stats,
-                )
+            try:
+                streams = enumerate(addresses)
+                stripes.run(pull, "gridftp-stripe-", streams, self._stripe_timeout, self.stats)
+            finally:
+                self.stats.blocks_received += len(stripes.ranges)
+                self.stats.data_bytes += stripes.landed_bytes
+                self.stats.out_of_order_blocks += stripes.seeks
+                self.stats.block_header_bytes += BLOCK_HEADER.size * sum(headers)
 
             final = str(self._control.recv_until(b"\n", max_bytes=4096), "utf-8").strip()
             self.stats.control_round_trips += 1  # the 226 completion line
@@ -245,12 +179,6 @@ class GridFTPClient:
                 raise GridFTPError(f"data stream failed: {errors[0]}")
             if not final.startswith("226"):
                 raise GridFTPError(f"transfer did not complete: {final}")
-            if state["landed"] != size:
-                # every stream said EOF, yet the buffer still has holes
-                raise GridFTPError(
-                    f"short transfer: {state['landed']} of {size} bytes landed"
-                )
-            retrieve_span.set("bytes", size).set(
-                "out_of_order_blocks", self.stats.out_of_order_blocks
-            )
-            return bytes(buffer)
+            body = stripes.body()
+            retrieve_span.set("bytes", size).set("out_of_order_blocks", stripes.seeks)
+            return body

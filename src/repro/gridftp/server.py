@@ -35,7 +35,7 @@ import threading
 from typing import Callable
 
 from repro.gridftp.auth import AuthenticationError, HostCredential, server_handshake
-from repro.transport.base import BufferedChannel, Listener, TransportError
+from repro.transport.base import BufferedChannel, Listener, TransportError, send_pieces
 from repro.transport.host import ConnectionHost
 
 BLOCK_HEADER = struct.Struct(">QIB")
@@ -59,11 +59,6 @@ class GridFTPServer(ConnectionHost):
         registers a name; for TCP it binds an ephemeral port.
     credential:
         Shared host credential for the GSI-style handshake.
-    metrics:
-        Optional :class:`~repro.obs.MetricsRegistry`: served retrievals
-        land in ``gridftp_server_transfers_total{status}`` and
-        ``gridftp_server_bytes_total``; expose the registry via
-        :func:`repro.transport.http.server.make_admin_server`.
     """
 
     def __init__(
@@ -73,35 +68,21 @@ class GridFTPServer(ConnectionHost):
         credential: HostCredential,
         *,
         name: str = "gridftp",
-        metrics=None,
     ) -> None:
         super().__init__(control_listener, self._serve_control, name=name)
         self._data_listener_factory = data_listener_factory
         self._credential = credential
-        self.metrics = metrics
         self._store: dict[str, bytes] = {}
         # data rendezvous of transfers in flight, so stop() can close them;
         # ``None`` once stopping: no transfer starts after that
         self._transfer_lock = threading.Lock()
         self._rendezvous: set[Listener] | None = set()
 
-    def _count_transfer(self, status: str, n_bytes: int = 0) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.counter(
-            "gridftp_server_transfers_total", labels={"status": status}
-        ).add()
-        if n_bytes:
-            self.metrics.counter("gridftp_server_bytes_total").add(n_bytes)
-
     # ------------------------------------------------------------------
 
     def publish(self, path: str, data: bytes) -> None:
         """Make a blob retrievable under ``path``."""
         self._store[path] = bytes(data)
-
-    def unpublish(self, path: str) -> None:
-        self._store.pop(path, None)
 
     def stop(self, drain_timeout: float | None = None) -> None:
         """Fail the rendezvous nobody has dialled, then the host's stop rule:
@@ -162,7 +143,6 @@ class GridFTPServer(ConnectionHost):
             return
         data = self._store.get(path)
         if data is None:
-            self._count_transfer("no_such_file")
             channel.send_all(f"550 No such file {path}\n".encode())
             return
 
@@ -192,10 +172,8 @@ class GridFTPServer(ConnectionHost):
             if self._rendezvous is not None:
                 self._rendezvous.difference_update(listener for _addr, listener in rendezvous)
         if failures:
-            self._count_transfer("failed")
             channel.send_all(f"426 Transfer failed: {failures[0]}\n".encode())
         else:
-            self._count_transfer("ok", len(data))
             channel.send_all(b"226 Transfer complete\n")
 
     def _send_stream(
@@ -216,17 +194,15 @@ class GridFTPServer(ConnectionHost):
             block_size = DEFAULT_BLOCK_SIZE
             n_blocks = max(1, -(-len(data) // block_size))
             # round-robin deal: stream k sends blocks k, k+n, k+2n, ...
-            my_blocks = range(stream_index, n_blocks, n_streams)
-            sent_any = False
-            blocks = list(my_blocks)
+            blocks = range(stream_index, n_blocks, n_streams)
             for position, block_index in enumerate(blocks):
                 offset = block_index * block_size
-                payload = data[offset : offset + block_size]
+                block = memoryview(data)[offset : offset + block_size]
                 flags = EOF_FLAG if position == len(blocks) - 1 else 0
-                header = BLOCK_HEADER.pack(offset, len(payload), flags)
-                channel.send_all(header + payload)
-                sent_any = True
-            if not sent_any:
+                header = BLOCK_HEADER.pack(offset, len(block), flags)
+                # header and block leave as two pieces: no slice, no join
+                send_pieces(channel, (header, block))
+            if not blocks:
                 channel.send_all(BLOCK_HEADER.pack(0, 0, EOF_FLAG))
         except TransportError as exc:
             failures.append(exc)

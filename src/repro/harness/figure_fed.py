@@ -42,6 +42,7 @@ import json
 import random
 import threading
 import time
+from dataclasses import asdict
 
 from repro import obs
 from repro.core.envelope import SoapEnvelope
@@ -513,7 +514,7 @@ def striping_demo(*, blob_size: int = 1 << 16, stripe_size: int = 8192) -> dict:
         return {
             "bytes_correct": data == blob,
             "sources_used": len(stats.stripes_by_source),
-            "stats": stats.as_dict(),
+            "stats": asdict(stats),
         }
     finally:
         for service in services:

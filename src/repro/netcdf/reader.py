@@ -97,7 +97,7 @@ class _Reader:
         raw = self.blob[self.pos : self.pos + length]
         self.pos += padded(length)
         try:
-            return raw.decode("utf-8")
+            return str(raw, "utf-8")
         except UnicodeDecodeError as exc:
             raise NetCDFFormatError(f"invalid UTF-8 name: {exc}") from exc
 
@@ -150,7 +150,7 @@ class _Reader:
             raw = self.blob[self.pos : self.pos + nbytes]
             self.pos += padded(nbytes)
             if nc_type == NC_CHAR:
-                attrs[name] = raw.decode("utf-8", errors="replace")
+                attrs[name] = str(raw, "utf-8", errors="replace")
             else:
                 values = np.frombuffer(raw, dtype=NC_DTYPES[nc_type]).astype(
                     NC_DTYPES[nc_type].newbyteorder("=")

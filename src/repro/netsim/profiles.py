@@ -47,10 +47,6 @@ class LinkProfile:
         """Single-stream ceiling imposed by the untuned window (bytes/s)."""
         return self.per_stream_window / self.rtt
 
-    @property
-    def bandwidth_delay_product(self) -> float:
-        return self.capacity * self.rtt
-
 
 @dataclass(frozen=True)
 class DiskModel:

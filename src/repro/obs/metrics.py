@@ -362,12 +362,6 @@ class _Family:
         with self._lock:
             return list(self._series.values())
 
-    def snapshot_items(self):
-        """``(flat series key, snapshot)`` pairs, sorted by key."""
-        return sorted(
-            (series_key(self.name, s.labels), s.snapshot()) for s in self.series()
-        )
-
 
 class CounterFamily(_Family):
     instrument_kind = Counter

@@ -33,7 +33,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "InstrumentedChannel": "instrument",
         "MemoryNetwork": "memory",
         "memory_pipe": "memory",
-        "NO_RETRY": "resilience",
         "Deadline": "resilience",
         "DeadlineChannel": "resilience",
         "DeadlineExceeded": "resilience",

@@ -461,17 +461,3 @@ class BufferedChannel:
             if not chunk:
                 raise TransportClosed("peer closed before delimiter")
             self._buf.extend(chunk)
-
-    def at_eof_probe(self) -> bool:
-        """Non-destructive-ish EOF probe: true when a read returns EOF now.
-
-        Only safe between messages (any buffered bytes mean not-EOF; a
-        successful read is kept in the buffer).
-        """
-        if self._buf:
-            return False
-        chunk = self._channel.recv(65536)
-        if not chunk:
-            return True
-        self._buf.extend(chunk)
-        return False

@@ -207,10 +207,6 @@ class RetryPolicy:
         return max(0.0, raw)
 
 
-#: Exactly one attempt — the policy of code that manages its own retries.
-NO_RETRY = RetryPolicy(max_attempts=1, base_backoff=0.0)
-
-
 def retry_call(
     fn: Callable[[int], object],
     policy: RetryPolicy | None = None,

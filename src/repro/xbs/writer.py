@@ -234,9 +234,5 @@ class XBSWriter:
         """Return the accumulated stream as an immutable byte string."""
         return bytes(self._buf)
 
-    def getbuffer(self) -> memoryview:
-        """Return a zero-copy view of the accumulated stream."""
-        return memoryview(self._buf)
-
     def __len__(self) -> int:
         return len(self._buf)

@@ -32,16 +32,9 @@ class QName:
         if not self.local:
             raise ValueError("QName local part must be non-empty")
 
-    @property
-    def is_qualified(self) -> bool:
-        return bool(self.uri)
-
     def clark(self) -> str:
         """James Clark notation: ``{uri}local`` (or just ``local``)."""
         return f"{{{self.uri}}}{self.local}" if self.uri else self.local
-
-    def with_prefix(self, prefix: str) -> "QName":
-        return QName(self.local, self.uri, prefix)
 
     @classmethod
     def parse(cls, name: str) -> "QName":

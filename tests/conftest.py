@@ -12,6 +12,7 @@ against both bindings through ``soap_host``.
 import glob
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -29,6 +30,17 @@ def wait_until(predicate, timeout: float = 5.0, interval: float = 0.005) -> None
             return
         time.sleep(interval)
     raise AssertionError("condition not reached before timeout")
+
+
+def traced_peak(call, *args) -> int:
+    """Bytes ``call(*args)`` held at its traced peak, above what was held."""
+    tracemalloc.start()
+    try:
+        floor = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - floor
+    finally:
+        tracemalloc.stop()
 
 
 def parse_prometheus(text: str) -> dict:
@@ -193,20 +205,6 @@ def soap_host(request):
 # the thread and child-process halves of ROADMAP item 2.3: no thread and no
 # child process outlives its test
 
-#: Threads a test may leave behind, by name.  Both are a *client's* stripe
-#: worker abandoned by design when a striped transfer raises
-#: ``StripeTimeout`` (the caller gets its error now; the worker is parked on
-#: a source that never answers and cannot be interrupted).
-ABANDONED_BY_DESIGN = {
-    # gridftp/client.py retrieve(): goes when the two striped-transfer
-    # implementations merge into one data plane with one StripeTimeout
-    # path (ROADMAP "Smaller deletions")
-    "gridftp-stripe-0",
-    # fed/striping.py striped_fetch(): same merge
-    "fed-stripe-stuck",
-}
-
-
 def child_processes() -> dict[int, str]:
     """``{pid: command line}`` of this process's children, zombies included
     (an exited child nobody waited for is still one).  Linux's procfs lists
@@ -240,7 +238,7 @@ def no_thread_outlives_its_test():
         threads = [
             f"thread {thread.name}"
             for thread in threading.enumerate()
-            if thread not in threads_before and thread.name not in ABANDONED_BY_DESIGN
+            if thread not in threads_before
         ]
         children = [
             f"child {pid}: {command}"

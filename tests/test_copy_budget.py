@@ -694,6 +694,27 @@ def test_lint_keeps_package_imports_lazy_and_openssl_out_of_the_closure(tmp_path
     assert lint.package_surface_findings(str(tool)) == []
 
 
+def test_lint_keeps_zero_filled_buffers_out_of_the_library(tmp_path):
+    """The seeded violation: the striped receive zero-filling its landing
+    again; an empty ``bytearray()`` is not the rule's business."""
+    lint = load_tool("lint")
+    seeded = seeded_copy(
+        tmp_path,
+        "datachannel/stripes.py",
+        "self._view = _uninitialised(size)",
+        "self._view = memoryview(bytearray(size))",
+    )
+    (finding,) = lint.zero_filled_buffer_findings(seeded)
+    assert "bytearray(<argument>) zero-fills or copies a buffer" in finding[1]
+    module = tmp_path / "repro" / "xbs" / "buffers.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(
+        "grown = bytearray()\ncopied = bytearray(b'abc')\nsized = bytearray(source=4)\n",
+        encoding="utf-8",
+    )
+    assert [line for line, _ in lint.zero_filled_buffer_findings(str(module))] == [2, 3]
+
+
 def test_lint_keeps_pickle_out_of_the_library(tmp_path):
     """The seeded violations: ``core/security.py`` pickling its canonical
     tuples again, and a ``from pickle import`` elsewhere; code outside

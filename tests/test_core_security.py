@@ -3,7 +3,6 @@
 import hashlib
 import hmac
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +35,7 @@ from repro.workloads.lead import lead_dataset
 from repro.xbs.varint import encode_vls
 from repro.xdm import array, element, leaf
 from repro.xdm.path import children_named
+from tests.conftest import traced_peak
 
 
 @pytest.fixture()
@@ -139,16 +139,6 @@ class TestSigningUnit:
 
         with pytest.raises(PolicyConceptError):
             SoapEngine(XMLEncoding(), FakeBinding(), security=object())
-
-
-def traced_peak(call, *args) -> int:
-    tracemalloc.start()
-    try:
-        floor = tracemalloc.get_traced_memory()[0]
-        call(*args)
-        return tracemalloc.get_traced_memory()[1] - floor
-    finally:
-        tracemalloc.stop()
 
 
 class TestBodyDigest:

@@ -44,6 +44,7 @@ from repro.transport.base import TransportError
 from repro.transport.http import HttpClient
 from repro.transport.resilience import RetryBudgetExhausted, RetryPolicy
 from repro.xdm import element, leaf
+from tests.conftest import traced_peak
 
 
 def echo_envelope(n: int) -> SoapEnvelope:
@@ -650,12 +651,37 @@ class TestStriping:
             )
 
     def test_stalled_sources_raise_stripe_timeout(self):
+        released = threading.Event()
         def hang(offset, length):
-            time.sleep(30)
+            released.wait(30)
             return b""
 
-        with pytest.raises(StripeTimeout):
-            striped_fetch([("stuck", hang)], 4096, stripe_size=1024, stripe_timeout=0.2)
+        try:
+            with pytest.raises(StripeTimeout):
+                striped_fetch([("stuck", hang)], 4096, stripe_size=1024, stripe_timeout=0.2)
+        finally:
+            released.set()
+
+    def test_a_stall_times_out_with_the_fetchs_stats(self):
+        blob, released = fed_blob(size=4096), threading.Event()
+
+        def stuck(offset, length):
+            released.wait(5)
+            return blob[offset : offset + length]
+
+        try:
+            with pytest.raises(StripeTimeout, match="3072/4096 bytes landed") as info:
+                sources = [("stuck", stuck)] + self.sources_for(blob, names=("good",))
+                striped_fetch(sources, len(blob), stripe_size=1024, stripe_timeout=0.2)
+        finally:
+            released.set()
+        assert info.value.stats.stripes_by_source == {"good": 3}
+
+    def test_a_fetch_from_three_sources_holds_one_copy(self):
+        """2.00 payloads with a zero-filled buffer and a ``bytes`` copy."""
+        blob = fed_blob(size=8 << 20)
+        peak = traced_peak(striped_fetch, self.sources_for(blob), len(blob))
+        assert peak / len(blob) <= 1.2
 
     def test_an_idle_puller_parks_on_the_queue_and_leaves_with_the_fetch(self, monkeypatch):
         """Regression: pullers polled ``work.get(timeout=0.02)`` until

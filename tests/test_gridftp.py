@@ -15,7 +15,8 @@ from repro.gridftp import (
     client_handshake,
     server_handshake,
 )
-from repro.transport import MemoryNetwork, memory_pipe
+from repro.transport import MemoryNetwork, TcpListener, connect_tcp, memory_pipe
+from tests.conftest import traced_peak
 
 
 def data_listeners(net):
@@ -153,6 +154,26 @@ class TestTransfer:
         assert client.retrieve("/b", 4) == b"B" * 500_000
         client.quit()
 
+    def test_four_streams_hold_one_copy(self):
+        """2.00 payloads with a zero-filled buffer and a ``bytes`` copy.  Over
+        TCP: a memory pipe queues what its senders wrote (1.25-1.75 here)."""
+
+        def data_listener():
+            listener = TcpListener()
+            return "%s:%d" % listener.address, listener
+
+        def connect_data(address):
+            host, port = address.rsplit(":", 1)
+            return connect_tcp(host, int(port))
+
+        credential, control, blob = HostCredential.generate(), TcpListener(), os.urandom(8 << 20)
+        with GridFTPServer(control, data_listener, credential) as server:
+            server.publish("/f", blob)
+            client = GridFTPClient(lambda: connect_tcp(*control.address), connect_data, credential)
+            peak = traced_peak(client.retrieve, "/f", 4)
+            client.quit()
+        assert peak / len(blob) <= 1.5
+
     def test_bad_stream_count(self, grid):
         server, make_client = grid
         server.publish("/x", b"x")
@@ -262,4 +283,19 @@ class TestUntrustedDataStream:
         with pytest.raises(GridFTPError, match="1000 of 4096"):
             client.retrieve("/f", 2)
         assert client.stats.data_bytes == 1000
+        client.quit()
+
+    def test_a_block_sent_twice_does_not_stand_in_for_one_omitted(self, lying_grid):
+        """Block 0 twice, block 1 never: the bytes landed add up to the file,
+        yet the landing is not zeroed, so the hole must not come back."""
+        from repro.gridftp.server import BLOCK_HEADER, EOF_FLAG
+
+        def blocks(_stream_index):
+            block = BLOCK_HEADER.pack(0, 2048, 0) + b"\xab" * 2048
+            return block + BLOCK_HEADER.pack(0, 2048, EOF_FLAG) + b"\xab" * 2048
+
+        client, _asked = lying_grid(blocks)
+        with pytest.raises(GridFTPError, match="gap or overlap at byte 2048"):
+            client.retrieve("/f", 1)
+        assert client.stats.data_bytes == 4096
         client.quit()

@@ -614,6 +614,8 @@ class TestStripeTimeout:
             assert info.value.stats is not None
             assert info.value.stats.blocks_received == 0
             assert "1/1 stripe workers" in str(info.value)
+            # the stalled worker was woken by closing its channel, and joined
+            assert not [t for t in threading.enumerate() if t.name.startswith("gridftp-stripe-")]
         finally:
             server.stop()
 

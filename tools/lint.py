@@ -68,6 +68,8 @@ lint) — they confine the concurrency machinery to its designated homes:
   it gets one policy, set in one place (``prime_allocator``, DESIGN.md
   §10); a second module tuning ``malloc`` would be tuning the first one's
   numbers away.
+* inside ``src/repro`` no ``bytearray(<argument>)``: a received object
+  lands uninitialised and is handed on as a view, never zero-filled or copied.
 * inside ``src/repro`` only ``fed/balancer.py`` may define
   ``choose_replica`` — replica-selection policy is one pluggable
   surface; a routing brain elsewhere would bypass the balancer's
@@ -607,6 +609,27 @@ def generator_tuple_findings(path: str) -> list[tuple[int, str]]:
     ]
 
 
+def zero_filled_buffer_findings(path: str) -> list[tuple[int, str]]:
+    """Flag ``bytearray(<argument>)`` under ``src/repro``: ``bytearray(n)``
+    zero-fills every page before a byte arrives (resident at a peer's claim),
+    ``bytearray(data)`` is a copy.  An empty one that grows is fine."""
+    rel, tree = _parsed(path) or (None, None)
+    if rel is None:
+        return []
+    return [
+        (
+            node.lineno,
+            "bytearray(<argument>) zero-fills or copies a buffer; land what is "
+            "received uninitialised (transport/base.py Landing) and hand on a view",
+        )
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "bytearray"
+        and (node.args or node.keywords)
+    ]
+
+
 #: The standard library's object serialisers.
 PICKLE_MODULES = {"pickle", "_pickle"}
 
@@ -839,6 +862,7 @@ REPO_RULES = (
     accept_loop_findings,
     allocator_findings,
     generator_tuple_findings,
+    zero_filled_buffer_findings,
     pickle_findings,
     response_join_findings,
     body_landing_findings,
