@@ -12,7 +12,7 @@ re-encoding the *same* bXDM envelope in between — e.g. clients speak XML to
 the intermediary while the backbone hop runs BXSA.
 
 It is the SOAP/TCP host with a different ``handle``: messages run through
-:func:`~repro.core.engine.serve_exchange` with the next hop's ``call`` where
+:func:`~repro.core.exchange.serve_exchange` with the next hop's ``call`` where
 the service host has its dispatcher — so an undecodable request, a
 downstream fault and a next hop gone are answered as every SOAP host does.
 """
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.engine import SoapEngine, serve_exchange
+from repro.core.engine import SoapEngine
+from repro.core.exchange import serve_exchange
 from repro.core.policies import EncodingPolicy, NegotiatedPolicies
 from repro.transport.base import BufferedChannel, Channel, Listener, TransportError
 from repro.transport.host import ConnectionHost

@@ -34,7 +34,8 @@ from repro.core.concepts import check_security_policy  # noqa: F401 - re-exporte
 from repro.core.envelope import SoapEnvelope
 from repro.core.fault import SoapFault
 from repro.xbs.errors import XBSDecodeError
-from repro.xbs.varint import encode_vls
+from repro.transport.base import _uninitialised
+from repro.xbs.varint import decode_vls, encode_vls
 from repro.xdm.digest import canonical_digest
 from repro.xdm.nodes import ElementNode, LeafElement
 from repro.xdm.qname import QName
@@ -213,19 +214,6 @@ def _chunk_mac(key: SecretKey, seq: int, payload) -> bytes:
     return mac.digest()
 
 
-def _open_chunk(key: SecretKey, seq: int, buf: bytearray, length: int) -> bytes | None:
-    """The payload of the signed chunk at the head of ``buf`` (copied once),
-    or None when its MAC does not match.  The views die on return, so the
-    caller may resize ``buf``."""
-    view = memoryview(buf)
-    payload = view[:length]
-    if not hmac.compare_digest(
-        view[length : length + MAC_SIZE], _chunk_mac(key, seq, payload)
-    ):
-        return None
-    return bytes(payload)
-
-
 class ChunkSignatureError(Exception):
     """A signed stream failed verification (tampered, reordered,
     truncated, or malformed framing)."""
@@ -283,27 +271,34 @@ class ChunkVerifier:
     immediately, the non-blocking property).  After the trailer verifies,
     :attr:`done` is set; any byte past it, a bad MAC, or :meth:`close`
     before the trailer raises :class:`ChunkSignatureError`.
+
+    One chunk is resident, once: a payload lands in a buffer of its own
+    size as soon as its length prefix is read and checked, its MAC is
+    checked where it landed, and it is handed on as a read-only view.
     """
 
     def __init__(self, key: SecretKey) -> None:
         self.key = key
-        self._buf = bytearray()
+        self._buf = bytearray()  # a length prefix, then a MAC: never a payload
         self._seq = 0
         self._chain = hashlib.sha256()
         self._need: int | None = None  # payload length once the VLS parsed
+        self._payload: memoryview | None = None  # where that payload lands
+        self._filled = 0
         self.done = False
 
-    def feed(self, data: bytes | bytearray | memoryview) -> list[bytes]:
+    def feed(self, data: bytes | bytearray | memoryview) -> list[memoryview]:
         if self.done:
             if len(data):
                 raise ChunkSignatureError("data past the signature trailer")
             return []
         buf = self._buf
-        buf += data
-        out: list[bytes] = []
+        rest = memoryview(data).cast("B")
+        out: list[memoryview] = []
         while True:
             if self._need is None:
-                length = self._try_vls(buf)
+                length, used = self._read_vls(rest)
+                rest = rest[used:]
                 if length is None:
                     break
                 if length > MAX_SIGNED_CHUNK:
@@ -311,54 +306,63 @@ class ChunkVerifier:
                         f"declared chunk length {length} exceeds MAX_SIGNED_CHUNK"
                     )
                 self._need = length
-            if self._need == 0:
-                if len(buf) < MAC_SIZE:
+                if length:
+                    self._payload = _uninitialised(length)
+                    self._filled = 0
+            payload = self._payload
+            if payload is not None and self._filled < self._need:
+                take = min(len(rest), self._need - self._filled)
+                payload[self._filled : self._filled + take] = rest[:take]
+                self._filled += take
+                rest = rest[take:]
+                if self._filled < self._need:
                     break
-                final = bytes(buf[:MAC_SIZE])
-                del buf[:MAC_SIZE]
+            take = MAC_SIZE - len(buf)
+            buf += rest[:take]
+            rest = rest[take:]
+            if len(buf) < MAC_SIZE:
+                break
+            if payload is None:  # the zero-length marker: this is the trailer
                 expected = self.key.mac(
                     _FINAL_TAG + struct.pack(">Q", self._seq) + self._chain.digest()
                 )
-                if not hmac.compare_digest(final, expected):
+                if not hmac.compare_digest(buf, expected):
                     raise ChunkSignatureError(
                         "trailer signature does not match the chunk chain"
                     )
                 self.done = True
-                if buf:
+                if rest:
                     raise ChunkSignatureError("data past the signature trailer")
                 break
-            total = self._need + MAC_SIZE
-            if len(buf) < total:
-                break
-            payload = _open_chunk(self.key, self._seq, buf, self._need)
-            if payload is None:
+            if not hmac.compare_digest(buf, _chunk_mac(self.key, self._seq, payload)):
                 raise ChunkSignatureError(
                     f"chunk {self._seq} failed its signature check"
                 )
-            self._chain.update(buf[self._need : total])
-            del buf[:total]
-            self._need = None
+            self._chain.update(buf)
+            buf.clear()
+            self._need = self._payload = None
             self._seq += 1
-            out.append(payload)
+            out.append(payload.toreadonly())
         return out
 
-    def _try_vls(self, buf: bytearray) -> int | None:
-        """Parse the length prefix if it is complete; consume it."""
-        from repro.xbs.varint import decode_vls
-
-        for i, byte in enumerate(buf):
-            if i >= 10:
+    def _read_vls(self, rest: memoryview) -> tuple[int | None, int]:
+        """``(length, bytes of rest used)``: the length prefix, gathered in
+        ``_buf``, once ``rest`` completes it (else ``None``)."""
+        buf = self._buf
+        for used, byte in enumerate(rest, 1):
+            if len(buf) >= 10:
                 raise ChunkSignatureError("malformed chunk length prefix")
+            buf.append(byte)
             if not byte & 0x80:
                 try:
-                    value, end = decode_vls(bytes(buf[: i + 1]))
+                    value, _end = decode_vls(bytes(buf))
                 except XBSDecodeError as exc:
                     raise ChunkSignatureError(
                         f"malformed chunk length prefix: {exc}"
                     ) from None
-                del buf[:end]
-                return value
-        return None
+                buf.clear()
+                return value, used
+        return None, len(rest)
 
     def close(self) -> None:
         """Assert the stream ended exactly at its trailer."""

@@ -1,7 +1,7 @@
 """Service hosts: run a dispatcher behind a TCP or HTTP binding.
 
 What a server does with one SOAP message is written once, in
-:func:`repro.core.engine.serve_exchange`; a host supplies a binding's
+:func:`repro.core.exchange.serve_exchange`; a host supplies a binding's
 framing, the dispatcher as ``handle``, a policy cache and the RED count.
 :class:`SoapHttpService`, the one SOAP-over-HTTP host, supplies ``route``
 (404/405) and ``exchange`` to the shared
@@ -33,14 +33,13 @@ from __future__ import annotations
 import time
 
 from repro.core.dispatcher import Dispatcher
-from repro.core.engine import Served, serve_exchange
+from repro.core.exchange import Served, serve_exchange
 from repro.core.policies import EncodingPolicy, NegotiatedPolicies, XMLEncoding
 from repro.obs.metrics import MetricsRegistry
 from repro.transport.base import BufferedChannel, Listener
 from repro.transport.host import ConnectionHost
 from repro.transport.http.messages import BodyPieces, HttpRequest, HttpResponse
 from repro.transport.http.server import HttpServer
-from repro.transport.tcp_binding import serve_messages
 
 #: Label names of the service-level RED families, in the sorted order the
 #: ``labels={...}`` accessors give them (the latency histogram has no status).
@@ -99,6 +98,11 @@ class SoapTcpService(ConnectionHost):
         metrics: MetricsRegistry | None = None,
     ) -> None:
         super().__init__(listener, self._serve_connection, name=name)
+        # resolved here, as ``SoapServeService`` resolves its driver: the
+        # binding loads with the host that speaks it, by ``start()``
+        from repro.transport.tcp_binding import serve_messages
+
+        self._serve_messages = serve_messages
         self._dispatcher = dispatcher
         self._encoding = encoding if encoding is not None else XMLEncoding()
         self._security = security
@@ -126,7 +130,7 @@ class SoapTcpService(ConnectionHost):
         open_gauge = self.metrics.gauge("soap_tcp_connections_open")
         open_gauge.inc()
         try:
-            serve_messages(channel, self.receive, answer)
+            self._serve_messages(channel, self.receive, answer)
         finally:
             open_gauge.dec()
 

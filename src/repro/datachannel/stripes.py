@@ -29,6 +29,7 @@ class Stripes:
         self._lock = threading.Lock()
         self._cursor = 0
         self._channels: dict[threading.Thread, object] = {}
+        self._idle: set[threading.Thread] = set()  # workers waiting for work, not stalled
         self.ranges: list[tuple[int, int]] = []  #: ``(offset, length)`` landed
         self.landed_bytes = 0
         self.seeks = 0  #: ranges that did not start where the last one ended
@@ -59,6 +60,18 @@ class Stripes:
             channel.close()
         return channel
 
+    def idle(self, wait: Callable):
+        """``wait()``, the calling worker counted as idle — not stalled —
+        while it blocks (a puller parked on an empty work queue)."""
+        me = threading.current_thread()
+        with self._lock:
+            self._idle.add(me)
+        try:
+            return wait()
+        finally:
+            with self._lock:
+                self._idle.discard(me)
+
     def end(self) -> list[threading.Thread]:
         """End the transfer: close every registered channel; returns their workers."""
         with self._lock:
@@ -71,7 +84,8 @@ class Stripes:
     def run(self, target: Callable, prefix: str, workers: Iterable[tuple], timeout, stats) -> None:
         """``target(*args)`` per ``args`` in ``workers``, on a thread named
         ``prefix`` + ``args[0]``; past ``timeout`` seconds, the end, then
-        :class:`StripeTimeout` carrying ``stats`` if a worker was running."""
+        :class:`StripeTimeout` carrying ``stats`` if a worker was running
+        and not :meth:`idle`."""
         threads = [
             threading.Thread(target=target, args=args, name=f"{prefix}{args[0]}", daemon=True)
             for args in workers
@@ -81,12 +95,13 @@ class Stripes:
         wait = Deadline.after(timeout)
         for thread in threads:
             thread.join(timeout=max(0.0, wait.remaining()))
-        stalled = [thread.name for thread in threads if thread.is_alive()]
+        with self._lock:
+            stalled = [t.name for t in threads if t.is_alive() and t not in self._idle]
         for thread in self.end():
             thread.join()
         if stalled:
             raise StripeTimeout(
-                f"{len(stalled)}/{len(threads)} stripe workers still running after "
+                f"{len(stalled)}/{len(threads)} stripe workers stalled after "
                 f"{timeout:.1f}s; {self.landed_bytes}/{self.size} bytes landed",
                 stats=stats,
             )

@@ -128,7 +128,7 @@ def striped_fetch(
 
         def pull(name: str, fetch: Callable[[int, int], bytes]) -> None:
             while not receive.over:
-                item = work.get()
+                item = receive.idle(work.get)
                 if item is None:
                     return
                 index, offset, length = item

@@ -90,6 +90,8 @@ class GridFTPClient:
         code, _, rest = reply.partition(" ")
         if code != "213":
             raise GridFTPError(f"SIZE failed: {reply}")
+        if not (rest.isascii() and rest.isdigit()):  # a sign or a letter is no size
+            raise GridFTPError(f"SIZE reply is not a byte count: {reply}")
         return int(rest)
 
     def quit(self) -> None:
@@ -110,6 +112,12 @@ class GridFTPClient:
             "gridftp.retrieve", kind="logical", path=path, streams=n_streams
         ) as retrieve_span:
             size = self.size(path)
+            # landed before RETR: a size that cannot be allocated is refused
+            # while the server still waits for a command, not for streams
+            try:
+                stripes = Stripes(size)
+            except MemoryError:
+                raise GridFTPError(f"cannot land a {size}-byte file") from None
             reply = self._command(f"RETR {path} {n_streams}")
             code, _, rest = reply.partition(" ")
             if code != "150":
@@ -122,7 +130,6 @@ class GridFTPClient:
                     f"server advertised {advertised} streams, asked {n_streams}"
                 )
 
-            stripes = Stripes(size)
             self.stats.n_streams = n_streams
             errors: list[Exception] = []
             headers: list[int] = []  # block headers read, one count per stream

@@ -4,7 +4,8 @@ The paper's argument rests on *decomposed* cost accounting: CPU time per
 encoding phase versus modelled wire time per scheme (Figures 4–6, Table 1).
 This package is the one substrate every layer reports into:
 
-* **Spans** (:mod:`repro.obs.trace`) — named, nested time segments with
+* **Spans** (:mod:`repro.obs.trace`; the recording recorder is
+  :mod:`repro.obs.recorder`) — named, nested time segments with
   monotonic timestamps, attributes and point events.  Spans nest through a
   thread-local context; a worker thread joins a parent trace by passing the
   parent span explicitly (the GridFTP stripe workers do this).
@@ -69,7 +70,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "Span": "trace",
         "SpanEvent": "trace",
         "TraceContext": "trace",
-        "TraceRecorder": "trace",
+        "TraceRecorder": "recorder",
         "current_context": "trace",
         "current_trace_id": "trace",
         "get_recorder": "trace",

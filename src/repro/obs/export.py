@@ -62,7 +62,7 @@ def build_tree(spans, t0: float | None = None) -> list[dict]:
 
 
 def trace_dict(recorder, meta: dict | None = None) -> dict:
-    """The full trace document for a :class:`~repro.obs.trace.TraceRecorder`."""
+    """The full trace document for a :class:`~repro.obs.recorder.TraceRecorder`."""
     spans = list(recorder.spans)
     t0 = min((s.start for s in spans), default=0.0)
     metrics = recorder.metrics.snapshot()

@@ -1,4 +1,4 @@
-"""Spans, recorders and the thread-local trace context.
+"""Spans, the null recorder and the thread-local trace context.
 
 Design constraints, in order:
 
@@ -14,22 +14,24 @@ Design constraints, in order:
    parent from another thread by passing ``parent=`` explicitly.
 3. **Two time domains.**  Measured spans carry monotonic
    ``perf_counter`` start/end stamps.  Accounting spans (made by
-   :meth:`TraceRecorder.charge`) carry a modelled duration in
+   :meth:`~repro.obs.recorder.TraceRecorder.charge`) carry a modelled duration in
    ``modelled_seconds`` and zero wall width — the netsim clock uses these
    so modelled wire time and measured CPU time coexist in one tree,
    distinguishable by inspection.
+
+The recording recorder is :mod:`repro.obs.recorder`'s: a process that
+never records never loads it.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.obs.metrics import MetricsRegistry
+if TYPE_CHECKING:
+    from repro.obs.recorder import TraceRecorder
 
 #: Span kinds used across the library.  Free-form strings are accepted;
 #: these are the conventional taxonomy (see DESIGN.md).
@@ -44,7 +46,7 @@ class TraceContext:
     receiver's work (its root parents under it when the files are
     joined); ``sampled`` carries the head-sampling decision so client and
     server keep or drop the *same* requests; ``origin`` is the sending
-    process's identity (:attr:`TraceRecorder.origin`) — per-process span
+    process's identity (:attr:`~repro.obs.recorder.TraceRecorder.origin`) — per-process span
     ids are sequential, so a remote parent is only unambiguous as the
     pair ``(origin, span_id)``.
     """
@@ -81,22 +83,6 @@ class TraceContext:
             f"TraceContext({self.trace_id:032x}, span={self.span_id}, "
             f"sampled={self.sampled}, origin={self.origin!r})"
         )
-
-
-def _derive_trace_id(origin: str, span_id: int) -> int:
-    """Deterministic 128-bit trace id for a local root span.
-
-    Pure function of ``(origin, span_id)`` so a recorder with a pinned
-    origin (tests, golden files) mints reproducible ids, while the
-    random per-process origin makes ids unique across real processes.
-    """
-    # imported here: the one digest in this module, never reached under
-    # NullRecorder, and ``hashlib`` maps OpenSSL (3.6 MiB) into a process
-    # that otherwise serves without it (DESIGN.md §10 "process floor")
-    import hashlib
-
-    digest = hashlib.md5(f"{origin}:{span_id}".encode("utf-8")).digest()
-    return int.from_bytes(digest, "big")
 
 
 @dataclass
@@ -177,175 +163,6 @@ class Span:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         src = "modelled" if self.modelled_seconds is not None else "measured"
         return f"<Span #{self.span_id} {self.name!r} kind={self.kind} {src} {self.seconds * 1e3:.3f}ms>"
-
-
-# ---------------------------------------------------------------------------
-# the recording recorder
-
-
-class TraceRecorder:
-    """Collects spans, events, counters and histograms for one trace.
-
-    Thread-safe: spans may be opened/closed concurrently from any number
-    of threads.  Each thread nests spans on its own stack; cross-thread
-    parentage is explicit (``span(..., parent=parent_span)``).
-    """
-
-    enabled = True
-
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        service: str = "",
-        origin: str | None = None,
-    ) -> None:
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._next_id = 1
-        self.spans: list[Span] = []
-        #: Events recorded while no span was current on the calling thread.
-        self.orphan_events: list[SpanEvent] = []
-        self.metrics = MetricsRegistry()
-        self._local = threading.local()
-        #: Human label for the process/role this recorder observes
-        #: (e.g. "client", "serve"); lands in the trace file's meta.
-        self.service = service
-        #: Process identity for cross-file span references.  Random per
-        #: recorder by default; pin it for reproducible trace files.
-        self.origin = origin if origin is not None else os.urandom(4).hex()
-
-    # -- context plumbing ----------------------------------------------
-
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def current_span(self) -> Span | None:
-        stack = self._stack()
-        return stack[-1] if stack else None
-
-    def _open(
-        self,
-        name: str,
-        kind: str,
-        parent,
-        attributes: dict,
-        context: TraceContext | None = None,
-    ) -> Span:
-        stack = self._stack()
-        trace_id = 0
-        if context is not None:
-            # Join the caller's trace.  A context from this same process
-            # (pool hand-offs) names a real local span we can parent
-            # under; a remote one leaves the span a root and records the
-            # (origin, span_id) join keys for cross-file assembly.
-            parent_id = None
-            if context.origin and context.origin == self.origin and context.span_id:
-                parent_id = context.span_id
-            elif context.span_id:
-                attributes.setdefault("trace.remote_origin", context.origin)
-                attributes.setdefault("trace.remote_span", context.span_id)
-            trace_id = context.trace_id
-        elif parent is not None:
-            parent_id = getattr(parent, "span_id", None)
-            trace_id = getattr(parent, "trace_id", 0) or 0
-        else:
-            parent_id = stack[-1].span_id if stack else None
-            if stack:
-                trace_id = stack[-1].trace_id
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
-            if not trace_id:
-                trace_id = _derive_trace_id(self.origin, span_id)
-            span = Span(
-                name,
-                kind,
-                span_id,
-                parent_id,
-                self._clock(),
-                attributes,
-                thread=threading.current_thread().name,
-                trace_id=trace_id,
-            )
-            self.spans.append(span)
-        stack.append(span)
-        return span
-
-    def _close(self, span: Span) -> None:
-        span.end = self._clock()
-        stack = self._stack()
-        # tolerate exotic exits (a generator span finalized on another
-        # thread): remove the span wherever it sits instead of corrupting
-        # the nesting of unrelated spans
-        if stack and stack[-1] is span:
-            stack.pop()
-        elif span in stack:  # pragma: no cover - defensive
-            stack.remove(span)
-
-    # -- public API -----------------------------------------------------
-
-    def span(self, name: str, kind: str = "cpu", parent=None, context=None, **attributes):
-        """Open a span; closes (stamps ``end``) when the block exits.
-
-        ``context=`` joins an incoming :class:`TraceContext`: the span
-        adopts its trace id (and, for a same-process context, its parent
-        span).  A context whose ``sampled`` flag is off suppresses the
-        span entirely — the shared null span is returned, so the server
-        side of an unsampled request records nothing, matching the
-        client's head-sampling decision.
-        """
-        if context is not None and not context.sampled:
-            return _NULL_SPAN
-        return self._span_cm(name, kind, parent, context, attributes)
-
-    @contextmanager
-    def _span_cm(self, name, kind, parent, context, attributes) -> Iterator[Span]:
-        sp = self._open(name, kind, parent, attributes, context)
-        try:
-            yield sp
-        except BaseException as exc:
-            sp.attributes.setdefault("error", type(exc).__name__)
-            raise
-        finally:
-            self._close(sp)
-
-    def charge(
-        self, name: str, seconds: float, kind: str = "wire", parent=None, **attributes
-    ) -> Span:
-        """Record an accounting span of modelled duration ``seconds``."""
-        sp = self._open(name, kind, parent, attributes)
-        sp.modelled_seconds = float(seconds)
-        self._close(sp)
-        sp.end = sp.start  # zero wall width: the time is charged, not spent
-        return sp
-
-    def event(self, name: str, **attributes) -> None:
-        """Attach a point event to the calling thread's current span."""
-        now = self._clock()
-        current = self.current_span()
-        if current is not None:
-            current.add_event(name, now, **attributes)
-        else:
-            with self._lock:
-                self.orphan_events.append(SpanEvent(name, now, attributes))
-
-    def counter(self, name: str, labels=None):
-        return self.metrics.counter(name, labels)
-
-    def gauge(self, name: str, labels=None):
-        return self.metrics.gauge(name, labels)
-
-    def histogram(self, name: str, bounds=None, labels=None):
-        return self.metrics.histogram(name, bounds, labels)
-
-    def export(self, meta: dict | None = None) -> dict:
-        """The trace as a JSON-ready dict (see :mod:`repro.obs.export`)."""
-        from repro.obs.export import trace_dict
-
-        return trace_dict(self, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +278,10 @@ def set_recorder(recorder):
 @contextmanager
 def recording(recorder: TraceRecorder | None = None) -> Iterator[TraceRecorder]:
     """Activate a recorder for the block (a fresh one by default)."""
-    recorder = recorder if recorder is not None else TraceRecorder()
+    if recorder is None:
+        from repro.obs.recorder import TraceRecorder
+
+        recorder = TraceRecorder()
     previous = set_recorder(recorder)
     try:
         yield recorder

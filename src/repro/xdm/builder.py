@@ -12,7 +12,7 @@ Two styles are offered:
 
 * imperative — :class:`TreeBuilder`, whose ``element`` context manager keeps
   the current insertion point, convenient when the tree shape is data-driven
-  (the SOAP engine and the XML parser both use it).
+  (an embedder's; the codecs' decoders keep insertion points of their own).
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import hashlib
 import hmac
+import os
 import struct
 
 import numpy as np
@@ -293,6 +294,22 @@ class TestChunkSigning:
         wire = ChunkSigner(key).wrap(chunk)
         verifier.feed(wire[:64])
         assert traced_peak(verifier.feed, wire[64:]) < 2.1 * len(chunk)
+
+    def test_a_verified_chunk_is_resident_once(self, key):
+        """A payload lands in a buffer of its own size and is checked
+        there: 2.06 chunks when it grew in the verifier's buffer and was
+        copied out of it."""
+        chunk = memoryview(os.urandom(1 << 20))
+        wire = memoryview(ChunkSigner(key).wrap(chunk))
+        pieces = [wire[i : i + (64 << 10)] for i in range(0, len(wire), 64 << 10)]
+
+        def verify():
+            verifier = ChunkVerifier(key)
+            return [payload for piece in pieces for payload in verifier.feed(piece)]
+
+        (payload,) = verify()
+        assert payload == chunk and payload.readonly
+        assert traced_peak(verify) <= 1.25 * len(chunk)
 
     def test_stream_generators_roundtrip(self, key):
         payloads = [bytes([i]) * (100 + i) for i in range(1, 20)]

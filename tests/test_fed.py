@@ -670,7 +670,7 @@ class TestStriping:
             return blob[offset : offset + length]
 
         try:
-            with pytest.raises(StripeTimeout, match="3072/4096 bytes landed") as info:
+            with pytest.raises(StripeTimeout, match="1/2 stripe workers.*3072/4096 bytes landed") as info:
                 sources = [("stuck", stuck)] + self.sources_for(blob, names=("good",))
                 striped_fetch(sources, len(blob), stripe_size=1024, stripe_timeout=0.2)
         finally:

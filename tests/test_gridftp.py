@@ -299,3 +299,32 @@ class TestUntrustedDataStream:
             client.retrieve("/f", 1)
         assert client.stats.data_bytes == 4096
         client.quit()
+
+
+class TestUntrustedSize:
+    """The control channel's ``SIZE`` reply is a peer's claim too: what is
+    not a byte count, or cannot be landed, is refused before ``RETR`` goes
+    out, so the session is left where a later command still gets an answer."""
+
+    @pytest.mark.parametrize("claim", ["abc", "-1", "4398046511104"])
+    def test_a_size_that_cannot_be_landed_is_refused_before_retr(self, claim):
+        import time
+
+        net = MemoryNetwork()
+        credential = HostCredential.generate()
+
+        class LyingServer(GridFTPServer):
+            def _cmd_size(self, channel, path):
+                channel.send_all(f"213 {claim}\n".encode())
+
+        server = LyingServer(net.listen("gftp"), data_listeners(net), credential).start()
+        try:
+            server.publish("/f", b"\xab" * 4096)
+            client = GridFTPClient(lambda: net.connect("gftp"), net.connect, credential)
+            with pytest.raises(GridFTPError):
+                client.retrieve("/f", 2)
+            started = time.monotonic()
+            client.quit()
+            assert time.monotonic() - started < 5.0
+        finally:
+            server.stop()

@@ -83,6 +83,11 @@ lint) — they confine the concurrency machinery to its designated homes:
   process maps OpenSSL when it first signs (DESIGN.md §10 "process
   floor"; ``tests/test_import_budget.py`` holds the resulting closure).
 
+Run with no paths, it also checks DESIGN.md against the tree: every
+``test_*`` name and every "`path.py` `symbol`" it cites must exist
+(``design_citation_findings``), so the specification cannot go on naming a
+test that was renamed or a function that moved.
+
 Exit status 0 = clean, 1 = findings, matching ruff's convention so the
 verify flow can chain it after the tier-1 pytest run.
 """
@@ -849,6 +854,80 @@ def body_landing_findings(path: str) -> list[tuple[int, str]]:
     return findings
 
 
+#: A test cited in the docs: a test module (``test_x.py``) or a test function.
+DOC_TEST = re.compile(r"\btest_\w+(?:\.py)?")
+
+#: A symbol cited in the docs as "`path.py` `symbol`": a dotted name at the
+#: start of the second code span (``serve_exchange(payload, ...`` counts).
+DOC_PAIR = re.compile(r"`([\w./-]+\.py)`\s+`([A-Za-z_][\w.]*)")
+
+
+def _defines(body: list, name: str) -> ast.AST | None:
+    """The def, class or assignment of ``name`` among ``body``'s statements."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name == name:
+                return node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+                return node
+    return None
+
+
+def _resolves(root: str, path: str, symbol: str) -> bool:
+    """Whether ``symbol`` (``name`` or ``Class.member``) is defined in the
+    module ``path`` names (relative to the root, ``src/`` or ``src/repro/``)."""
+    for base in ("", "src", os.path.join("src", "repro")):
+        candidate = os.path.join(root, base, path)
+        if os.path.isfile(candidate):
+            break
+    else:
+        return False
+    parsed = _parsed(candidate)
+    if parsed is None:
+        return False
+    tree = parsed[1]
+    first, *rest = symbol.split(".")
+    node = _defines(tree.body, first)
+    if node is None and not rest:
+        # a bare name may be a method: ``session.py`` ``_verify_decode_plan``
+        classes = (n for n in tree.body if isinstance(n, ast.ClassDef))
+        node = next(filter(None, (_defines(c.body, first) for c in classes)), None)
+    for part in rest:
+        node = _defines(getattr(node, "body", []), part)
+    return node is not None
+
+
+def design_citation_findings(design: str, root: str) -> list[tuple[int, str]]:
+    """Every test and every "`path.py` `symbol`" that ``design`` cites exists.
+
+    A test module must be a file under ``tests/`` or ``benchmarks/``, a test
+    function a ``def`` in one; a symbol must be defined at the top of its
+    module or in one of its classes.  A renamed test or a moved
+    function otherwise leaves the specification pointing at nothing.
+    ROADMAP.md is not checked: it cites code that is planned.
+    """
+    with open(design, encoding="utf-8") as fh:
+        text = fh.read()
+    modules, functions = set(), set()
+    for top in ("tests", "benchmarks"):
+        for path in iter_python_files([os.path.join(root, top)]):
+            modules.add(os.path.basename(path))
+            with open(path, encoding="utf-8") as fh:
+                functions.update(re.findall(r"^\s*def (test_\w+)", fh.read(), re.M))
+    findings = []
+    for match in DOC_TEST.finditer(text):
+        name = match.group()
+        if name not in (modules if name.endswith(".py") else functions):
+            findings.append((match.start(), f"cites {name}, which no test defines"))
+    for match in DOC_PAIR.finditer(text):
+        path, symbol = match.groups()
+        if not _resolves(root, path, symbol):
+            findings.append((match.start(), f"cites `{path}` `{symbol}`, which is not defined there"))
+    return sorted((text.count("\n", 0, at) + 1, message) for at, message in findings)
+
+
 #: Every repo-specific rule: ``path -> [(line, message)]``.
 REPO_RULES = (
     serve_thread_findings,
@@ -892,6 +971,13 @@ def main(argv: list[str]) -> int:
             for lineno, message in rule(path):
                 print(f"{path}:{lineno}: {message}")
                 serve_total += 1
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    design = os.path.join(root, "DESIGN.md")
+    if not argv and os.path.isfile(design):
+        for lineno, message in design_citation_findings(design, root):
+            print(f"{design}:{lineno}: {message}")
+            serve_total += 1
 
     ruff_status = try_ruff(paths)
     if ruff_status is not None:
